@@ -94,14 +94,14 @@ def adjoint_sweep(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
     cn = crank_nicolson_factors(model.linear_op, dt)
 
     lam = np.zeros_like(x)
-    lam[nt] = cn.solve_t(dt * source[nt])
+    lam[nt] = cn.solve(dt * source[nt])
     for j in range(nt - 1, 0, -1):
         lam_next2 = lam[j + 2] if j + 2 <= nt else None
         comb = 1.5 * lam[j + 1] if lam_next2 is None else 1.5 * lam[j + 1] - 0.5 * lam_next2
-        rhs = cn.explicit_t(lam[j + 1]) + dt * _jacobian_t(model, x[j], comb) + dt * source[j]
-        lam[j] = cn.solve_t(rhs)
+        rhs = cn.explicit(lam[j + 1]) + dt * _jacobian_t(model, x[j], comb) + dt * source[j]
+        lam[j] = cn.solve(rhs)
     comb0 = lam[1] - 0.5 * lam[2]
-    lam[0] = cn.explicit_t(lam[1]) + dt * _jacobian_t(model, x[0], comb0) + dt * source[0]
+    lam[0] = cn.explicit(lam[1]) + dt * _jacobian_t(model, x[0], comb0) + dt * source[0]
     return lam
 
 

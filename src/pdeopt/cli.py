@@ -82,7 +82,8 @@ def _margin(cfg: ExperimentConfig, model, traj, u, design) -> float | None:
     if cfg.is_ks:
         if cfg["model.lambda"] < FOUR_PI_SQ:
             return float(verify_ks_bound(traj, u, design, cfg["model.lambda"],
-                                         model.grid, actuator=model.actuator_family))
+                                         model.grid, actuator=model.actuator_family,
+                                         a_op=model.linear_op))
         return None
     if model.sign_condition or model.is_linear:
         return float(verify_heat_iss_bound(traj, u, design, model.grid, model))
@@ -321,6 +322,10 @@ def sweep(subcommand: str, cfg: ExperimentConfig, out_dir, param: str,
     return results
 
 
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",")]
+
+
 def main(argv=None) -> int:
     _setup_logging()
     parser = argparse.ArgumentParser(
@@ -333,7 +338,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override seed")
     parser.add_argument("--param", default=None, help="config field to sweep")
-    parser.add_argument("--values", default=None,
+    parser.add_argument("--values", default=None, type=_float_list,
                         help="comma-separated sweep values")
     parser.add_argument("--sweep-inner", default="optimize",
                         choices=sorted(_PIPELINES),
@@ -350,8 +355,7 @@ def main(argv=None) -> int:
             if not args.param or not args.values:
                 print("sweep requires --param and --values", file=sys.stderr)
                 return 2
-            values = [float(tok) for tok in args.values.split(",")]
-            results = sweep(args.sweep_inner, cfg, out_dir, args.param, values)
+            results = sweep(args.sweep_inner, cfg, out_dir, args.param, args.values)
             failures = [r for r in results if r[1] is None]
             for value, _, err in failures:
                 log.error("sweep value %g failed: %s", value, err)

@@ -170,8 +170,12 @@ class ExperimentConfig:
             raise ConfigError("model.kind", f"expected 'ks' or 'heat', got {v['model.kind']!r}")
         if v["model.nonlinearity"] not in ("cubic", "none"):
             raise ConfigError("model.nonlinearity", "expected 'cubic' or 'none'")
-        if v["grid.n"] < 4 or v["grid.nx"] < 4 or v["grid.ny"] < 4:
-            raise ConfigError("grid.n", "grids need at least 4 nodes per axis")
+        for name in ("grid.n", "grid.nx", "grid.ny"):
+            if v[name] < 4:
+                raise ConfigError(name, "grids need at least 4 nodes per axis")
+        if v["model.kind"] == "ks" and v["grid.n"] > 512:
+            # the KS stepper works in the dense eigenbasis of the n x n operator
+            raise ConfigError("grid.n", "KS grids take at most 512 nodes")
         if v["time.nt"] < 2 or v["time.tau"] <= 0:
             raise ConfigError("time.nt", "need nt >= 2 and tau > 0")
         if v["cost.r_scale"] <= 0:
@@ -182,6 +186,17 @@ class ExperimentConfig:
             raise ConfigError("sets.r1", "ball radii must be positive")
         if v["optimizer.mode"] not in ("joint", "alternating"):
             raise ConfigError("optimizer.mode", "expected 'joint' or 'alternating'")
+        for name in ("optimizer.backtrack", "optimizer.armijo_c1"):
+            if not 0 < v[name] < 1:
+                raise ConfigError(name, f"must lie in (0, 1), got {v[name]}")
+        if v["optimizer.step0"] <= 0:
+            raise ConfigError("optimizer.step0", "initial step must be positive")
+        if v["optimizer.multi_start"] < 1:
+            raise ConfigError("optimizer.multi_start", "need at least one start")
+        if v["riccati.nt"] < 2:
+            raise ConfigError("riccati.nt", "need at least 2 Riccati time steps")
+        if v["riccati.check_every"] < 1:
+            raise ConfigError("riccati.check_every", "must be >= 1")
         if v["initial_condition.kind"] not in ("sine", "bump", "zero"):
             raise ConfigError("initial_condition.kind", "expected sine|bump|zero")
         if v["output.jobs"] < 1:

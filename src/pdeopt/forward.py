@@ -20,12 +20,10 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse.linalg import splu
 
 from .exceptions import BlowUpError, NotApplicableError, PdeoptError
-from .grids import (Grid1D, Grid2D, build_grid_1d, build_grid_2d, inner_product,
-                    ks_operator, smallest_eigenvalue)
+from .grids import (Grid1D, Grid2D, LinearOperator, build_grid_1d, build_grid_2d,
+                    inner_product, ks_operator, smallest_eigenvalue)
 from .models import ActuatorDesign, KsGaussianActuator, ModelSpec
 
 FOUR_PI_SQ = 4.0 * np.pi**2
@@ -104,82 +102,36 @@ class Trajectory:
         return self.states[-1]
 
 
-class _EigenCN:
-    """CN factors through the orthonormal eigenbasis of a symmetric A.
+class CrankNicolson:
+    """M = I - (dt/2) A and P = I + (dt/2) A as diagonal scalings in A's eigenbasis.
 
-    Forward and transposed solves share one code path with orthogonal
-    transforms and bounded multipliers, so the adjoint sweep is the exact
-    transpose of the forward sweep to a few ulps even for the stiff
-    biharmonic operator (an LU pairing loses ~kappa(M) digits there).
+    M and P are symmetric, so the adjoint sweep's transposed solves are the
+    same calls, and it stays the exact transpose of the forward sweep to a few
+    ulps even for the stiff biharmonic operator (an LU pairing loses
+    ~kappa(M) digits there).
     """
 
-    def __init__(self, a_dense: np.ndarray, dt: float):
-        lam, v = np.linalg.eigh(a_dense)
-        self._v = v
+    def __init__(self, a_op, dt: float):
+        self._basis = a_op.basis
+        lam = self._basis.values
         self._den = 1.0 - 0.5 * dt * lam
         self._num = 1.0 + 0.5 * dt * lam
         if np.min(np.abs(self._den)) < 1e-8:
-            raise ValueError("CN factor nearly singular in the eigen path")
+            raise PdeoptError(f"Crank-Nicolson factor I - dt/2 A is nearly singular "
+                              f"at dt={dt}")
 
     def solve(self, x: np.ndarray) -> np.ndarray:
-        return self._v @ ((self._v.T @ x) / self._den)
-
-    solve_t = solve
+        return self._basis.from_modal(self._basis.to_modal(x) / self._den)
 
     def explicit(self, x: np.ndarray) -> np.ndarray:
-        return self._v @ ((self._v.T @ x) * self._num)
-
-    explicit_t = explicit
+        return self._basis.from_modal(self._basis.to_modal(x) * self._num)
 
 
-class _SpluCN:
-    """CN factors via sparse LU; transposed solves reuse the same factors."""
-
-    def __init__(self, a_mat: sps.csr_matrix, dt: float):
-        eye = sps.eye(a_mat.shape[0], format="csr")
-        self._lu = splu((eye - 0.5 * dt * a_mat).tocsc())
-        self._p = (eye + 0.5 * dt * a_mat).tocsr()
-        self._p_t = self._p.T.tocsr()
-
-    def solve(self, x: np.ndarray) -> np.ndarray:
-        return self._lu.solve(x)
-
-    def solve_t(self, x: np.ndarray) -> np.ndarray:
-        return self._lu.solve(x, trans="T")
-
-    def explicit(self, x: np.ndarray) -> np.ndarray:
-        return self._p @ x
-
-    def explicit_t(self, x: np.ndarray) -> np.ndarray:
-        return self._p_t @ x
-
-
-_factor_cache: dict[tuple[int, float], tuple] = {}
-
-
-def crank_nicolson_factors(a_op, dt: float):
-    """Solver for M = I - (dt/2) A with the matching explicit half-step.
-
-    Symmetric operators at 1-D scale go through the eigen path (exact
-    transpose pairing); larger or unsymmetric ones through sparse LU.
-    Factors are cached per (operator, dt) because optimization loops re-solve
-    with identical matrices thousands of times.
-    """
-    key = (id(a_op.mat), dt)
-    hit = _factor_cache.get(key)
-    if hit is not None and hit[0] is a_op.mat:
-        return hit[1]
-    if a_op.symmetric and a_op.n <= 512:
-        try:
-            factors = _EigenCN(a_op.mat.toarray(), dt)
-        except ValueError:
-            factors = _SpluCN(a_op.mat, dt)
-    else:
-        factors = _SpluCN(a_op.mat, dt)
-    if len(_factor_cache) > 16:
-        _factor_cache.clear()
-    _factor_cache[key] = (a_op.mat, factors)
-    return factors
+def crank_nicolson_factors(a_op, dt: float) -> CrankNicolson:
+    """Solver for M = I - (dt/2) A with the matching explicit half-step, in the
+    eigenbasis the operator builds once and keeps; raises PdeoptError when M
+    is nearly singular at this dt."""
+    return CrankNicolson(a_op, dt)
 
 
 def solve_forward(model: ModelSpec, u: ControlSignal | None, design: ActuatorDesign,
@@ -218,32 +170,21 @@ def energy_trace(traj: Trajectory, grid) -> np.ndarray:
     return np.array([inner_product(x, x, grid) for x in traj.states])
 
 
-_sigma_cache: dict[tuple[int, float], float] = {}
-
-
-def _ks_sigma(grid: Grid1D, lam: float) -> float:
-    """Smallest eigenvalue of the discrete -A, memoized per (n, lam)."""
-    key = (grid.n, lam)
-    if key not in _sigma_cache:
-        if len(_sigma_cache) > 32:
-            _sigma_cache.clear()
-        _sigma_cache[key] = smallest_eigenvalue(-ks_operator(grid, lam))
-    return _sigma_cache[key]
-
-
 def verify_ks_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDesign,
                     lam: float, grid: Grid1D,
-                    actuator: KsGaussianActuator | None = None) -> float:
+                    actuator: KsGaussianActuator | None = None,
+                    a_op: LinearOperator | None = None) -> float:
     """Margin of the KS energy bound; nonnegative means the bound held.
 
     ||w(tau)||^2 <= ||w_0||^2 + (1/sigma(lam)) ||u||_{L2}^2 max_xi b^2(xi; r),
     with sigma(lam) the smallest eigenvalue of the discrete -A.  Only asserted
-    for lam < 4 pi^2, where -A is positive definite.
+    for lam < 4 pi^2, where -A is positive definite.  Pass the model's A as
+    ``a_op`` to reuse its eigenbasis instead of assembling A from (grid, lam).
     """
     if lam >= FOUR_PI_SQ:
         raise NotApplicableError(f"bound requires lam < 4*pi^2 ~= {FOUR_PI_SQ:.3f}, got {lam}")
     fam = actuator if actuator is not None else KsGaussianActuator()
-    sigma = _ks_sigma(grid, lam)
+    sigma = smallest_eigenvalue(-(a_op if a_op is not None else ks_operator(grid, lam)))
     if sigma <= 0:
         raise NotApplicableError(f"discrete -A not positive definite (sigma = {sigma:.3e})")
     b = fam.evaluate(design, grid)
@@ -263,12 +204,7 @@ def verify_heat_iss_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDe
     """
     if not (model.sign_condition or model.is_linear):
         raise NotApplicableError("ISS bound needs the sign condition zeta*F(zeta) <= 0")
-    key = (id(model.linear_op.mat), -1.0)
-    if key not in _sigma_cache:
-        if len(_sigma_cache) > 32:
-            _sigma_cache.clear()
-        _sigma_cache[key] = smallest_eigenvalue(-model.linear_op)
-    c_omega = _sigma_cache[key]
+    c_omega = smallest_eigenvalue(-model.linear_op)
     r_vec = model.actuator_family.evaluate(design, grid)
     rhs = inner_product(traj.initial, traj.initial, grid) \
         + 4.0 / c_omega * control_l2_norm(u)**2 * inner_product(r_vec, r_vec, grid)

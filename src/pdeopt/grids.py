@@ -13,24 +13,35 @@ Two grid families are supported:
 
 All quadrature weights are uniform per grid, so the discrete L2 adjoint of any
 assembled matrix is its transpose; the rest of the package relies on that.
+
+Every operator keeps its orthonormal eigenbasis (``LinearOperator.basis``).
+The 2-D operators are Kronecker sums of two 1-D factors, so theirs comes from
+two small eigensolves: the fast diagonalization method of Lynch, Rice &
+Thomas, Numer. Math. 6 (1964).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sps
-import scipy.sparse.linalg as spsla
-from scipy.linalg import eigvalsh
 
 from .exceptions import InvalidBoundaryError, InvalidGridError
 
 _SIDES = ("left", "right", "bottom", "top")
 
 
+class _Grid:
+    @cached_property
+    def h1(self) -> "LinearOperator":
+        """K = -Delta_h + I on this grid (see ``h1_operator``), built on first use."""
+        return h1_operator(self)
+
+
 @dataclass(frozen=True)
-class Grid1D:
+class Grid1D(_Grid):
     """Uniform interior-node grid on (0, 1) with trapezoid-consistent weights."""
 
     n: int
@@ -49,7 +60,7 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class Grid2D:
+class Grid2D(_Grid):
     """Uniform cell-centered grid on [0,lx] x [0,ly] with per-edge BC labels.
 
     ``dirichlet`` maps each side name to True (Dirichlet, part of Gamma_0) or
@@ -100,15 +111,52 @@ class Grid2D:
 
 
 @dataclass(frozen=True)
+class SpectralBasis:
+    """Orthonormal eigenbasis V of a symmetric operator, A = V diag(values) V^T.
+
+    ``vectors`` is (V,), or (Vy, Vx) for a Kronecker sum Fy (x) I + I (x) Fx
+    on a grid with the x index fastest: then V = Vy (x) Vx is never formed,
+    the modal coefficients of x are Vy^T X Vx with X = x.reshape(ny, nx), and
+    ``values`` has shape (ny, nx).
+    """
+
+    vectors: tuple
+    values: np.ndarray
+
+    def to_modal(self, x: np.ndarray) -> np.ndarray:
+        if len(self.vectors) == 1:
+            return self.vectors[0].T @ x
+        vy, vx = self.vectors
+        return vy.T @ x.reshape(len(vy), len(vx)) @ vx
+
+    def from_modal(self, c: np.ndarray) -> np.ndarray:
+        if len(self.vectors) == 1:
+            return self.vectors[0] @ c
+        vy, vx = self.vectors
+        return (vy @ c @ vx.T).ravel()
+
+
+@dataclass(frozen=True)
 class LinearOperator:
-    """Real matrix acting on interior-node state vectors."""
+    """Real matrix acting on interior-node state vectors.
+
+    ``factors`` holds the dense 1-D factors (Fy, Fx) when ``mat`` is the
+    Kronecker sum Fy (x) I + I (x) Fx; otherwise the basis comes from one
+    dense eigensolve of ``mat``.
+    """
 
     mat: sps.csr_matrix
     symmetric: bool
+    factors: tuple = ()
 
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
+    @cached_property
+    def basis(self) -> SpectralBasis:
+        """Orthonormal eigenbasis, computed on first use and kept on the operator."""
+        if not self.symmetric:
+            raise ValueError("an orthonormal eigenbasis requires a symmetric operator")
+        pairs = [np.linalg.eigh(f) for f in self.factors or (self.toarray(),)]
+        return SpectralBasis(vectors=tuple(v for _, v in pairs),
+                             values=reduce(np.add.outer, [w for w, _ in pairs]))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.mat @ v
@@ -119,7 +167,11 @@ class LinearOperator:
         return self.mat.toarray()
 
     def __neg__(self) -> "LinearOperator":
-        return LinearOperator(mat=(-self.mat).tocsr(), symmetric=self.symmetric)
+        neg = LinearOperator(mat=(-self.mat).tocsr(), symmetric=self.symmetric,
+                             factors=tuple(-f for f in self.factors))
+        if "basis" in self.__dict__:  # -A shares the eigenvectors of A
+            neg.__dict__["basis"] = SpectralBasis(self.basis.vectors, -self.basis.values)
+        return neg
 
 
 def build_grid_1d(n: int) -> Grid1D:
@@ -212,7 +264,8 @@ def heat_operator(grid: Grid2D) -> LinearOperator:
     ix = sps.eye(grid.nx, format="csr")
     iy = sps.eye(grid.ny, format="csr")
     lap = sps.kron(iy, lx_op) + sps.kron(ly_op, ix)
-    return LinearOperator(mat=lap.tocsr(), symmetric=True)
+    return LinearOperator(mat=lap.tocsr(), symmetric=True,
+                          factors=(ly_op.toarray(), lx_op.toarray()))
 
 
 def inner_product(f: np.ndarray, g: np.ndarray, grid) -> float:
@@ -235,49 +288,42 @@ def h1_operator(grid) -> LinearOperator:
     """
     if isinstance(grid, Grid1D):
         neg_lap = -_second_difference_1d(grid.n, grid.h)
+        factors = ()
     else:
-        neg_lap = -heat_operator(grid).mat
+        lap = heat_operator(grid)
+        neg_lap = -lap.mat
+        fy, fx = lap.factors
+        factors = (-fy, np.eye(grid.nx) - fx)
     k = (neg_lap + sps.eye(grid.size, format="csr")).tocsr()
-    return LinearOperator(mat=k, symmetric=True)
+    return LinearOperator(mat=k, symmetric=True, factors=factors)
 
 
-def h1_inner(f: np.ndarray, g: np.ndarray, grid, k_op: LinearOperator | None = None) -> float:
+def h1_inner(f: np.ndarray, g: np.ndarray, grid) -> float:
     """Discrete H1 inner product <f, g> + <grad f, grad g>."""
-    k = k_op if k_op is not None else h1_operator(grid)
-    return inner_product(f, k.apply(g), grid)
-
-def h1_norm(f: np.ndarray, grid, k_op: LinearOperator | None = None) -> float:
-    return float(np.sqrt(max(h1_inner(f, f, grid, k_op), 0.0)))
+    return inner_product(f, grid.h1.apply(g), grid)
 
 
-def h1_riesz_map(v: np.ndarray, grid, k_op: LinearOperator | None = None) -> np.ndarray:
+def h1_norm(f: np.ndarray, grid) -> float:
+    return float(np.sqrt(max(h1_inner(f, f, grid), 0.0)))
+
+
+def h1_riesz_map(v: np.ndarray, grid) -> np.ndarray:
     """Map the L2 representer of a functional to its H1 representer.
 
-    Solves (-Delta_h + I) g = v; the solve cannot be singular because K is
-    positive definite.
+    Solves (-Delta_h + I) g = v as a diagonal scaling in the eigenbasis of the
+    grid's K, which is built once per grid; the scaling cannot be singular
+    because K is positive definite.
     """
-    k = k_op if k_op is not None else h1_operator(grid)
     if v.shape[0] != grid.size:
         raise ValueError(f"vector of size {v.shape[0]} does not match grid of size {grid.size}")
-    return spsla.spsolve(k.mat.tocsc(), v)
+    basis = grid.h1.basis
+    return basis.from_modal(basis.to_modal(v) / basis.values)
 
 
 def smallest_eigenvalue(op: LinearOperator) -> float:
-    """Smallest eigenvalue of a symmetric operator.
+    """Smallest eigenvalue of a symmetric operator, read off its eigenbasis.
 
-    Dense eigensolve at desk scale; shift-invert Lanczos (shifted below the
-    spectrum via a Gershgorin bound, so the target is the eigenvalue nearest
-    the shift) beyond it.
+    For -A this is the discrete Poincare constant c_Omega (heat) or
+    sigma(lam) (KS); -A reuses the basis of A when A has already built it.
     """
-    if not op.symmetric:
-        raise ValueError("smallest_eigenvalue requires a symmetric operator")
-    if op.n <= 512:
-        return float(eigvalsh(op.toarray())[0])
-    mat = op.mat.tocsr()
-    diag = mat.diagonal()
-    row_abs = np.asarray(abs(mat).sum(axis=1)).ravel()
-    lower = float(np.min(diag - (row_abs - np.abs(diag))))
-    sigma = lower - 1.0
-    vals = spsla.eigsh(mat.tocsc(), k=1, sigma=sigma, which="LM",
-                       return_eigenvectors=False)
-    return float(vals[0])
+    return float(np.min(op.basis.values))

@@ -19,7 +19,7 @@ from .exceptions import BlowUpError
 from .forward import (ControlSignal, TimeGrid, Trajectory, solve_forward,
                       trapezoid_weights, verify_heat_iss_bound, verify_ks_bound,
                       FOUR_PI_SQ)
-from .grids import h1_norm, h1_operator
+from .grids import h1_norm
 from .models import ActuatorDesign, ActuatorFamily, ModelSpec
 
 
@@ -119,9 +119,9 @@ def project_K(design: ActuatorDesign, sets: AdmissibleSets) -> ActuatorDesign:
     return ActuatorDesign(params=sets.family.project(design.params))
 
 
-def project_V_ball(x0: np.ndarray, r2: float, grid, k_op=None) -> np.ndarray:
+def project_V_ball(x0: np.ndarray, r2: float, grid) -> np.ndarray:
     """Radial projection onto the discrete H1 ball of radius r2."""
-    norm = h1_norm(x0, grid, k_op)
+    norm = h1_norm(x0, grid)
     if norm <= r2:
         return x0
     return x0 * (r2 / norm)
@@ -194,7 +194,7 @@ def _margin_fn(model: ModelSpec, sets: AdmissibleSets):
     if model.lam is not None and model.lam < FOUR_PI_SQ and not model.is_linear:
         def margin(traj, u, design):
             return verify_ks_bound(traj, u, design, model.lam, model.grid,
-                                   actuator=model.actuator_family)
+                                   actuator=model.actuator_family, a_op=model.linear_op)
         return margin
     if model.sign_condition:
         def margin(traj, u, design):
@@ -376,12 +376,11 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
     makes the V-gradient align with +x0 at a boundary maximizer.
     """
     grid = model.grid
-    k_op = h1_operator(grid)
     rng = np.random.default_rng(config.seed)
     model.actuator_family.check(design_fixed)
 
     def ascend(x0_init: np.ndarray, label: str) -> dict:
-        x0 = project_V_ball(x0_init, sets.r2, grid, k_op)
+        x0 = project_V_ball(x0_init, sets.r2, grid)
         bundle, traj, p = compute_bundle(model, u_fixed, design_fixed, x0, weights, tg)
         alpha = config.step0
         history = []
@@ -389,13 +388,13 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
         for it in range(config.max_iters):
             g_v = bundle.grad_x0  # H1 representer of dJ/dx0 (= 2 * riesz(p0))
             riesz_p0 = 0.5 * g_v
-            mu = h1_norm(riesz_p0, grid, k_op) / sets.r2
-            norm_x0 = h1_norm(x0, grid, k_op)
+            mu = h1_norm(riesz_p0, grid) / sets.r2
+            norm_x0 = h1_norm(x0, grid)
             active = norm_x0 >= sets.r2 * (1 - 1e-9)
             if not active:
                 mu = 0.0
-            kkt = h1_norm(riesz_p0 - mu * x0, grid, k_op)
-            scale = max(h1_norm(riesz_p0, grid, k_op), 1e-300)
+            kkt = h1_norm(riesz_p0 - mu * x0, grid)
+            scale = max(h1_norm(riesz_p0, grid), 1e-300)
             history.append((it, bundle.cost, kkt))
             if kkt <= 1e-5 * max(scale, 1e-300):
                 stop = "kkt residual below tolerance"
@@ -403,7 +402,7 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
             accepted = False
             alpha = min(alpha * 2.0, 1e8)
             while alpha >= config.min_step:
-                x_trial = project_V_ball(x0 + alpha * g_v, sets.r2, grid, k_op)
+                x_trial = project_V_ball(x0 + alpha * g_v, sets.r2, grid)
                 pred = grid.weight * float(np.dot(bundle.grad_x0_l2, x_trial - x0))
                 if pred <= 0:
                     break
@@ -423,12 +422,12 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
                 break
             bundle, traj, p = compute_bundle(model, u_fixed, design_fixed, x0, weights, tg)
         riesz_p0 = 0.5 * bundle.grad_x0
-        norm_x0 = h1_norm(x0, grid, k_op)
+        norm_x0 = h1_norm(x0, grid)
         active = norm_x0 >= sets.r2 * (1 - 1e-9)
-        mu = h1_norm(riesz_p0, grid, k_op) / sets.r2 if active else 0.0
+        mu = h1_norm(riesz_p0, grid) / sets.r2 if active else 0.0
         return {
             "label": label, "x0": x0, "cost": bundle.cost, "mu": mu,
-            "kkt_residual": h1_norm(riesz_p0 - mu * x0, grid, k_op),
+            "kkt_residual": h1_norm(riesz_p0 - mu * x0, grid),
             "x0_h1_norm": norm_x0, "active": active, "iterations": len(history),
             "stop": stop,
         }

@@ -18,6 +18,7 @@ law reads u(t) = -(w/rho) b^T Pi(t) x(t).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
@@ -26,7 +27,7 @@ from .adjoint import CostWeights, solve_adjoint
 from .exceptions import PdeoptError
 from .forward import TimeGrid, Trajectory, crank_nicolson_factors, \
     solve_forward, trapezoid_weights
-from .grids import LinearOperator, h1_inner, h1_norm, h1_operator, inner_product
+from .grids import LinearOperator, h1_inner, h1_norm, inner_product
 from .models import ActuatorDesign, ModelSpec
 from .optimize import AdmissibleSets, OptimizerConfig, _minimize_u_fixed_design
 
@@ -141,10 +142,8 @@ def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
     implicit factor the sweep retries at dt/2 and dt/4 (keeping the requested
     output sampling) before aborting.
     """
-    if not a_op.symmetric:
-        raise ValueError("Riccati solver expects a symmetric state operator")
-    a = a_op.toarray()
-    lam, v = eigh(a)
+    basis = a_op.basis  # raises ValueError for a non-symmetric operator
+    lam, v = basis.values.ravel(), reduce(np.kron, basis.vectors)
     b_modal = v.T @ b_vec
     s_scale = state_weight / weights.r_scale
 
@@ -274,12 +273,11 @@ def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
     equation Pi(0) x0 = -mu x0 with mu >= 0 would force Pi(0) x0 = 0 for a
     PSD Pi(0), so eigen-alignment plus the signed quotient is what is tested.
     """
-    k_op = h1_operator(grid)
     pi0 = ric.Pi[0]
-    vals, vecs = eigh(pi0, k_op.toarray())
+    vals, vecs = eigh(pi0, grid.h1.toarray())
     extremal = vecs[:, -1]
-    denom = h1_norm(x0_star, grid, k_op) * h1_norm(extremal, grid, k_op)
-    cosine = abs(h1_inner(x0_star, extremal, grid, k_op)) / max(denom, 1e-300)
+    denom = h1_norm(x0_star, grid) * h1_norm(extremal, grid)
+    cosine = abs(h1_inner(x0_star, extremal, grid)) / max(denom, 1e-300)
     rayleigh = inner_product(x0_star, pi0 @ x0_star, grid) / \
-        max(h1_inner(x0_star, x0_star, grid, k_op), 1e-300)
+        max(h1_inner(x0_star, x0_star, grid), 1e-300)
     return float(cosine), float(rayleigh)

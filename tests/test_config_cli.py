@@ -168,6 +168,23 @@ class TestCliEntry:
         assert code == 2
         assert "model.kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,raw", [
+        ("optimizer", "backtrack", "2.0"),
+        ("optimizer", "armijo_c1", "0.0"),
+        ("optimizer", "step0", "-1.0"),
+        ("optimizer", "multi_start", "0"),
+        ("riccati", "nt", "1"),
+        ("riccati", "check_every", "0"),
+        ("grid", "n", "513"),
+        ("grid", "nx", "2"),
+    ])
+    def test_exit_two_names_out_of_range_field(self, tmp_path, capsys, section, key, raw):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[model]\nkind = ks\n\n[{section}]\n{key} = {raw}\n")
+        code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
     def test_exit_three_on_blowup(self, tmp_path, capsys):
         cfg = ExperimentConfig(values={**SMALL_KS,
                                        "initial_condition.amplitude": 4e3})
@@ -233,3 +250,12 @@ class TestSweep:
         assert code == 0
         code = main(["sweep", "--config", str(ini), "--out", str(tmp_path / "s2")])
         assert code == 2
+
+    def test_cli_sweep_rejects_non_numeric_values(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        self._base_cfg().to_ini(ini)
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "--config", str(ini), "--out", str(tmp_path / "s"),
+                  "--param", "actuator.r_init", "--values", "abc"])
+        assert exit_.value.code == 2
+        assert "--values" in capsys.readouterr().err
