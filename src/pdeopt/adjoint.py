@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import json
 import numpy as np
 
-from .forward import ControlSignal, TimeGrid, Trajectory, crank_nicolson_factors, \
-    solve_forward, trapezoid_weights
-from .grids import h1_riesz_map, inner_product
+from .forward import ControlSignal, TimeGrid, Trajectory, cn_ab2_sweep, \
+    cn_ab2_transpose_sweep, solve_forward, trapezoid_weights
+from .grids import h1_riesz_map
 from .models import ActuatorDesign, ModelSpec, actuator_design_derivative_adjoint
 
 
@@ -51,24 +51,16 @@ def evaluate_cost(traj: Trajectory, u: ControlSignal | None, weights: CostWeight
     tg = traj.time_grid
     if u is not None and u.time_grid != tg:
         raise ValueError("control and trajectory time grids disagree")
+    states = traj.states
+    if states.shape[1:] != (grid.size,):
+        raise ValueError(f"states of shape {states.shape[1:]} do not match "
+                         f"grid of size {grid.size}")
     theta = trapezoid_weights(tg.nt)
-    state_term = np.array([inner_product(x, x, grid) for x in traj.states])
+    state_term = grid.weight * np.einsum("ki,ki->k", states, states)
     total = weights.q_scale * float(np.sum(theta * state_term))
     if u is not None:
         total += weights.r_scale * float(np.sum(theta * u.values**2))
     return tg.dt * total
-
-
-def _jacobian_t(model: ModelSpec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if model.jacobian_adjoint_apply is None:
-        return np.zeros_like(v)
-    return model.jacobian_adjoint_apply(x, v)
-
-
-def _jacobian(model: ModelSpec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if model.jacobian_apply is None:
-        return np.zeros_like(v)
-    return model.jacobian_apply(x, v)
 
 
 def adjoint_sweep(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
@@ -89,20 +81,9 @@ def adjoint_sweep(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
     """
     if traj.time_grid != tg:
         raise ValueError("trajectory and requested time grids disagree")
-    nt, dt = tg.nt, tg.dt
-    x = traj.states
-    cn = crank_nicolson_factors(model.linear_op, dt)
-
-    lam = np.zeros_like(x)
-    lam[nt] = cn.solve(dt * source[nt])
-    for j in range(nt - 1, 0, -1):
-        lam_next2 = lam[j + 2] if j + 2 <= nt else None
-        comb = 1.5 * lam[j + 1] if lam_next2 is None else 1.5 * lam[j + 1] - 0.5 * lam_next2
-        rhs = cn.explicit(lam[j + 1]) + dt * _jacobian_t(model, x[j], comb) + dt * source[j]
-        lam[j] = cn.solve(rhs)
-    comb0 = lam[1] - 0.5 * lam[2]
-    lam[0] = cn.explicit(lam[1]) + dt * _jacobian_t(model, x[0], comb0) + dt * source[0]
-    return lam
+    jac_t, x = model.jacobian_adjoint_apply, traj.states
+    term_t = None if jac_t is None else lambda j, v: jac_t(x[j], v)
+    return cn_ab2_transpose_sweep(model.linear_op, tg, source, term_t)
 
 
 def linearized_forward(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
@@ -119,17 +100,9 @@ def linearized_forward(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
     """
     if traj.time_grid != tg:
         raise ValueError("trajectory and requested time grids disagree")
-    nt, dt = tg.nt, tg.dt
-    x = traj.states
-    cn = crank_nicolson_factors(model.linear_op, dt)
-    h = np.zeros_like(x)
-    g_prev = None
-    for k in range(nt):
-        g_k = _jacobian(model, x[k], h[k])
-        s_k = g_k if k == 0 else 1.5 * g_k - 0.5 * g_prev
-        h[k + 1] = cn.solve(cn.explicit(h[k]) + dt * s_k + dt * forcing[k])
-        g_prev = g_k
-    return h
+    jac, x = model.jacobian_apply, traj.states
+    term = None if jac is None else lambda k, h: jac(x[k], h)
+    return cn_ab2_sweep(model.linear_op, tg, np.zeros_like(x[0]), forcing[:tg.nt], term)
 
 
 def solve_adjoint(model: ModelSpec, traj: Trajectory, weights: CostWeights,

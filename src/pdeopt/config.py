@@ -176,8 +176,10 @@ class ExperimentConfig:
         if v["model.kind"] == "ks" and v["grid.n"] > 512:
             # the KS stepper works in the dense eigenbasis of the n x n operator
             raise ConfigError("grid.n", "KS grids take at most 512 nodes")
-        if v["time.nt"] < 2 or v["time.tau"] <= 0:
-            raise ConfigError("time.nt", "need nt >= 2 and tau > 0")
+        if v["time.nt"] < 2:
+            raise ConfigError("time.nt", "need at least 2 time steps")
+        if v["time.tau"] <= 0:
+            raise ConfigError("time.tau", "the horizon must be positive")
         if v["cost.r_scale"] <= 0:
             raise ConfigError("cost.r_scale", "input weight must be positive")
         if not (0 < v["actuator.kad_low"] < v["actuator.kad_high"] < 1):

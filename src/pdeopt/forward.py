@@ -105,26 +105,26 @@ class Trajectory:
 class CrankNicolson:
     """M = I - (dt/2) A and P = I + (dt/2) A as diagonal scalings in A's eigenbasis.
 
-    M and P are symmetric, so the adjoint sweep's transposed solves are the
-    same calls, and it stays the exact transpose of the forward sweep to a few
-    ulps even for the stiff biharmonic operator (an LU pairing loses
-    ~kappa(M) digits there).
+    ``den`` and ``num`` are the eigenvalues of M and P.  Both are symmetric,
+    so the adjoint sweep's transposed solves are the same scalings, and it
+    stays the exact transpose of the forward sweep to a few ulps even for the
+    stiff biharmonic operator (an LU pairing loses ~kappa(M) digits there).
     """
 
     def __init__(self, a_op, dt: float):
-        self._basis = a_op.basis
-        lam = self._basis.values
-        self._den = 1.0 - 0.5 * dt * lam
-        self._num = 1.0 + 0.5 * dt * lam
-        if np.min(np.abs(self._den)) < 1e-8:
+        self.basis = a_op.basis
+        lam = self.basis.values
+        self.den = 1.0 - 0.5 * dt * lam
+        self.num = 1.0 + 0.5 * dt * lam
+        if np.min(np.abs(self.den)) < 1e-8:
             raise PdeoptError(f"Crank-Nicolson factor I - dt/2 A is nearly singular "
                               f"at dt={dt}")
 
     def solve(self, x: np.ndarray) -> np.ndarray:
-        return self._basis.from_modal(self._basis.to_modal(x) / self._den)
+        return self.basis.from_modal(self.basis.to_modal(x) / self.den)
 
     def explicit(self, x: np.ndarray) -> np.ndarray:
-        return self._basis.from_modal(self._basis.to_modal(x) * self._num)
+        return self.basis.from_modal(self.basis.to_modal(x) * self.num)
 
 
 def crank_nicolson_factors(a_op, dt: float) -> CrankNicolson:
@@ -132,6 +132,98 @@ def crank_nicolson_factors(a_op, dt: float) -> CrankNicolson:
     eigenbasis the operator builds once and keeps; raises PdeoptError when M
     is nearly singular at this dt."""
     return CrankNicolson(a_op, dt)
+
+
+def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
+                 source: np.ndarray | None = None, term=None) -> np.ndarray:
+    """States x_0..x_nt of the CN-AB2 stepper, one row per time, with
+
+        M x_{k+1} = P x_k + dt (3/2 N_k - 1/2 N_{k-1}) + dt source_k,
+
+    N_k = term(k, x_k) (plain N_0 on the first step) and source of shape
+    (nt, n).  The state is carried as modal coefficients c_k in A's basis, so
+    a step is the elementwise c_{k+1} = (num/den) c_k + (dt/den) s_k with the
+    right-hand side s_k in modal form.  The state-independent ``source``
+    moves to modal coordinates once, in one batched transform, and only
+    ``term`` makes a round trip per step (N_k in, x_{k+1} out).  Without a
+    term the trajectory returns to nodal values in one batched transform at
+    the end.
+
+    Raises BlowUpError(step) at the first non-finite state, and when ``term``
+    raises PdeoptError.
+    """
+    cn = crank_nicolson_factors(a_op, tg.dt)
+    basis, nt = cn.basis, tg.nt
+    ratio, gain = cn.num / cn.den, tg.dt / cn.den
+    with np.errstate(over="ignore", invalid="ignore"):
+        forced = None
+        if source is not None:
+            forced = basis.to_modal(source)
+            forced *= gain
+        if term is None:
+            coef = np.empty((nt + 1, *ratio.shape))
+            coef[0] = basis.to_modal(x0)
+            for k in range(nt):
+                np.multiply(ratio, coef[k], out=coef[k + 1])
+                if forced is not None:
+                    coef[k + 1] += forced[k]
+            states = basis.from_modal(coef)
+            bad = ~np.isfinite(states[1:]).all(axis=1)
+            if bad.any():
+                raise BlowUpError(step=int(np.argmax(bad)) + 1)
+            return states
+
+        states = np.empty((nt + 1, x0.size))
+        states[0] = x0
+        coef = basis.to_modal(x0)
+        n_prev = None
+        for k in range(nt):
+            try:
+                n_k = basis.to_modal(term(k, states[k]))
+            except PdeoptError as err:
+                raise BlowUpError(step=k + 1, message=f"step {k + 1}: {err}") from None
+            s_k = n_k if k == 0 else 1.5 * n_k - 0.5 * n_prev
+            coef = ratio * coef + gain * s_k
+            if forced is not None:
+                coef += forced[k]
+            states[k + 1] = basis.from_modal(coef)
+            if not np.isfinite(states[k + 1]).all():
+                raise BlowUpError(step=k + 1)
+            n_prev = n_k
+    return states
+
+
+def cn_ab2_transpose_sweep(a_op: LinearOperator, tg: TimeGrid, source: np.ndarray,
+                           term_t=None) -> np.ndarray:
+    """Exact transpose of ``cn_ab2_sweep`` with a linear term N_k = G_k x_k.
+
+    Returns lam_0..lam_nt of the backward recursion written out in
+    ``adjoint.adjoint_sweep``, with G_j^T v = term_t(j, v), stepped in the
+    same modal coordinates as the forward sweep: ``source`` (nt+1 rows) moves
+    in and the result moves out in one batched transform each, and only
+    ``term_t`` makes a round trip per step.
+    """
+    cn = crank_nicolson_factors(a_op, tg.dt)
+    basis, nt, dt = cn.basis, tg.nt, tg.dt
+    ratio, gain = cn.num / cn.den, dt / cn.den
+    coef = basis.to_modal(source)
+    coef *= dt
+    coef[1:] /= cn.den
+    coef[nt - 1] += ratio * coef[nt]
+    if term_t is None:
+        for j in range(nt - 2, 0, -1):
+            coef[j] += ratio * coef[j + 1]
+        coef[0] += cn.num * coef[1]
+        return basis.from_modal(coef)
+
+    def jac_t(j, comb):
+        return basis.to_modal(term_t(j, basis.from_modal(comb)))
+
+    coef[nt - 1] += gain * jac_t(nt - 1, 1.5 * coef[nt])
+    for j in range(nt - 2, 0, -1):
+        coef[j] += ratio * coef[j + 1] + gain * jac_t(j, 1.5 * coef[j + 1] - 0.5 * coef[j + 2])
+    coef[0] += cn.num * coef[1] + dt * jac_t(0, coef[1] - 0.5 * coef[2])
+    return basis.from_modal(coef)
 
 
 def solve_forward(model: ModelSpec, u: ControlSignal | None, design: ActuatorDesign,
@@ -146,22 +238,13 @@ def solve_forward(model: ModelSpec, u: ControlSignal | None, design: ActuatorDes
         raise ValueError("control and state time grids disagree")
 
     b = model.actuator_family.evaluate(design, grid)
-    cn = crank_nicolson_factors(model.linear_op, tg.dt)
-
-    states = np.empty((tg.nt + 1, grid.size))
-    states[0] = x0
-    n_prev = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(tg.nt):
-            try:
-                n_k = model.nonlinear_term(states[k]) + b * uv[k]
-            except PdeoptError as err:
-                raise BlowUpError(step=k + 1, message=f"step {k + 1}: {err}") from None
-            s_k = n_k if k == 0 else 1.5 * n_k - 0.5 * n_prev
-            states[k + 1] = cn.solve(cn.explicit(states[k]) + tg.dt * s_k)
-            if not np.all(np.isfinite(states[k + 1])):
-                raise BlowUpError(step=k + 1)
-            n_prev = n_k
+    source = None
+    if np.any(uv[:-1]):
+        u_ab2 = uv[:-1].copy()  # AB2 extrapolation of the input term b u_k
+        u_ab2[1:] = 1.5 * uv[1:-1] - 0.5 * uv[:-2]
+        source = np.outer(u_ab2, b)
+    term = None if model.nonlinearity is None else lambda k, x: model.nonlinearity(x)
+    states = cn_ab2_sweep(model.linear_op, tg, x0, source, term)
     return Trajectory(time_grid=tg, states=states)
 
 

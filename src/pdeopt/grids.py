@@ -118,6 +118,10 @@ class SpectralBasis:
     on a grid with the x index fastest: then V = Vy (x) Vx is never formed,
     the modal coefficients of x are Vy^T X Vx with X = x.reshape(ny, nx), and
     ``values`` has shape (ny, nx).
+
+    Both maps accept leading batch axes: ``to_modal`` takes x of shape
+    (..., n) to coefficients of shape (..., *values.shape), and
+    ``from_modal`` maps them back, so a whole trajectory moves in one call.
     """
 
     vectors: tuple
@@ -125,15 +129,19 @@ class SpectralBasis:
 
     def to_modal(self, x: np.ndarray) -> np.ndarray:
         if len(self.vectors) == 1:
-            return self.vectors[0].T @ x
+            return x @ self.vectors[0]
         vy, vx = self.vectors
-        return vy.T @ x.reshape(len(vy), len(vx)) @ vx
+        lead = x.shape[:-1]
+        xv = x.reshape(-1, len(vx)) @ vx  # one GEMM over every row of every state
+        return vy.T @ xv.reshape(*lead, len(vy), len(vx))
 
     def from_modal(self, c: np.ndarray) -> np.ndarray:
         if len(self.vectors) == 1:
-            return self.vectors[0] @ c
+            return c @ self.vectors[0].T
         vy, vx = self.vectors
-        return (vy @ c @ vx.T).ravel()
+        lead = c.shape[:-2]
+        cv = c.reshape(-1, len(vx)) @ vx.T
+        return (vy @ cv.reshape(*lead, len(vy), len(vx))).reshape(*lead, -1)
 
 
 @dataclass(frozen=True)

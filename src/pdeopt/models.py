@@ -187,12 +187,20 @@ class HeatShapeActuator(ActuatorFamily):
         gammas = np.array([1.0 + np.pi * np.hypot(j / self.lx, k / self.ly)
                            for j, k in self.modes])
         self.coef_bounds = 1.0 / (self.design_dim * gammas)
+        self._sampled: tuple = (None, None)  # (grid, basis matrix on it)
 
     def _basis_matrix(self, grid: Grid2D) -> np.ndarray:
-        xx, yy = grid.meshgrid()
-        rows = [np.cos(j * np.pi * xx / self.lx) * np.cos(k * np.pi * yy / self.ly)
-                for j, k in self.modes]
-        return np.stack([r.ravel() for r in rows])
+        """Rows phi_m sampled on the grid, kept for the last grid object seen
+        (held and compared by identity, so it cannot match a stale grid)."""
+        cached_grid, matrix = self._sampled
+        if cached_grid is not grid:
+            xx, yy = grid.meshgrid()
+            rows = [np.cos(j * np.pi * xx / self.lx) * np.cos(k * np.pi * yy / self.ly)
+                    for j, k in self.modes]
+            matrix = np.stack([r.ravel() for r in rows])
+            matrix.flags.writeable = False
+            self._sampled = (grid, matrix)
+        return matrix
 
     def evaluate(self, design: ActuatorDesign, grid: Grid2D) -> np.ndarray:
         self.check(design)

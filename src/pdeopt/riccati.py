@@ -25,8 +25,8 @@ from scipy.linalg import eigh, eigvalsh
 
 from .adjoint import CostWeights, solve_adjoint
 from .exceptions import PdeoptError
-from .forward import TimeGrid, Trajectory, crank_nicolson_factors, \
-    solve_forward, trapezoid_weights
+from .forward import TimeGrid, Trajectory, cn_ab2_sweep, solve_forward, \
+    trapezoid_weights
 from .grids import LinearOperator, h1_inner, h1_norm, inner_product
 from .models import ActuatorDesign, ModelSpec
 from .optimize import AdmissibleSets, OptimizerConfig, _minimize_u_fixed_design
@@ -96,25 +96,27 @@ def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: fl
     """
     n = lam.size
     c = 0.5 * dt
-    denom = 1.0 - c * (lam[:, None] + lam[None, :])
+    shift = c * (lam[:, None] + lam[None, :])
+    denom, explicit = 1.0 - shift, 1.0 + shift
     if np.min(np.abs(denom)) < 1e-10 * max(1.0, c * float(np.max(np.abs(lam)))):
         raise PdeoptError("implicit Riccati factor nearly singular at this step size")
-    q_eye = q * np.eye(n)
 
     def quad(x: np.ndarray) -> np.ndarray:
+        """c times the quadratic term Pi B R^-1 B* Pi, in modal form."""
         xb = x @ b_modal
-        return s_scale * np.outer(xb, xb)
-
-    def rhs_explicit(x: np.ndarray) -> np.ndarray:
-        return x + c * (x * lam[None, :] + lam[:, None] * x) + c * q_eye - c * quad(x)
+        return np.outer((c * s_scale) * xb, xb)
 
     modal = [np.zeros((n, n))]  # at t = tau
     x = modal[0]
     for m in range(nt):
-        base = rhs_explicit(x) + c * q_eye
-        x_new = (base - c * quad(x)) / denom  # predictor: lag the quadratic term
+        # explicit half plus both halves of the source: x E - c quad(x) + 2 c q I
+        lagged = quad(x)
+        base = x * explicit
+        base -= lagged
+        base.flat[::n + 1] += 2.0 * c * q
+        x_new = (base - lagged) / denom  # predictor: lag the quadratic term
         for _ in range(20):
-            x_next = (base - c * quad(x_new)) / denom
+            x_next = (base - quad(x_new)) / denom
             if np.linalg.norm(x_next - x_new) <= 1e-13 * max(1.0, np.linalg.norm(x_next)):
                 x_new = x_next
                 break
@@ -171,18 +173,14 @@ def closed_loop_simulate(model: ModelSpec, ric: RiccatiSolution, x0: np.ndarray,
     """
     if not model.is_linear:
         raise ValueError("feedback simulation is defined for the linearized model")
-    cn = crank_nicolson_factors(model.linear_op, tg.dt)
     b = ric.b_vec
-    states = np.empty((tg.nt + 1, model.grid.size))
     controls = np.zeros(tg.nt + 1)
-    states[0] = x0
-    n_prev = None
-    for k in range(tg.nt):
-        controls[k] = -float(np.dot(ric.gain(k), states[k]))
-        n_k = b * controls[k]
-        s_k = n_k if k == 0 else 1.5 * n_k - 0.5 * n_prev
-        states[k + 1] = cn.solve(cn.explicit(states[k]) + tg.dt * s_k)
-        n_prev = n_k
+
+    def feedback(k: int, x: np.ndarray) -> np.ndarray:
+        controls[k] = -float(np.dot(ric.gain(k), x))
+        return b * controls[k]
+
+    states = cn_ab2_sweep(model.linear_op, tg, x0, term=feedback)
     controls[tg.nt] = -float(np.dot(ric.gain(tg.nt), states[tg.nt]))
     return Trajectory(time_grid=tg, states=states), controls
 

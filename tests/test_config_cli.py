@@ -177,6 +177,7 @@ class TestCliEntry:
         ("riccati", "check_every", "0"),
         ("grid", "n", "513"),
         ("grid", "nx", "2"),
+        ("time", "tau", "-1.0"),
     ])
     def test_exit_two_names_out_of_range_field(self, tmp_path, capsys, section, key, raw):
         ini = tmp_path / "bad.ini"

@@ -214,6 +214,20 @@ class TestHeatActuator:
         mid = fam.evaluate(po.ActuatorDesign(0.5 * (c1 + c2)), grid2d_small)
         assert mid == pytest.approx(0.5 * (b1 + b2), rel=1e-12, abs=1e-15)
 
+    def test_sampled_basis_follows_the_grid(self, rng):
+        # one family used on two grids in turn must sample each grid anew
+        fam = po.HeatShapeActuator(basis_per_axis=3)
+        design = po.ActuatorDesign(fam.project(rng.standard_normal(fam.design_dim)))
+        grids = [po.build_grid_2d(8, 6), po.build_grid_2d(5, 9, lx=2.0)]
+        for g in grids * 3:
+            xx, yy = g.meshgrid()
+            rows = np.stack([(np.cos(j * np.pi * xx / fam.lx)
+                              * np.cos(k * np.pi * yy / fam.ly)).ravel()
+                             for j, k in fam.modes])
+            assert np.array_equal(fam.param_derivative(design, g), rows)
+            assert fam.evaluate(design, g) == pytest.approx(design.params @ rows,
+                                                            rel=1e-14, abs=1e-15)
+
 
 class TestDesignDerivativeAdjoint:
     def test_zero_input(self, grid1d_small, rng):

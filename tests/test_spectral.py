@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import pdeopt as po
 from pdeopt.adjoint import adjoint_sweep, linearized_forward
-from pdeopt.exceptions import PdeoptError
+from pdeopt.exceptions import BlowUpError, PdeoptError
 from pdeopt.forward import crank_nicolson_factors
 from pdeopt.grids import LinearOperator
 
@@ -32,6 +32,24 @@ def rect_grids(draw):
 
 def rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def dense_cn_ab2(model, uv, design, x0, tg):
+    """Nodal CN-AB2 with dense solves of I - dt/2 A: the stepper as written
+    in forward.py's docstring, with no eigenbasis involved."""
+    a = model.linear_op.toarray()
+    eye = np.eye(a.shape[0])
+    m, p = eye - 0.5 * tg.dt * a, eye + 0.5 * tg.dt * a
+    b = model.actuator_family.evaluate(design, model.grid)
+    states = [x0]
+    n_prev = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(tg.nt):
+            n_k = model.nonlinear_term(states[k]) + b * uv[k]
+            s_k = n_k if k == 0 else 1.5 * n_k - 0.5 * n_prev
+            states.append(np.linalg.solve(m, p @ states[k] + tg.dt * s_k))
+            n_prev = n_k
+    return np.array(states)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -100,3 +118,86 @@ def test_iss_margin_uses_own_poincare_constant():
         expect = po.inner_product(states[0], states[0], grid) \
             + 4.0 / c_omega * po.control_l2_norm(u) ** 2 * po.inner_product(r_vec, r_vec, grid)
         assert margin == pytest.approx(expect, rel=1e-10)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(grid=rect_grids(), batch=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_batched_modal_transforms_match_rows(grid, batch, seed):
+    rng = np.random.default_rng(seed)
+    for basis in (po.heat_operator(grid).basis,
+                  po.ks_operator(po.build_grid_1d(grid.size), 30.0).basis):
+        x = rng.standard_normal((batch, 3, grid.size))
+        c = basis.to_modal(x)
+        assert c.shape == (batch, 3, *basis.values.shape)
+        for i in np.ndindex(batch, 3):
+            want = basis.to_modal(x[i])
+            assert np.linalg.norm(c[i] - want) <= 1e-14 * np.linalg.norm(want)
+            back = basis.from_modal(c[i])
+            assert np.linalg.norm(basis.from_modal(c)[i] - back) <= 1e-14 * np.linalg.norm(back)
+        assert rel_err(basis.from_modal(c), x) <= 1e-13
+
+
+def _forward_case(model, rng, tg, amplitude):
+    design = model.actuator_family.initial_design()
+    u = po.ControlSignal(tg, rng.standard_normal(tg.nt + 1))
+    x0 = amplitude * rng.standard_normal(model.grid.size)
+    got = po.solve_forward(model, u, design, x0, tg).states
+    return got, dense_cn_ab2(model, u.values, design, x0, tg)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(grid=rect_grids(), nt=st.integers(2, 30), seed=st.integers(0, 2**16))
+def test_solve_forward_matches_dense_cn_ab2_heat(grid, nt, seed):
+    rng = np.random.default_rng(seed)
+    tg = po.TimeGrid(tau=0.05, nt=nt)
+    for f_scalar in (None, po.CUBIC_SINK):
+        got, want = _forward_case(po.make_heat_model(grid, f_scalar), rng, tg, 1.0)
+        assert rel_err(got, want) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(n=st.integers(8, 24), nt=st.integers(2, 30), seed=st.integers(0, 2**16))
+def test_solve_forward_matches_dense_cn_ab2_ks(n, nt, seed):
+    # The dense LU reference itself loses about kappa(I - dt/2 A) digits on
+    # the biharmonic operator, so dt*max|lambda|/2 stays below ~2e3 here.
+    rng = np.random.default_rng(seed)
+    tg = po.TimeGrid(tau=1e-3, nt=nt)
+    for linear in (True, False):
+        model = po.make_ks_model(po.build_grid_1d(n), 30.0, linear=linear)
+        got, want = _forward_case(model, rng, tg, 0.5)
+        assert rel_err(got, want) <= 1e-12
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(grid=rect_grids(), seed=st.integers(0, 2**16))
+def test_linearized_adjoint_duality_linear_heat(grid, seed):
+    rng = np.random.default_rng(seed)
+    model = po.make_heat_model(grid, f_scalar=None)
+    tg = po.TimeGrid(tau=0.1, nt=12)
+    traj = po.solve_forward(model, None, model.actuator_family.initial_design(),
+                            rng.standard_normal(grid.size), tg)
+    g = rng.standard_normal(traj.states.shape)
+    phi = rng.standard_normal(traj.states.shape)
+    h = linearized_forward(model, traj, tg, g)
+    lam = adjoint_sweep(model, traj, tg, phi)
+    lhs = float(np.sum(h[1:] * phi[1:]))
+    rhs = float(np.sum(g[:-1] * lam[1:]))
+    assert abs(lhs - rhs) <= 1e-11 * abs(lhs)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(grid=rect_grids(), nt=st.integers(2, 20), data=st.data())
+def test_linear_blow_up_step_matches_dense_cn_ab2(grid, nt, data):
+    # The linear path checks the whole trajectory once, after mapping it
+    # back; it must still name the step the per-step reference fails at.
+    model = po.make_heat_model(grid, f_scalar=None)
+    design = model.actuator_family.initial_design()
+    tg = po.TimeGrid(tau=0.05, nt=nt)
+    uv = np.ones(nt + 1)
+    uv[data.draw(st.integers(0, nt - 1))] = data.draw(st.sampled_from([np.inf, np.nan]))
+    x0 = np.ones(grid.size)
+    want = dense_cn_ab2(model, uv, design, x0, tg)
+    first_bad = int(np.argmax(~np.isfinite(want).all(axis=1)))
+    with pytest.raises(BlowUpError) as err:
+        po.solve_forward(model, po.ControlSignal(tg, uv), design, x0, tg)
+    assert err.value.step == first_bad
