@@ -14,17 +14,17 @@ from .exceptions import (BlowUpError, ConfigError, ConstraintViolationError,
                          InvalidBoundaryError, InvalidGridError, NotApplicableError,
                          PdeoptError)
 from .forward import (ControlSignal, TimeGrid, Trajectory, control_l2_norm,
-                      energy_trace, load_checkpoint, save_checkpoint, solve_forward,
-                      trajectory_to_csv, verify_heat_iss_bound, verify_ks_bound)
+                      energy_margin, energy_trace, load_checkpoint, save_checkpoint,
+                      solve_forward, trajectory_to_csv, verify_heat_iss_bound,
+                      verify_ks_bound)
 from .grids import (Grid1D, Grid2D, LinearOperator, build_grid_1d, build_grid_2d,
                     h1_inner, h1_norm, h1_operator, h1_riesz_map, heat_operator,
                     inner_product, ks_operator, l2_norm, smallest_eigenvalue)
 from .models import (CUBIC_SINK, ActuatorDesign, ActuatorFamily, HeatShapeActuator,
                      KsGaussianActuator, ModelSpec, ScalarNonlinearity,
-                     actuator_design_derivative_adjoint, actuator_evaluate,
-                     heat_jacobian_adjoint_apply, heat_jacobian_apply,
-                     heat_nonlinearity, ks_jacobian_adjoint_apply, ks_jacobian_apply,
-                     ks_nonlinearity, make_heat_model, make_ks_model)
+                     actuator_design_derivative_adjoint, heat_jacobian_adjoint_apply,
+                     heat_jacobian_apply, heat_nonlinearity, ks_jacobian_adjoint_apply,
+                     ks_jacobian_apply, ks_nonlinearity, make_heat_model, make_ks_model)
 from .optimize import (AdmissibleSets, CostReport, OptimizerConfig, Residuals,
                        WorstIcReport, golden_section_r, minimize_joint,
                        optimality_residuals, project_K, project_U, project_V_ball,

@@ -23,15 +23,15 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sps
 
-from .adjoint import gradient_check, solve_adjoint
+from .adjoint import CostWeights, gradient_check
 from .config import ExperimentConfig
 from .exceptions import BlowUpError, ConfigError, PdeoptError
-from .forward import (ControlSignal, energy_trace, save_checkpoint,
-                      solve_forward, trajectory_to_csv, verify_heat_iss_bound,
-                      verify_ks_bound, FOUR_PI_SQ)
-from .optimize import (minimize_joint, optimality_residuals, worst_initial_condition,
-                       _minimize_u_fixed_design)
+from .forward import (ControlSignal, TimeGrid, energy_margin, energy_trace,
+                      save_checkpoint, solve_forward, trajectory_to_csv)
+from .grids import LinearOperator
+from .optimize import minimize_joint, optimality_residuals, worst_initial_condition
 from .riccati import (solve_differential_riccati, verify_feedback_consistency,
                       worst_ic_eigen_check)
 
@@ -78,23 +78,9 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, subcommand: str,
     })
 
 
-def _margin(cfg: ExperimentConfig, model, traj, u, design) -> float | None:
-    if cfg.is_ks:
-        if cfg["model.lambda"] < FOUR_PI_SQ:
-            return float(verify_ks_bound(traj, u, design, cfg["model.lambda"],
-                                         model.grid, actuator=model.actuator_family,
-                                         a_op=model.linear_op))
-        return None
-    if model.sign_condition or model.is_linear:
-        return float(verify_heat_iss_bound(traj, u, design, model.grid, model))
-    return None
-
-
-def _state_csv(path: Path, grid, vec: np.ndarray, label: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"node,{label}\n")
-        for i, v in enumerate(vec):
-            fh.write(f"{i},{v:.16e}\n")
+def _state_csv(path: Path, vec: np.ndarray, label: str) -> None:
+    np.savetxt(path, np.column_stack((np.arange(vec.size), vec)), fmt=("%d", "%.16e"),
+               delimiter=",", header=f"node,{label}", comments="")
 
 
 # --- pipelines ---------------------------------------------------------
@@ -111,12 +97,11 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     trajectory_to_csv(traj, out / "trajectory.csv")
     save_checkpoint(traj, grid, out / "trajectory.bin")
     energies = energy_trace(traj, grid)
-    margin = _margin(cfg, model, traj, u, design)
     return {
         "pipeline": "simulate",
         "initial_energy": float(energies[0]),
         "terminal_energy": float(energies[-1]),
-        "margin": margin,
+        "margin": energy_margin(model, traj, u, design),
         "blowup_step": None,
     }
 
@@ -130,24 +115,18 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     opt_cfg = cfg.build_optimizer()
     x0 = cfg.build_x0(grid)
 
-    if cfg["optimizer.optimize_design"]:
-        u, design, report = minimize_joint(model, sets, weights, x0, tg, opt_cfg,
-                                           initial_design=cfg.build_design(model))
-    else:
-        design = cfg.build_design(model)
-        u, report = _minimize_u_fixed_design(model, sets, weights, x0, tg,
-                                             opt_cfg, design)
+    u, design, report = minimize_joint(model, sets, weights, x0, tg, opt_cfg,
+                                       optimize_design=cfg["optimizer.optimize_design"],
+                                       initial_design=cfg.build_design(model))
     report.to_csv(out / "iterations.csv")
-    traj = solve_forward(model, u, design, x0, tg)
+    traj = report.traj
     trajectory_to_csv(traj, out / "trajectory.csv")
-    _state_csv(out / "final_state.csv", grid, traj.terminal, "x_tau")
-    with open(out / "control.csv", "w", encoding="utf-8") as fh:
-        fh.write("t,u\n")
-        for t, v in zip(tg.times, u.values):
-            fh.write(f"{t:.16e},{v:.16e}\n")
+    _state_csv(out / "final_state.csv", traj.terminal, "x_tau")
+    np.savetxt(out / "control.csv", np.column_stack((tg.times, u.values)), fmt="%.16e",
+               delimiter=",", header="t,u", comments="")
 
-    p = solve_adjoint(model, traj, weights, tg)
-    res = optimality_residuals(model, traj, p, u, design, weights, sets)
+    res = optimality_residuals(model, traj, report.p, u, design, weights, sets,
+                               bundle=report.bundle)
     summary = {
         "pipeline": "optimize",
         "final_cost": report.final.get("cost"),
@@ -159,10 +138,9 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
         "u_ball_active": res.u_active,
         "design_active": res.r_active.tolist(),
         "design": design.params.tolist(),
-        "margin": _margin(cfg, model, traj, u, design),
+        "margin": energy_margin(model, traj, u, design),
     }
     if model.is_linear:
-        from .forward import TimeGrid
         b = model.actuator_family.evaluate(design, grid)
         tg_ric = TimeGrid(tau=tg.tau, nt=cfg["riccati.nt"])
         ric = solve_differential_riccati(model.linear_op, b, weights, tg_ric,
@@ -186,7 +164,7 @@ def run_worst_ic(cfg: ExperimentConfig, out: Path) -> dict:
     u0 = ControlSignal.zero(tg)
     x0_star, mu, report = worst_initial_condition(model, u0, design, sets, weights,
                                                   tg, opt_cfg)
-    _state_csv(out / "worst_x0.csv", grid, x0_star, "x0")
+    _state_csv(out / "worst_x0.csv", x0_star, "x0")
     best = report.best
     summary = {
         "pipeline": "worst-ic",
@@ -211,11 +189,6 @@ def run_worst_ic(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_riccati_validate(cfg: ExperimentConfig, out: Path) -> dict:
-    import scipy.sparse as sps
-    from .grids import LinearOperator
-    from .adjoint import CostWeights
-    from .forward import TimeGrid
-
     # scalar closed-form oracle: a=0, b=1, q=rho=1, tau=1 -> pi(t) = tanh(1-t)
     scalar_op = LinearOperator(mat=sps.csr_matrix((1, 1)), symmetric=True)
     tg_scalar = TimeGrid(tau=1.0, nt=1000)

@@ -16,7 +16,7 @@ import numpy as np
 from .adjoint import CostWeights
 from .exceptions import ConfigError
 from .forward import TimeGrid
-from .grids import build_grid_1d, build_grid_2d
+from .grids import SIDES, build_grid_1d, build_grid_2d
 from .models import (CUBIC_SINK, ActuatorDesign, HeatShapeActuator,
                      KsGaussianActuator, ModelSpec, make_heat_model, make_ks_model)
 from .optimize import AdmissibleSets, OptimizerConfig
@@ -74,7 +74,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "step0": (float, 1.0),
         "seed": (int, 0),
         "multi_start": (int, 5),
-        "mode": (str, "joint"),
         "optimize_design": (bool, True),
     },
     "riccati": {
@@ -110,6 +109,10 @@ def _parse(section: str, key: str, kind, raw: str):
         return raw.strip()
     except ValueError as err:
         raise ConfigError(name, str(err)) from None
+
+
+def _sides(raw: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
 def _render(value) -> str:
@@ -166,6 +169,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         v = self.values
+        for name, value in v.items():
+            if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
+                raise ConfigError(name, f"must be finite, got {value!r}")
         if v["model.kind"] not in ("ks", "heat"):
             raise ConfigError("model.kind", f"expected 'ks' or 'heat', got {v['model.kind']!r}")
         if v["model.nonlinearity"] not in ("cubic", "none"):
@@ -176,39 +182,40 @@ class ExperimentConfig:
         if v["model.kind"] == "ks" and v["grid.n"] > 512:
             # the KS stepper works in the dense eigenbasis of the n x n operator
             raise ConfigError("grid.n", "KS grids take at most 512 nodes")
+        sides = _sides(v["grid.dirichlet"])
+        if not sides or not set(sides) <= set(SIDES):
+            raise ConfigError("grid.dirichlet",
+                              f"expected a nonempty subset of {','.join(SIDES)}")
         if v["time.nt"] < 2:
             raise ConfigError("time.nt", "need at least 2 time steps")
-        if v["time.tau"] <= 0:
-            raise ConfigError("time.tau", "the horizon must be positive")
-        if v["cost.r_scale"] <= 0:
-            raise ConfigError("cost.r_scale", "input weight must be positive")
+        for name in ("grid.lx", "grid.ly", "time.tau", "cost.r_scale", "sets.r1",
+                     "sets.r2", "actuator.omega", "initial_condition.width",
+                     "optimizer.tol", "optimizer.step0"):
+            if v[name] <= 0:
+                raise ConfigError(name, f"must be positive, got {v[name]}")
+        if v["sets.u_box"] is not None and v["sets.u_box"] <= 0:
+            raise ConfigError("sets.u_box", f"must be positive or empty, got {v['sets.u_box']}")
+        if v["cost.q_scale"] < 0:
+            raise ConfigError("cost.q_scale", f"must be nonnegative, got {v['cost.q_scale']}")
         if not (0 < v["actuator.kad_low"] < v["actuator.kad_high"] < 1):
             raise ConfigError("actuator.kad_low", "need 0 < a < b < 1")
-        if v["sets.r1"] <= 0 or v["sets.r2"] <= 0:
-            raise ConfigError("sets.r1", "ball radii must be positive")
-        if v["optimizer.mode"] not in ("joint", "alternating"):
-            raise ConfigError("optimizer.mode", "expected 'joint' or 'alternating'")
         for name in ("optimizer.backtrack", "optimizer.armijo_c1"):
             if not 0 < v[name] < 1:
                 raise ConfigError(name, f"must lie in (0, 1), got {v[name]}")
-        if v["optimizer.step0"] <= 0:
-            raise ConfigError("optimizer.step0", "initial step must be positive")
-        if v["optimizer.multi_start"] < 1:
-            raise ConfigError("optimizer.multi_start", "need at least one start")
+        for name in ("actuator.basis_per_axis", "optimizer.max_iters",
+                     "optimizer.multi_start", "riccati.check_every", "output.jobs"):
+            if v[name] < 1:
+                raise ConfigError(name, f"must be >= 1, got {v[name]}")
         if v["riccati.nt"] < 2:
             raise ConfigError("riccati.nt", "need at least 2 Riccati time steps")
-        if v["riccati.check_every"] < 1:
-            raise ConfigError("riccati.check_every", "must be >= 1")
         if v["initial_condition.kind"] not in ("sine", "bump", "zero"):
             raise ConfigError("initial_condition.kind", "expected sine|bump|zero")
-        if v["output.jobs"] < 1:
-            raise ConfigError("output.jobs", "worker count must be >= 1")
 
     # --- serialization -------------------------------------------------
 
     @staticmethod
     def from_ini(path) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
@@ -226,7 +233,7 @@ class ExperimentConfig:
         return ExperimentConfig(values=vals)
 
     def to_ini(self, path=None) -> str:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         for sec, keys in _SCHEMA.items():
             parser[sec] = {key: _render(self.values[f"{sec}.{key}"]) for key in keys}
         buf = io.StringIO()
@@ -249,9 +256,8 @@ class ExperimentConfig:
     def build_grid(self):
         if self.is_ks:
             return build_grid_1d(self["grid.n"])
-        sides = tuple(s.strip() for s in self["grid.dirichlet"].split(",") if s.strip())
         return build_grid_2d(self["grid.nx"], self["grid.ny"], self["grid.lx"],
-                             self["grid.ly"], dirichlet_sides=sides)
+                             self["grid.ly"], dirichlet_sides=_sides(self["grid.dirichlet"]))
 
     def build_model(self, grid=None) -> ModelSpec:
         grid = grid if grid is not None else self.build_grid()
@@ -269,11 +275,25 @@ class ExperimentConfig:
 
     def build_design(self, model: ModelSpec) -> ActuatorDesign:
         r_init = self["actuator.r_init"]
-        if r_init:
-            return ActuatorDesign(params=np.asarray(r_init, dtype=float))
-        return model.actuator_family.initial_design()
+        if not r_init:
+            return model.actuator_family.initial_design()
+        family = model.actuator_family
+        params = np.asarray(r_init, dtype=float)
+        if params.shape != (family.design_dim,) \
+                or not np.array_equal(family.project(params), params):
+            raise ConfigError("actuator.r_init", f"{list(r_init)} is not an admissible "
+                              f"design of {family.design_dim} parameter(s)")
+        return ActuatorDesign(params=params)
 
     def build_x0(self, grid) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            x0 = self._initial_state(grid)
+        if not np.all(np.isfinite(x0)):
+            raise ConfigError("initial_condition.amplitude", "the initial state is not "
+                              "finite (amplitude, second_mode or width out of range)")
+        return x0
+
+    def _initial_state(self, grid) -> np.ndarray:
         kind = self["initial_condition.kind"]
         amp = self["initial_condition.amplitude"]
         if kind == "zero":
@@ -313,5 +333,4 @@ class ExperimentConfig:
                                backtrack=self["optimizer.backtrack"],
                                step0=self["optimizer.step0"],
                                seed=self["optimizer.seed"],
-                               multi_start=self["optimizer.multi_start"],
-                               mode=self["optimizer.mode"])
+                               multi_start=self["optimizer.multi_start"])

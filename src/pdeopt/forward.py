@@ -295,16 +295,32 @@ def verify_heat_iss_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDe
     return rhs - lhs
 
 
+def energy_margin(model: ModelSpec, traj: Trajectory, u: ControlSignal,
+                  design: ActuatorDesign) -> float | None:
+    """Margin of the energy bound that applies to ``model``, None if none does.
+
+    The KS bound applies for lam < 4 pi^2, with or without the nonlinearity;
+    the heat ISS bound applies under the sign condition or on the linear model.
+    """
+    if model.lam is not None:
+        if model.lam >= FOUR_PI_SQ:
+            return None
+        return float(verify_ks_bound(traj, u, design, model.lam, model.grid,
+                                     actuator=model.actuator_family,
+                                     a_op=model.linear_op))
+    if model.sign_condition or model.is_linear:
+        return float(verify_heat_iss_bound(traj, u, design, model.grid, model))
+    return None
+
+
 # --- trajectory export -----------------------------------------------------
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write rows (t, node values...) with full-precision scientific floats."""
     n = traj.states.shape[1]
     header = "t," + ",".join(f"x_{i:06d}" for i in range(n))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for t, row in zip(traj.time_grid.times, traj.states):
-            fh.write(f"{t:.16e}," + ",".join(f"{v:.16e}" for v in row) + "\n")
+    np.savetxt(path, np.column_stack((traj.time_grid.times, traj.states)),
+               fmt="%.16e", delimiter=",", header=header, comments="")
 
 
 _MAGIC = b"PDEOPTRJ"

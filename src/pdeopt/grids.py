@@ -30,7 +30,7 @@ import scipy.sparse as sps
 
 from .exceptions import InvalidBoundaryError, InvalidGridError
 
-_SIDES = ("left", "right", "bottom", "top")
+SIDES = ("left", "right", "bottom", "top")
 
 
 class _Grid:
@@ -107,7 +107,7 @@ class Grid2D(_Grid):
 
     @property
     def gamma0_sides(self) -> tuple[str, ...]:
-        return tuple(s for s in _SIDES if self.dirichlet[s])
+        return tuple(s for s in SIDES if self.dirichlet[s])
 
 
 @dataclass(frozen=True)
@@ -203,10 +203,10 @@ def build_grid_2d(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0,
         raise InvalidGridError(f"need at least 4 cells per axis, got nx={nx}, ny={ny}")
     if lx <= 0 or ly <= 0:
         raise InvalidGridError("rectangle extents must be positive")
-    bad = [s for s in dirichlet_sides if s not in _SIDES]
+    bad = [s for s in dirichlet_sides if s not in SIDES]
     if bad:
-        raise InvalidBoundaryError(f"unknown side labels {bad}; expected subset of {_SIDES}")
-    dirichlet = {s: s in dirichlet_sides for s in _SIDES}
+        raise InvalidBoundaryError(f"unknown side labels {bad}; expected subset of {SIDES}")
+    dirichlet = {s: s in dirichlet_sides for s in SIDES}
     if not any(dirichlet.values()):
         raise InvalidBoundaryError("Gamma_0 is empty: at least one side must be Dirichlet")
     return Grid2D(nx=nx, ny=ny, lx=lx, ly=ly, dirichlet=dirichlet)

@@ -220,11 +220,6 @@ class HeatShapeActuator(ActuatorFamily):
         return ActuatorDesign(params=c)
 
 
-def actuator_evaluate(family: ActuatorFamily, design: ActuatorDesign, grid) -> np.ndarray:
-    """Sample b(.; design) on the grid; the design must be admissible."""
-    return family.evaluate(design, grid)
-
-
 def actuator_design_derivative_adjoint(family: ActuatorFamily, design: ActuatorDesign,
                                        u_t: float, p_t: np.ndarray, grid) -> np.ndarray:
     """Adjoint of the design derivative of the input map at a single time.

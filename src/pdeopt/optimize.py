@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import CostWeights, GradientBundle, compute_bundle, evaluate_cost
+from .adjoint import (CostWeights, GradientBundle, assemble_gradients, compute_bundle,
+                      evaluate_cost)
 from .exceptions import BlowUpError
-from .forward import (ControlSignal, TimeGrid, Trajectory, solve_forward,
-                      trapezoid_weights, verify_heat_iss_bound, verify_ks_bound,
-                      FOUR_PI_SQ)
+from .forward import (ControlSignal, TimeGrid, Trajectory, energy_margin, solve_forward,
+                      trapezoid_weights)
 from .grids import h1_norm
 from .models import ActuatorDesign, ActuatorFamily, ModelSpec
 
@@ -49,7 +49,6 @@ class OptimizerConfig:
     min_step: float = 1e-14
     seed: int = 0
     multi_start: int = 5
-    mode: str = "joint"  # or "alternating"
 
     def __post_init__(self):
         if not (0.0 < self.armijo_c1 < 1.0):
@@ -58,18 +57,23 @@ class OptimizerConfig:
             raise ValueError("backtracking factor must lie in (0, 1)")
         if self.tol <= 0:
             raise ValueError("stopping tolerance must be positive")
-        if self.mode not in ("joint", "alternating"):
-            raise ValueError(f"unknown optimizer mode '{self.mode}'")
 
 
 @dataclass
 class CostReport:
-    """Per-iteration diagnostics; accepted-step costs must not increase."""
+    """Per-iteration diagnostics; accepted-step costs must not increase.
+
+    ``traj``, ``p`` and ``bundle`` are the forward and adjoint solutions and
+    the gradients at the returned iterate (not written by ``to_csv``).
+    """
 
     initialization: dict = field(default_factory=dict)
     iterations: list = field(default_factory=list)
     converged: bool = False
     stop_reason: str = ""
+    traj: Trajectory | None = field(default=None, repr=False)
+    p: Trajectory | None = field(default=None, repr=False)
+    bundle: GradientBundle | None = field(default=None, repr=False)
 
     _FIELDS = ("iter", "cost", "grad_u_norm", "grad_r_norm", "step",
                "res_u", "res_r", "margin")
@@ -146,8 +150,6 @@ def optimality_residuals(model: ModelSpec, traj: Trajectory, p: Trajectory,
                          bundle: GradientBundle | None = None) -> Residuals:
     """res_u = ||rho u + B* p|| and res_r = |int (B'_r u)* p dt| after
     projecting the steepest-descent direction onto the tangent cones."""
-    from .adjoint import assemble_gradients
-
     tg = u.time_grid
     if bundle is None:
         bundle = assemble_gradients(model, traj, p, u, design, weights)
@@ -189,20 +191,6 @@ def optimality_residuals(model: ModelSpec, traj: Trajectory, p: Trajectory,
                      r_active=(lo_active | hi_active))
 
 
-def _margin_fn(model: ModelSpec, sets: AdmissibleSets):
-    """Energy-bound margin evaluator for the iteration report, when applicable."""
-    if model.lam is not None and model.lam < FOUR_PI_SQ and not model.is_linear:
-        def margin(traj, u, design):
-            return verify_ks_bound(traj, u, design, model.lam, model.grid,
-                                   actuator=model.actuator_family, a_op=model.linear_op)
-        return margin
-    if model.sign_condition:
-        def margin(traj, u, design):
-            return verify_heat_iss_bound(traj, u, design, model.grid, model)
-        return margin
-    return None
-
-
 def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
                    x0: np.ndarray, tg: TimeGrid, config: OptimizerConfig,
                    optimize_design: bool = True,
@@ -211,9 +199,11 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
     """Projected gradient with Armijo backtracking on the joint variable (u, r).
 
     Starts from u = 0 and the family's reference design unless an explicit
-    starting design is given; alternating updates are available via
-    config.mode for diagnostics.  Persistent blow-up during backtracking
-    aborts with the diagnostic recorded in the report.
+    starting design is given.  With ``optimize_design=False`` the design
+    block stays frozen at that start and only u moves (the input-only
+    problem).  Persistent blow-up during backtracking aborts with the
+    diagnostic recorded in the report, which also carries the forward and
+    adjoint solutions at the returned iterate.
     """
     theta = trapezoid_weights(tg.nt)
     u = project_U(ControlSignal.zero(tg), sets)
@@ -221,41 +211,35 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
         else model.actuator_family.initial_design()
     design = project_K(start, sets)
     report = CostReport(initialization={
-        "u": "zero", "design": design.params.tolist(), "mode": config.mode,
+        "u": "zero", "design": design.params.tolist(),
         "seed": config.seed, "optimize_design": optimize_design,
     })
-    margin_of = _margin_fn(model, sets)
 
     bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
     alpha = config.step0
     for it in range(config.max_iters):
         res = optimality_residuals(model, traj, p, u, design, weights, sets, bundle=bundle)
-        margin = margin_of(traj, u, design) if margin_of else None
         report.append(iter=it, cost=bundle.cost,
                       grad_u_norm=_signal_norm(bundle.grad_u, tg),
                       grad_r_norm=float(np.linalg.norm(bundle.grad_r)),
-                      step=alpha, res_u=res.res_u, res_r=res.res_r, margin=margin)
+                      step=alpha, res_u=res.res_u, res_r=res.res_r,
+                      margin=energy_margin(model, traj, u, design))
         stationarity = max(res.res_u, res.res_r) if optimize_design else res.res_u
         if stationarity <= config.tol:
             report.converged = True
             report.stop_reason = "residuals below tolerance"
             break
 
-        take_u = config.mode == "joint" or it % 2 == 0
-        take_r = optimize_design and (config.mode == "joint" or it % 2 == 1)
-        if not (take_u or take_r):
-            take_u = True
         accepted = False
         backtracked = False
         while alpha >= config.min_step:
-            u_trial = project_U(ControlSignal(tg, u.values - alpha * bundle.grad_u), sets) \
-                if take_u else u
+            u_trial = project_U(ControlSignal(tg, u.values - alpha * bundle.grad_u), sets)
             d_trial = project_K(ActuatorDesign(design.params - alpha * bundle.grad_r), sets) \
-                if take_r else design
+                if optimize_design else design
             pred = tg.dt * float(np.sum(theta * bundle.grad_u * (u.values - u_trial.values))) \
                 + float(np.dot(bundle.grad_r, design.params - d_trial.params))
             if pred <= 0:
-                break  # projection moved nowhere useful; stationary w.r.t. chosen block
+                break  # projection moved nowhere useful; stationary in the moving blocks
             try:
                 traj_trial = solve_forward(model, u_trial, d_trial, x0, tg)
             except BlowUpError:
@@ -277,6 +261,7 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
         bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
     else:
         report.stop_reason = "max iterations reached"
+    report.traj, report.p, report.bundle = traj, p, bundle
     return u, design, report
 
 
@@ -290,8 +275,9 @@ def golden_section_r(model: ModelSpec, sets: AdmissibleSets, weights: CostWeight
         raise ValueError("golden-section fallback applies to scalar interval designs")
 
     def inner_cost_at(r: float) -> float:
-        design = ActuatorDesign.of(r)
-        _, rep = _minimize_u_fixed_design(model, sets, weights, x0, tg, config, design)
+        _, _, rep = minimize_joint(model, sets, weights, x0, tg, config,
+                                   optimize_design=False,
+                                   initial_design=ActuatorDesign.of(r))
         return rep.final["cost"]
 
     lo, hi = model.actuator_family.bounds
@@ -310,43 +296,6 @@ def golden_section_r(model: ModelSpec, sets: AdmissibleSets, weights: CostWeight
             fd = inner_cost_at(d)
     r_best = 0.5 * (a + b)
     return r_best, inner_cost_at(r_best)
-
-
-def _minimize_u_fixed_design(model, sets, weights, x0, tg, config, design):
-    """Input-only minimization at a fixed design (helper for sweeps/fallbacks)."""
-    fixed = _FixedDesignFamily(model.actuator_family, design.params)
-    model_fixed = ModelSpec(name=model.name, grid=model.grid, linear_op=model.linear_op,
-                            nonlinearity=model.nonlinearity,
-                            jacobian_apply=model.jacobian_apply,
-                            jacobian_adjoint_apply=model.jacobian_adjoint_apply,
-                            actuator_family=fixed, sign_condition=model.sign_condition,
-                            lam=model.lam)
-    sets_fixed = AdmissibleSets(family=fixed, r1=sets.r1, r2=sets.r2, u_box=sets.u_box)
-    u, d, rep = minimize_joint(model_fixed, sets_fixed, weights, x0, tg, config,
-                               optimize_design=False)
-    return u, rep
-
-
-class _FixedDesignFamily(ActuatorFamily):
-    """Wrapper pinning a family to one design (projection collapses to it)."""
-
-    def __init__(self, base: ActuatorFamily, params: np.ndarray):
-        self.base = base
-        self.kind = base.kind
-        self.design_dim = base.design_dim
-        self.params = np.array(params, dtype=float)
-
-    def evaluate(self, design, grid):
-        return self.base.evaluate(design, grid)
-
-    def param_derivative(self, design, grid):
-        return self.base.param_derivative(design, grid)
-
-    def project(self, params):
-        return self.params.copy()
-
-    def initial_design(self):
-        return ActuatorDesign(params=self.params.copy())
 
 
 @dataclass

@@ -23,13 +23,12 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
 
-from .adjoint import CostWeights, solve_adjoint
+from .adjoint import CostWeights
 from .exceptions import PdeoptError
-from .forward import TimeGrid, Trajectory, cn_ab2_sweep, solve_forward, \
-    trapezoid_weights
+from .forward import TimeGrid, Trajectory, cn_ab2_sweep, trapezoid_weights
 from .grids import LinearOperator, h1_inner, h1_norm, inner_product
 from .models import ActuatorDesign, ModelSpec
-from .optimize import AdmissibleSets, OptimizerConfig, _minimize_u_fixed_design
+from .optimize import AdmissibleSets, OptimizerConfig, minimize_joint
 
 
 class PiSequence:
@@ -81,10 +80,7 @@ class RiccatiSolution:
         return (self.state_weight / self.weights.r_scale) * self.apply(k, self.b_vec)
 
     def pi0_to_csv(self, path) -> None:
-        pi0 = self.Pi[0]
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in pi0:
-                fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
+        np.savetxt(path, self.Pi[0], fmt="%.16e", delimiter=",", comments="")
 
 
 def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: float,
@@ -217,9 +213,9 @@ def verify_feedback_consistency(model: ModelSpec, ric: RiccatiSolution,
     grid = model.grid
     cfg = config if config is not None else OptimizerConfig(tol=1e-7, max_iters=5000)
 
-    u_opt, report = _minimize_u_fixed_design(model, sets, weights, x0, tg, cfg, design)
-    traj_opt = solve_forward(model, u_opt, design, x0, tg)
-    p_opt = solve_adjoint(model, traj_opt, weights, tg)
+    u_opt, _, report = minimize_joint(model, sets, weights, x0, tg, cfg,
+                                      optimize_design=False, initial_design=design)
+    traj_opt, p_opt = report.traj, report.p
     theta = trapezoid_weights(tg.nt)
     u_norm_check = float(np.sqrt(tg.dt * np.sum(theta * u_opt.values**2)))
     if u_norm_check >= sets.r1 * (1 - 1e-8):

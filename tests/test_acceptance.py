@@ -11,7 +11,6 @@ import numpy as np
 import pdeopt as po
 from pdeopt.adjoint import adjoint_sweep, linearized_forward
 from pdeopt.config import ExperimentConfig
-from pdeopt.optimize import _minimize_u_fixed_design
 from pdeopt.riccati import solve_differential_riccati, verify_feedback_consistency, \
     worst_ic_eigen_check
 
@@ -313,8 +312,9 @@ def test_criterion_9_sweep_vs_joint():
     sweep_values = np.linspace(0.1, 0.9, 9)
     sweep_costs = []
     for r in sweep_values:
-        _, rep = _minimize_u_fixed_design(model, sets, weights, x0, tg, cfg,
-                                          po.ActuatorDesign.of(r))
+        _, _, rep = po.minimize_joint(model, sets, weights, x0, tg, cfg,
+                                      optimize_design=False,
+                                      initial_design=po.ActuatorDesign.of(r))
         sweep_costs.append(rep.final["cost"])
     best_idx = int(np.argmin(sweep_costs))
     r_best = sweep_values[best_idx]

@@ -1,7 +1,12 @@
+import configparser
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import pdeopt
 from pdeopt.cli import main, run, sweep
 from pdeopt.config import ExperimentConfig
 from pdeopt.exceptions import ConfigError
@@ -145,6 +150,48 @@ class TestRunPipelines:
         assert summary["x0_h1_norm"] == pytest.approx(cfg["sets.r2"], abs=1e-9)
         assert summary["eigen_cosine"] >= 0.999
 
+    @staticmethod
+    def _last_row(path):
+        lines = path.read_text().splitlines()
+        return dict(zip(lines[0].split(","), lines[-1].split(",")))
+
+    def test_last_iteration_row_matches_summary(self, tmp_path):
+        # the final report row is the returned iterate: its residuals and
+        # margin are the ones the summary reports, for the joint problem,
+        # a fixed KS design and the linear heat model alike
+        configs = {
+            "ks-joint": SMALL_KS,
+            "ks-fixed": {**SMALL_KS, "optimizer.optimize_design": False,
+                         "actuator.r_init": (0.4,)},
+            "heat-linear": SMALL_HEAT_LIN,
+        }
+        for name, values in configs.items():
+            summary = run("optimize", ExperimentConfig(values=dict(values)),
+                          tmp_path / name)
+            assert summary["converged"], name
+            row = self._last_row(tmp_path / name / "iterations.csv")
+            assert float(row["res_u"]) == summary["res_u"], name
+            assert float(row["res_r"]) == summary["res_r"], name
+            assert summary["margin"] is not None, name
+            assert row["margin"] != "" and float(row["margin"]) == summary["margin"], name
+
+    def test_optimize_solves_adjoint_once_per_iteration(self, tmp_path, monkeypatch):
+        original = pdeopt.adjoint.solve_adjoint
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        modules = [m for m in vars(pdeopt).values() if type(m) is type(pdeopt)]
+        for module in [pdeopt, *modules]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+        run("optimize", ExperimentConfig(values=dict(SMALL_KS)), tmp_path)
+        rows = (tmp_path / "iterations.csv").read_text().splitlines()[1:]
+        assert len(calls) == len(rows) > 1
+
     def test_riccati_validate_summary(self, tmp_path):
         cfg = ExperimentConfig(values=dict(SMALL_HEAT_LIN))
         summary = run("riccati-validate", cfg, tmp_path)
@@ -178,6 +225,19 @@ class TestCliEntry:
         ("grid", "n", "513"),
         ("grid", "nx", "2"),
         ("time", "tau", "-1.0"),
+        ("sets", "r2", "-1.0"),
+        ("sets", "u_box", "-1.0"),
+        ("optimizer", "tol", "0.0"),
+        ("optimizer", "max_iters", "0"),
+        ("actuator", "omega", "0.0"),
+        ("actuator", "basis_per_axis", "0"),
+        ("actuator", "r_init", "5.0"),
+        ("actuator", "r_init", "0.5,0.5"),
+        ("cost", "q_scale", "-1.0"),
+        ("grid", "lx", "0.0"),
+        ("grid", "ly", "-1.0"),
+        ("grid", "dirichlet", "left,middle"),
+        ("optimizer", "mode", "joint"),  # removed key: unknown field
     ])
     def test_exit_two_names_out_of_range_field(self, tmp_path, capsys, section, key, raw):
         ini = tmp_path / "bad.ini"
@@ -252,6 +312,22 @@ class TestSweep:
         code = main(["sweep", "--config", str(ini), "--out", str(tmp_path / "s2")])
         assert code == 2
 
+    def test_cli_sweep_rows_match_their_summaries(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        self._base_cfg().to_ini(ini)
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", str(ini), "--out", str(out),
+                     "--param", "actuator.r_init", "--values", "0.3,0.5,0.7"])
+        assert code == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 4
+        for line in lines[1:]:
+            value, final_cost, _, _, error = line.split(",")
+            assert error == ""
+            summary = json.loads((out / f"actuator_r_init={float(value):g}"
+                                  / "summary.json").read_text())
+            assert float(final_cost) == summary["final_cost"]
+
     def test_cli_sweep_rejects_non_numeric_values(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
         self._base_cfg().to_ini(ini)
@@ -260,3 +336,48 @@ class TestSweep:
                   "--param", "actuator.r_init", "--values", "abc"])
         assert exit_.value.code == 2
         assert "--values" in capsys.readouterr().err
+
+
+SCHEMA_KEYS = sorted(ExperimentConfig().values)
+FUZZ_BASE = {**SMALL_KS, "grid.n": 16, "grid.nx": 8, "grid.ny": 8, "time.nt": 10}
+_WORDS = ["ks", "heat", "cubic", "none", "sine", "bump", "zero", "true", "left",
+          "left,top", "0.5", "0.1,0.2", "", "%", "nan", "-inf", "1e400"]
+
+
+def _raw_values():
+    numbers = st.one_of(st.integers(min_value=-10, max_value=64).map(str),
+                        st.floats(allow_nan=True, allow_infinity=True).map(repr))
+    strings = st.one_of(st.sampled_from(_WORDS),
+                        st.text(st.characters(codec="ascii", categories=("L", "N", "P", "Zs")),
+                                max_size=12))
+    return st.one_of(numbers, strings)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["ks", "heat"]),
+       edits=st.dictionaries(st.sampled_from(SCHEMA_KEYS), _raw_values(),
+                             min_size=1, max_size=3))
+def test_fuzzed_ini_builds_or_names_a_schema_field(tmp_path, kind, edits):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(ExperimentConfig(values={**FUZZ_BASE, "model.kind": kind}).to_ini())
+    for name, raw in edits.items():
+        section, key = name.split(".", 1)
+        parser[section][key] = raw
+    ini = tmp_path / "fuzz.ini"
+    with open(ini, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    try:
+        cfg = ExperimentConfig.from_ini(ini)
+        grid = cfg.build_grid()
+        model = cfg.build_model(grid)
+        cfg.build_design(model)
+        cfg.build_sets(model)
+        cfg.build_time_grid()
+        cfg.build_weights()
+        cfg.build_optimizer()
+        x0 = cfg.build_x0(grid)
+    except ConfigError as err:
+        assert err.field in SCHEMA_KEYS
+    else:
+        assert np.all(np.isfinite(x0))

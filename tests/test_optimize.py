@@ -4,7 +4,6 @@ import pytest
 import pdeopt as po
 from pdeopt.adjoint import compute_bundle
 from pdeopt.forward import trapezoid_weights
-from pdeopt.optimize import _minimize_u_fixed_design
 
 from conftest import first_mode_2d
 
@@ -83,10 +82,6 @@ class TestOptimizerConfigValidation:
         with pytest.raises(ValueError):
             po.OptimizerConfig(armijo_c1=1.5)
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            po.OptimizerConfig(mode="newton")
-
 
 class TestMinimizeJoint:
     def test_zero_initial_condition_trivial(self, ks_model_small, ks_sets):
@@ -127,18 +122,6 @@ class TestMinimizeJoint:
         assert 0.1 <= d.params[0] <= 0.9
         assert trapz_norm(u.values, tg) <= sets.r1 * (1 + 1e-12)
         assert len(rep.iterations) > 3  # the problem is not trivially stationary
-
-    def test_alternating_mode_descends(self, heat_model_linear):
-        g = heat_model_linear.grid
-        sets = po.AdmissibleSets(family=heat_model_linear.actuator_family,
-                                 r1=50.0, r2=1.0)
-        tg = po.TimeGrid(tau=0.5, nt=60)
-        x0 = first_mode_2d(g, 1.0)
-        cfg = po.OptimizerConfig(tol=1e-6, max_iters=400, mode="alternating")
-        _, _, rep = po.minimize_joint(heat_model_linear, sets,
-                                      po.CostWeights(1.0, 0.1), x0, tg, cfg)
-        costs = [row["cost"] for row in rep.iterations]
-        assert costs[-1] < costs[0]
 
     def test_report_csv(self, tmp_path, heat_model_linear):
         g = heat_model_linear.grid
@@ -276,8 +259,9 @@ def test_symmetric_problem_symmetric_landscape():
     cfg = po.OptimizerConfig(tol=1e-7, max_iters=500)
     costs = {}
     for r in (0.3, 0.7, 0.25, 0.75):
-        _, rep = _minimize_u_fixed_design(model, sets, weights, x0, tg, cfg,
-                                          po.ActuatorDesign.of(r))
+        _, _, rep = po.minimize_joint(model, sets, weights, x0, tg, cfg,
+                                      optimize_design=False,
+                                      initial_design=po.ActuatorDesign.of(r))
         costs[r] = rep.final["cost"]
     assert costs[0.3] == pytest.approx(costs[0.7], rel=1e-6)
     assert costs[0.25] == pytest.approx(costs[0.75], rel=1e-6)
