@@ -141,13 +141,10 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
         "margin": energy_margin(model, traj, u, design),
     }
     if model.is_linear:
-        b = model.actuator_family.evaluate(design, grid)
-        tg_ric = TimeGrid(tau=tg.tau, nt=cfg["riccati.nt"])
-        ric = solve_differential_riccati(model.linear_op, b, weights, tg_ric,
-                                         state_weight=grid.weight,
-                                         check_every=cfg["riccati.check_every"])
-        chk = verify_feedback_consistency(model, ric, sets, weights, x0, tg_ric,
-                                          design, config=opt_cfg)
+        chk = verify_feedback_consistency(model, sets, weights, x0,
+                                          TimeGrid(tau=tg.tau, nt=cfg["riccati.nt"]),
+                                          design, config=opt_cfg,
+                                          check_every=cfg["riccati.check_every"])
         summary["riccati_discrepancy"] = None if chk.inconclusive else chk.discrepancy
         summary["riccati_inconclusive"] = chk.inconclusive
     return summary
@@ -194,7 +191,7 @@ def run_riccati_validate(cfg: ExperimentConfig, out: Path) -> dict:
     tg_scalar = TimeGrid(tau=1.0, nt=1000)
     ric_scalar = solve_differential_riccati(scalar_op, np.ones(1),
                                             CostWeights(1.0, 1.0), tg_scalar)
-    tanh_err = float(abs(ric_scalar.Pi[0][0, 0] - np.tanh(1.0)))
+    tanh_err = float(abs(ric_scalar.pi0[0, 0] - np.tanh(1.0)))
 
     lin_cfg = cfg if cfg["model.linear"] else cfg.with_value("model.linear", True)
     grid = lin_cfg.build_grid()
@@ -204,12 +201,9 @@ def run_riccati_validate(cfg: ExperimentConfig, out: Path) -> dict:
     sets = lin_cfg.build_sets(model)
     design = lin_cfg.build_design(model)
     x0 = lin_cfg.build_x0(grid)
-    b = model.actuator_family.evaluate(design, grid)
-    ric = solve_differential_riccati(model.linear_op, b, weights, tg,
-                                     state_weight=grid.weight,
-                                     check_every=lin_cfg["riccati.check_every"])
-    ric.pi0_to_csv(out / "pi0.csv")
-    chk = verify_feedback_consistency(model, ric, sets, weights, x0, tg, design)
+    chk = verify_feedback_consistency(model, sets, weights, x0, tg, design,
+                                      check_every=lin_cfg["riccati.check_every"])
+    chk.riccati.pi0_to_csv(out / "pi0.csv")
     return {
         "pipeline": "riccati-validate",
         "tanh_error": tanh_err,

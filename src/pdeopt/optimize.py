@@ -140,9 +140,6 @@ class Residuals:
     u_active: bool
     r_active: np.ndarray
 
-    def __iter__(self):
-        return iter((self.res_u, self.res_r))
-
 
 def optimality_residuals(model: ModelSpec, traj: Trajectory, p: Trajectory,
                          u: ControlSignal, design: ActuatorDesign,
@@ -175,10 +172,7 @@ def optimality_residuals(model: ModelSpec, traj: Trajectory, p: Trajectory,
     res_u = _signal_norm(d, tg)
 
     # design residual, componentwise box cone
-    v_r = 0.5 * bundle.grad_r
-    d_r = -v_r.copy()
-    lo_active = np.zeros_like(d_r, dtype=bool)
-    hi_active = np.zeros_like(d_r, dtype=bool)
+    d_r = -0.5 * bundle.grad_r
     params = design.params
     shifted = sets.family.project(params + 1.0)
     lowered = sets.family.project(params - 1.0)
@@ -203,7 +197,8 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
     block stays frozen at that start and only u moves (the input-only
     problem).  Persistent blow-up during backtracking aborts with the
     diagnostic recorded in the report, which also carries the forward and
-    adjoint solutions at the returned iterate.
+    adjoint solutions at the returned iterate.  Whatever ends the run, the
+    report's last row is that iterate.
     """
     theta = trapezoid_weights(tg.nt)
     u = project_U(ControlSignal.zero(tg), sets)
@@ -217,7 +212,7 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
 
     bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
     alpha = config.step0
-    for it in range(config.max_iters):
+    for it in range(config.max_iters + 1):
         res = optimality_residuals(model, traj, p, u, design, weights, sets, bundle=bundle)
         report.append(iter=it, cost=bundle.cost,
                       grad_u_norm=_signal_norm(bundle.grad_u, tg),
@@ -228,6 +223,9 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
         if stationarity <= config.tol:
             report.converged = True
             report.stop_reason = "residuals below tolerance"
+            break
+        if it == config.max_iters:
+            report.stop_reason = "max iterations reached"
             break
 
         accepted = False
@@ -259,8 +257,6 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
         if not backtracked:
             alpha = min(alpha * 2.0, 1e6)  # grow only after a clean acceptance
         bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
-    else:
-        report.stop_reason = "max iterations reached"
     report.traj, report.p, report.bundle = traj, p, bundle
     return u, design, report
 
@@ -332,21 +328,19 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
         x0 = project_V_ball(x0_init, sets.r2, grid)
         bundle, traj, p = compute_bundle(model, u_fixed, design_fixed, x0, weights, tg)
         alpha = config.step0
-        history = []
-        stop = "max iterations reached"
-        for it in range(config.max_iters):
+        for it in range(config.max_iters + 1):
             g_v = bundle.grad_x0  # H1 representer of dJ/dx0 (= 2 * riesz(p0))
             riesz_p0 = 0.5 * g_v
-            mu = h1_norm(riesz_p0, grid) / sets.r2
             norm_x0 = h1_norm(x0, grid)
             active = norm_x0 >= sets.r2 * (1 - 1e-9)
-            if not active:
-                mu = 0.0
+            mu = h1_norm(riesz_p0, grid) / sets.r2 if active else 0.0
             kkt = h1_norm(riesz_p0 - mu * x0, grid)
             scale = max(h1_norm(riesz_p0, grid), 1e-300)
-            history.append((it, bundle.cost, kkt))
             if kkt <= 1e-5 * max(scale, 1e-300):
                 stop = "kkt residual below tolerance"
+                break
+            if it == config.max_iters:
+                stop = "max iterations reached"
                 break
             accepted = False
             alpha = min(alpha * 2.0, 1e8)
@@ -370,15 +364,10 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
                 stop = "no acceptable ascent step"
                 break
             bundle, traj, p = compute_bundle(model, u_fixed, design_fixed, x0, weights, tg)
-        riesz_p0 = 0.5 * bundle.grad_x0
-        norm_x0 = h1_norm(x0, grid)
-        active = norm_x0 >= sets.r2 * (1 - 1e-9)
-        mu = h1_norm(riesz_p0, grid) / sets.r2 if active else 0.0
         return {
             "label": label, "x0": x0, "cost": bundle.cost, "mu": mu,
-            "kkt_residual": h1_norm(riesz_p0 - mu * x0, grid),
-            "x0_h1_norm": norm_x0, "active": active, "iterations": len(history),
-            "stop": stop,
+            "kkt_residual": kkt, "x0_h1_norm": norm_x0, "active": active,
+            "iterations": it + 1, "stop": stop,
         }
 
     report = WorstIcReport()

@@ -31,64 +31,44 @@ from .models import ActuatorDesign, ModelSpec
 from .optimize import AdmissibleSets, OptimizerConfig, minimize_joint
 
 
-class PiSequence:
-    """Lazy list-like view of the nodal matrices Pi(t_k).
-
-    Materializing all of them eagerly costs (nt+1) * n^2 doubles; entries are
-    reconstructed from the modal storage on access and cached shallowly.
-    """
-
-    def __init__(self, basis: np.ndarray, modal: list[np.ndarray]):
-        self._v = basis
-        self._modal = modal
-        self._cache: dict[int, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self._modal)
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        if k < 0:
-            k += len(self)
-        if k not in self._cache:
-            if len(self._cache) > 4:
-                self._cache.clear()
-            self._cache[k] = self._v @ self._modal[k] @ self._v.T
-        return self._cache[k]
-
-
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Pi(t_k) on the discrete state space, stored in the eigenbasis of A."""
+    """What the sweep keeps of Pi(t_k): Pi(0), the feedback gains, and
+    optionally Pi(t_k) x_k along a given trajectory.
+
+    ``modal`` lists the n x n matrices kept, in the eigenbasis ``basis`` of
+    A: only Pi-tilde(0).  ``gains[k]`` is g_k = (w/rho) Pi(t_k) b, so the
+    feedback law reads u_k = -<g_k, x_k>.  ``along[k]`` is Pi(t_k) X[k] for
+    the trajectory X passed as ``along=`` (None without one).
+    """
 
     time_grid: TimeGrid
     basis: np.ndarray = field(repr=False)
     modal: list = field(repr=False)
     b_vec: np.ndarray = field(repr=False)
-    weights: CostWeights
-    state_weight: float
+    gains: np.ndarray = field(repr=False)
+    along: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def Pi(self) -> PiSequence:
-        return PiSequence(self.basis, self.modal)
-
-    def apply(self, k: int, x: np.ndarray) -> np.ndarray:
-        """Pi(t_k) x without materializing the nodal matrix."""
-        return self.basis @ (self.modal[k] @ (self.basis.T @ x))
-
-    def gain(self, k: int) -> np.ndarray:
-        """Feedback gain row g_k with u = -<g_k, x>: (w/rho) Pi(t_k) b."""
-        return (self.state_weight / self.weights.r_scale) * self.apply(k, self.b_vec)
+    def pi0(self) -> np.ndarray:
+        """The nodal matrix Pi(0)."""
+        return self.basis @ self.modal[0] @ self.basis.T
 
     def pi0_to_csv(self, path) -> None:
-        np.savetxt(path, self.Pi[0], fmt="%.16e", delimiter=",", comments="")
+        np.savetxt(path, self.pi0, fmt="%.16e", delimiter=",", comments="")
 
 
 def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: float,
-                     nt: int, dt: float, check_every: int) -> list[np.ndarray]:
-    """Backward trapezoid sweep in the eigenbasis; returns Pi-tilde at all t_k.
+                     nt: int, refine: int, dt: float, check_every: int,
+                     along_modal: np.ndarray | None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Backward trapezoid sweep in the eigenbasis over nt * refine steps of dt.
 
-    Raises PdeoptError on a near-singular implicit factor or a PSD violation
-    beyond tolerance (caller retries with a finer step).
+    Returns Pi-tilde(0) and, at the nt + 1 coarse times t_k (every
+    ``refine``-th step), the rows Pi-tilde(t_k) b_modal and
+    Pi-tilde(t_k) along_modal[k].  Raises PdeoptError on a near-singular
+    implicit factor or a PSD violation beyond tolerance (caller retries with
+    a finer step).
     """
     n = lam.size
     c = 0.5 * dt
@@ -102,9 +82,10 @@ def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: fl
         xb = x @ b_modal
         return np.outer((c * s_scale) * xb, xb)
 
-    modal = [np.zeros((n, n))]  # at t = tau
-    x = modal[0]
-    for m in range(nt):
+    pib = np.zeros((nt + 1, n))  # Pi(tau) = 0 leaves row nt zero
+    pix = None if along_modal is None else np.zeros((nt + 1, n))
+    x = np.zeros((n, n))
+    for m in range(nt * refine):
         # explicit half plus both halves of the source: x E - c quad(x) + 2 c q I
         lagged = quad(x)
         base = x * explicit
@@ -118,45 +99,52 @@ def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: fl
                 break
             x_new = x_next
         x_new = 0.5 * (x_new + x_new.T)
-        if (m + 1) % check_every == 0 or m == nt - 1:
+        if (m + 1) % check_every == 0 or m == nt * refine - 1:
             evs = eigvalsh(x_new)
             scale = max(abs(evs[0]), abs(evs[-1]), 1e-300)
             if evs[0] < -1e-8 * scale:
                 raise PdeoptError(f"Pi lost positive semidefiniteness (min eig {evs[0]:.2e})")
-        modal.append(x_new)
         x = x_new
-    modal.reverse()  # index by time k: modal[k] ~ Pi(t_k), modal[nt] = 0
-    return modal
+        k, rest = divmod(nt * refine - m - 1, refine)
+        if rest == 0:
+            pib[k] = x @ b_modal
+            if pix is not None:
+                pix[k] = x @ along_modal[k]
+    return x, pib, pix
 
 
 def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
                                weights: CostWeights, tg: TimeGrid,
                                state_weight: float = 1.0,
-                               check_every: int = 1) -> RiccatiSolution:
+                               check_every: int = 1,
+                               along: np.ndarray | None = None) -> RiccatiSolution:
     """Backward implicit-trapezoid solve of the differential Riccati equation.
 
     ``state_weight`` is the uniform quadrature weight of the grid carrying
-    b_vec (1.0 for a plain ODE system).  On PSD failure or a singular
-    implicit factor the sweep retries at dt/2 and dt/4 (keeping the requested
-    output sampling) before aborting.
+    b_vec (1.0 for a plain ODE system).  ``along`` is an optional
+    (nt+1) x n trajectory X; the solution then carries Pi(t_k) X[k].  Only
+    Pi(0) and n-vectors per step are kept, so memory is O(n^2 + nt n).  On
+    PSD failure or a singular implicit factor the sweep retries at dt/2 and
+    dt/4 (keeping the requested output sampling) before aborting.
     """
     basis = a_op.basis  # raises ValueError for a non-symmetric operator
     lam, v = basis.values.ravel(), reduce(np.kron, basis.vectors)
     b_modal = v.T @ b_vec
     s_scale = state_weight / weights.r_scale
+    along_modal = None if along is None else along @ v
 
     last_err: PdeoptError | None = None
     for refine in (1, 2, 4):
         try:
-            modal_fine = _integrate_modal(lam, b_modal, weights.q_scale, s_scale,
-                                          tg.nt * refine, tg.dt / refine,
-                                          check_every=check_every)
+            pi0, pib, pix = _integrate_modal(lam, b_modal, weights.q_scale, s_scale,
+                                             tg.nt, refine, tg.dt / refine,
+                                             check_every, along_modal)
         except PdeoptError as err:
             last_err = err
             continue
-        modal = modal_fine[::refine]
-        return RiccatiSolution(time_grid=tg, basis=v, modal=modal, b_vec=b_vec,
-                               weights=weights, state_weight=state_weight)
+        return RiccatiSolution(time_grid=tg, basis=v, modal=[pi0], b_vec=b_vec,
+                               gains=s_scale * (pib @ v.T),
+                               along=None if pix is None else pix @ v.T)
     raise PdeoptError(f"Riccati sweep failed after dt refinements: {last_err}")
 
 
@@ -173,30 +161,33 @@ def closed_loop_simulate(model: ModelSpec, ric: RiccatiSolution, x0: np.ndarray,
     controls = np.zeros(tg.nt + 1)
 
     def feedback(k: int, x: np.ndarray) -> np.ndarray:
-        controls[k] = -float(np.dot(ric.gain(k), x))
+        controls[k] = -float(np.dot(ric.gains[k], x))
         return b * controls[k]
 
     states = cn_ab2_sweep(model.linear_op, tg, x0, term=feedback)
-    controls[tg.nt] = -float(np.dot(ric.gain(tg.nt), states[tg.nt]))
+    controls[tg.nt] = -float(np.dot(ric.gains[tg.nt], states[tg.nt]))
     return Trajectory(time_grid=tg, states=states), controls
 
 
 @dataclass(frozen=True)
 class FeedbackCheck:
-    """Outcome of the optimizer-vs-Riccati cross validation."""
+    """Outcome of the optimizer-vs-Riccati cross validation, with the
+    Riccati solution it was checked against."""
 
     discrepancy: float
     inconclusive: bool
     parts: dict
+    riccati: RiccatiSolution = field(repr=False)
 
 
-def verify_feedback_consistency(model: ModelSpec, ric: RiccatiSolution,
-                                sets: AdmissibleSets, weights: CostWeights,
-                                x0: np.ndarray, tg: TimeGrid,
+def verify_feedback_consistency(model: ModelSpec, sets: AdmissibleSets,
+                                weights: CostWeights, x0: np.ndarray, tg: TimeGrid,
                                 design: ActuatorDesign,
-                                config: OptimizerConfig | None = None) -> FeedbackCheck:
-    """Optimize the input on the linear model (design fixed) and compare the
-    result with the Riccati feedback simulation.
+                                config: OptimizerConfig | None = None,
+                                check_every: int = 1) -> FeedbackCheck:
+    """Optimize the input on the linear model (design fixed), solve the
+    Riccati equation on ``tg`` (PSD check every ``check_every`` steps), and
+    compare the optimum with the Riccati feedback simulation.
 
     Returns the worst of three relative discrepancies: trajectory (max over
     t), adjoint identity p = Pi x (max over t), and control in L2(0,tau).
@@ -216,11 +207,19 @@ def verify_feedback_consistency(model: ModelSpec, ric: RiccatiSolution,
     u_opt, _, report = minimize_joint(model, sets, weights, x0, tg, cfg,
                                       optimize_design=False, initial_design=design)
     traj_opt, p_opt = report.traj, report.p
+    # p = Pi x along the optimizer's own trajectory (x at the half-lagged sample)
+    x_lag = traj_opt.states.copy()
+    x_lag[1:] = 0.5 * (traj_opt.states[:-1] + traj_opt.states[1:])
+    ric = solve_differential_riccati(model.linear_op,
+                                     model.actuator_family.evaluate(design, grid),
+                                     weights, tg, state_weight=grid.weight,
+                                     check_every=check_every, along=x_lag)
     theta = trapezoid_weights(tg.nt)
     u_norm_check = float(np.sqrt(tg.dt * np.sum(theta * u_opt.values**2)))
     if u_norm_check >= sets.r1 * (1 - 1e-8):
         return FeedbackCheck(discrepancy=np.inf, inconclusive=True,
-                             parts={"reason": "input constraint active at optimum"})
+                             parts={"reason": "input constraint active at optimum"},
+                             riccati=ric)
 
     traj_ric, _ = closed_loop_simulate(model, ric, x0, tg)
 
@@ -232,20 +231,15 @@ def verify_feedback_consistency(model: ModelSpec, ric: RiccatiSolution,
         for d in (traj_opt.states - traj_ric.states)
     ) / denom_state
 
-    # p = Pi x along the optimizer's own trajectory (x at the half-lagged sample)
-    x_lag = traj_opt.states.copy()
-    x_lag[1:] = 0.5 * (traj_opt.states[:-1] + traj_opt.states[1:])
-    pix = np.stack([ric.apply(k, x_lag[k]) for k in range(tg.nt + 1)])
+    pix = ric.along
     denom_p = max(np.max([np.sqrt(inner_product(v, v, grid)) for v in pix]), 1e-300)
     e_adj = max(
         np.sqrt(inner_product(d, d, grid)) for d in (p_opt.states[1:] - pix[1:])
     ) / denom_p
 
     # control comparison: midpoint gain on the node state
-    u_ric_cmp = np.empty(tg.nt)
-    for j in range(tg.nt):
-        g_mid = 0.5 * (ric.gain(j) + ric.gain(j + 1))
-        u_ric_cmp[j] = -float(np.dot(g_mid, traj_ric.states[j]))
+    g_mid = 0.5 * (ric.gains[:-1] + ric.gains[1:])
+    u_ric_cmp = -np.einsum("kn,kn->k", g_mid, traj_ric.states[:-1])
     du = u_opt.values[:tg.nt] - u_ric_cmp
     denom_u = max(np.sqrt(tg.dt * np.sum(u_ric_cmp**2)), 1e-300)
     e_ctrl = np.sqrt(tg.dt * np.sum(du**2)) / denom_u
@@ -253,7 +247,7 @@ def verify_feedback_consistency(model: ModelSpec, ric: RiccatiSolution,
     parts = {"state": float(e_state), "adjoint": float(e_adj), "control": float(e_ctrl),
              "optimizer_converged": report.converged, "u_norm": float(u_norm_check)}
     return FeedbackCheck(discrepancy=float(max(e_state, e_adj, e_ctrl)),
-                         inconclusive=False, parts=parts)
+                         inconclusive=False, parts=parts, riccati=ric)
 
 
 def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
@@ -267,7 +261,7 @@ def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
     equation Pi(0) x0 = -mu x0 with mu >= 0 would force Pi(0) x0 = 0 for a
     PSD Pi(0), so eigen-alignment plus the signed quotient is what is tested.
     """
-    pi0 = ric.Pi[0]
+    pi0 = ric.pi0
     vals, vecs = eigh(pi0, grid.h1.toarray())
     extremal = vecs[:, -1]
     denom = h1_norm(x0_star, grid) * h1_norm(extremal, grid)

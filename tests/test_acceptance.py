@@ -158,7 +158,7 @@ def test_criterion_5_riccati_equivalence():
     tgs = po.TimeGrid(tau=1.0, nt=1000)
     ric_s = solve_differential_riccati(scalar, np.ones(1), po.CostWeights(1.0, 1.0),
                                        tgs)
-    tanh_err = abs(float(ric_s.Pi[0][0, 0]) - np.tanh(1.0))
+    tanh_err = abs(float(ric_s.pi0[0, 0]) - np.tanh(1.0))
 
     weights = po.CostWeights(1.0, 1.0)
 
@@ -166,25 +166,19 @@ def test_criterion_5_riccati_equivalence():
     gh = po.build_grid_2d(16, 16)
     mh = po.make_heat_model(gh, f_scalar=None)
     dh = mh.actuator_family.initial_design()
-    bh = mh.actuator_family.evaluate(dh, gh)
     sh = po.AdmissibleSets(family=mh.actuator_family, r1=100.0, r2=1.0)
     tgh = po.TimeGrid(tau=1.0, nt=400)
-    ric_h = solve_differential_riccati(mh.linear_op, bh, weights, tgh,
-                                       state_weight=gh.weight, check_every=20)
-    chk_h = verify_feedback_consistency(mh, ric_h, sh, weights,
-                                        first_mode_2d(gh, 1.0), tgh, dh)
+    chk_h = verify_feedback_consistency(mh, sh, weights, first_mode_2d(gh, 1.0), tgh,
+                                        dh, check_every=20)
 
     # linearized KS
     gk = po.build_grid_1d(64)
     mk = po.make_ks_model(gk, lam=30.0, linear=True)
     dk = po.ActuatorDesign.of(0.5)
-    bk = mk.actuator_family.evaluate(dk, gk)
     sk = po.AdmissibleSets(family=mk.actuator_family, r1=100.0, r2=1.0)
     tgk = po.TimeGrid(tau=0.2, nt=400)
-    ric_k = solve_differential_riccati(mk.linear_op, bk, weights, tgk,
-                                       state_weight=gk.weight, check_every=20)
-    chk_k = verify_feedback_consistency(mk, ric_k, sk, weights,
-                                        smooth_clamped(gk, 0.5), tgk, dk)
+    chk_k = verify_feedback_consistency(mk, sk, weights, smooth_clamped(gk, 0.5), tgk,
+                                        dk, check_every=20)
 
     ok = (tanh_err <= 1e-6 and not chk_h.inconclusive and not chk_k.inconclusive
           and chk_h.discrepancy <= 0.02 and chk_k.discrepancy <= 0.02)

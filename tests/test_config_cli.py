@@ -158,17 +158,23 @@ class TestRunPipelines:
     def test_last_iteration_row_matches_summary(self, tmp_path):
         # the final report row is the returned iterate: its residuals and
         # margin are the ones the summary reports, for the joint problem,
-        # a fixed KS design and the linear heat model alike
+        # a fixed KS design, the linear heat model and a run stopped by the
+        # iteration cap alike
         configs = {
             "ks-joint": SMALL_KS,
             "ks-fixed": {**SMALL_KS, "optimizer.optimize_design": False,
                          "actuator.r_init": (0.4,)},
             "heat-linear": SMALL_HEAT_LIN,
+            "ks-capped": {**SMALL_KS, "optimizer.max_iters": 3},
         }
         for name, values in configs.items():
             summary = run("optimize", ExperimentConfig(values=dict(values)),
                           tmp_path / name)
-            assert summary["converged"], name
+            if name == "ks-capped":
+                assert summary["stop_reason"] == "max iterations reached"
+                assert summary["iterations"] == 4  # 3 steps, then the returned iterate
+            else:
+                assert summary["converged"], name
             row = self._last_row(tmp_path / name / "iterations.csv")
             assert float(row["res_u"]) == summary["res_u"], name
             assert float(row["res_r"]) == summary["res_r"], name

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -20,22 +22,25 @@ class TestScalarOracles:
     def test_tanh_closed_form(self):
         tg = po.TimeGrid(tau=1.0, nt=1000)
         ric = solve_differential_riccati(scalar_op(0.0), np.ones(1),
-                                         po.CostWeights(1.0, 1.0), tg)
-        pis = np.array([ric.Pi[k][0, 0] for k in range(0, tg.nt + 1, 100)])
+                                         po.CostWeights(1.0, 1.0), tg,
+                                         along=np.ones((tg.nt + 1, 1)))
+        pis = np.array([ric.along[k, 0] for k in range(0, tg.nt + 1, 100)])
         expect = np.tanh(1.0 - tg.times[::100])
         assert np.max(np.abs(pis - expect)) < 1e-6
 
     def test_zero_state_weight(self):
         tg = po.TimeGrid(tau=1.0, nt=50)
         ric = solve_differential_riccati(scalar_op(-2.0), np.ones(1),
-                                         po.CostWeights(0.0, 1.0), tg)
-        assert all(ric.Pi[k][0, 0] == 0.0 for k in range(tg.nt + 1))
+                                         po.CostWeights(0.0, 1.0), tg,
+                                         along=np.ones((tg.nt + 1, 1)))
+        assert all(ric.along[k, 0] == 0.0 for k in range(tg.nt + 1))
 
     def test_terminal_condition(self):
         tg = po.TimeGrid(tau=0.7, nt=40)
         ric = solve_differential_riccati(scalar_op(-1.0), np.ones(1),
-                                         po.CostWeights(2.0, 0.5), tg)
-        assert np.all(ric.Pi[tg.nt] == 0.0)
+                                         po.CostWeights(2.0, 0.5), tg,
+                                         along=np.ones((tg.nt + 1, 1)))
+        assert np.all(ric.along[tg.nt] == 0.0)
 
 
 class TestDiagonalSystem:
@@ -49,7 +54,7 @@ class TestDiagonalSystem:
         q, rho, tau = 1.3, 0.7, 1.0
         tg = po.TimeGrid(tau=tau, nt=2000)
         ric = solve_differential_riccati(a_op, b, po.CostWeights(q, rho), tg)
-        pi0 = ric.Pi[0]
+        pi0 = ric.pi0
 
         for i, lam in enumerate(lams):
             s = (1.0 / rho) if i == 1 else 0.0
@@ -71,10 +76,12 @@ class TestInvariants:
         model = po.make_heat_model(g, f_scalar=None)
         b = model.actuator_family.evaluate(model.actuator_family.initial_design(), g)
         tg = po.TimeGrid(tau=1.0, nt=100)
-        ric = solve_differential_riccati(model.linear_op, b, po.CostWeights(), tg,
-                                         state_weight=g.weight, check_every=1)
-        for k in range(0, tg.nt + 1, 10):
-            pi_k = ric.Pi[k]
+        for k in range(0, tg.nt - 1, 10):
+            # Pi(t_k) is Pi(0) of the sweep over the remaining horizon [t_k, tau]
+            tg_k = po.TimeGrid(tau=(tg.nt - k) * tg.dt, nt=tg.nt - k)
+            pi_k = solve_differential_riccati(model.linear_op, b, po.CostWeights(),
+                                              tg_k, state_weight=g.weight,
+                                              check_every=1).pi0
             assert np.max(np.abs(pi_k - pi_k.T)) < 1e-10
             evs = eigvalsh(pi_k)
             assert evs[0] >= -1e-8 * max(abs(evs[-1]), 1e-300)
@@ -88,7 +95,7 @@ class TestInvariants:
             tg = po.TimeGrid(tau=tau, nt=nt)
             return solve_differential_riccati(model.linear_op, b, po.CostWeights(),
                                               tg, state_weight=g.weight,
-                                              check_every=20).Pi[0]
+                                              check_every=20).pi0
 
         pi_long = pi0(1.0, 200)
         diff = pi_long - pi0(0.5, 100)
@@ -108,8 +115,55 @@ class TestInvariants:
         x0 = first_mode_2d(g, 1.0)
         traj, controls = closed_loop_simulate(model, ric, x0, tg)
         cost = po.evaluate_cost(traj, po.ControlSignal(tg, controls), weights, g)
-        quad = g.weight * float(x0 @ ric.Pi[0] @ x0)
+        quad = g.weight * float(x0 @ ric.pi0 @ x0)
         assert cost == pytest.approx(quad, rel=2e-2)
+
+
+class TestStorage:
+    def test_memory_does_not_grow_with_nt_squared(self):
+        # only Pi(0) is kept as a matrix; per step the sweep keeps n-vectors
+        g = po.build_grid_2d(8, 8)
+        model = po.make_heat_model(g, f_scalar=None)
+        b = model.actuator_family.evaluate(model.actuator_family.initial_design(), g)
+        model.linear_op.basis  # built once, outside the measured calls
+
+        def peak(nt):
+            tracemalloc.start()
+            try:
+                solve_differential_riccati(model.linear_op, b, po.CostWeights(),
+                                           po.TimeGrid(tau=1.0, nt=nt),
+                                           state_weight=g.weight, check_every=100)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1600) - peak(100) < 4 * 2**20
+
+    @pytest.mark.parametrize("kind", ["heat", "ks"])
+    def test_along_matches_pi0_of_the_remaining_horizon(self, kind, rng):
+        # Pi(t_k) x_k from one sweep is Pi(0) x_k of the sweep over [t_k, tau]
+        if kind == "heat":
+            g = po.build_grid_2d(8, 8)
+            model = po.make_heat_model(g, f_scalar=None)
+            design = model.actuator_family.initial_design()
+            tg = po.TimeGrid(tau=1.0, nt=100)
+        else:
+            g = po.build_grid_1d(24)
+            model = po.make_ks_model(g, lam=30.0, linear=True)
+            design = po.ActuatorDesign.of(0.5)
+            tg = po.TimeGrid(tau=0.2, nt=100)
+        b = model.actuator_family.evaluate(design, g)
+        weights = po.CostWeights(1.0, 0.5)
+        xs = rng.standard_normal((tg.nt + 1, g.size))
+        ric = solve_differential_riccati(model.linear_op, b, weights, tg,
+                                         state_weight=g.weight, along=xs)
+        assert ric.along.shape == xs.shape
+        for k in range(10, tg.nt - 1, 4):
+            tg_k = po.TimeGrid(tau=(tg.nt - k) * tg.dt, nt=tg.nt - k)
+            pi0_k = solve_differential_riccati(model.linear_op, b, weights, tg_k,
+                                               state_weight=g.weight).pi0
+            expect = pi0_k @ xs[k]
+            assert np.max(np.abs(ric.along[k] - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestFeedbackConsistency:
@@ -118,13 +172,10 @@ class TestFeedbackConsistency:
         model = po.make_heat_model(g, f_scalar=None)
         fam = model.actuator_family
         design = fam.initial_design()
-        b = fam.evaluate(design, g)
         sets = po.AdmissibleSets(family=fam, r1=10.0, r2=1.0)
         tg = po.TimeGrid(tau=0.5, nt=50)
-        ric = solve_differential_riccati(model.linear_op, b, po.CostWeights(), tg,
-                                         state_weight=g.weight, check_every=10)
-        chk = verify_feedback_consistency(model, ric, sets, po.CostWeights(),
-                                          np.zeros(g.size), tg, design)
+        chk = verify_feedback_consistency(model, sets, po.CostWeights(),
+                                          np.zeros(g.size), tg, design, check_every=10)
         assert not chk.inconclusive
         assert chk.parts["state"] == 0.0
 
@@ -133,14 +184,11 @@ class TestFeedbackConsistency:
         model = po.make_heat_model(g, f_scalar=None)
         fam = model.actuator_family
         design = fam.initial_design()
-        b = fam.evaluate(design, g)
         weights = po.CostWeights(1.0, 1.0)
         sets = po.AdmissibleSets(family=fam, r1=100.0, r2=1.0)
         tg = po.TimeGrid(tau=1.0, nt=400)
-        ric = solve_differential_riccati(model.linear_op, b, weights, tg,
-                                         state_weight=g.weight, check_every=50)
-        chk = verify_feedback_consistency(model, ric, sets, weights,
-                                          first_mode_2d(g, 1.0), tg, design)
+        chk = verify_feedback_consistency(model, sets, weights,
+                                          first_mode_2d(g, 1.0), tg, design, check_every=50)
         assert not chk.inconclusive
         assert chk.discrepancy <= 0.02
 
@@ -151,17 +199,14 @@ class TestFeedbackConsistency:
         model = po.make_heat_model(g, f_scalar=None)
         fam = model.actuator_family
         design = fam.initial_design()
-        b = fam.evaluate(design, g)
         weights = po.CostWeights(1.0, 1.0)
         sets = po.AdmissibleSets(family=fam, r1=100.0, r2=1.0)
         x0 = first_mode_2d(g, 1.0)
         discrepancies = []
         for nt in (100, 200, 400):
             tg = po.TimeGrid(tau=1.0, nt=nt)
-            ric = solve_differential_riccati(model.linear_op, b, weights, tg,
-                                             state_weight=g.weight, check_every=50)
-            chk = verify_feedback_consistency(model, ric, sets, weights, x0, tg,
-                                              design)
+            chk = verify_feedback_consistency(model, sets, weights, x0, tg, design,
+                                              check_every=50)
             discrepancies.append(chk.discrepancy)
         assert discrepancies[2] < discrepancies[1] < discrepancies[0]
         assert discrepancies[0] / discrepancies[2] > 3.0
@@ -171,14 +216,11 @@ class TestFeedbackConsistency:
         model = po.make_heat_model(g, f_scalar=None)
         fam = model.actuator_family
         design = fam.initial_design()
-        b = fam.evaluate(design, g)
         weights = po.CostWeights(1.0, 1e-6)  # cheap control wants a big input
         sets = po.AdmissibleSets(family=fam, r1=1e-5, r2=1.0)
         tg = po.TimeGrid(tau=0.5, nt=100)
-        ric = solve_differential_riccati(model.linear_op, b, weights, tg,
-                                         state_weight=g.weight, check_every=20)
-        chk = verify_feedback_consistency(model, ric, sets, weights,
-                                          first_mode_2d(g, 1.0), tg, design)
+        chk = verify_feedback_consistency(model, sets, weights,
+                                          first_mode_2d(g, 1.0), tg, design, check_every=20)
         assert chk.inconclusive
 
 
@@ -238,11 +280,8 @@ def _synthetic_riccati(pi0: np.ndarray, grid) -> po.RiccatiSolution:
     """Wrap a given matrix as Pi(0) of a degenerate one-step solution."""
     n = pi0.shape[0]
     tg = po.TimeGrid(tau=1.0, nt=2)
-    basis = np.eye(n)
-    modal = [pi0, 0.5 * pi0, np.zeros((n, n))]
-    return po.RiccatiSolution(time_grid=tg, basis=basis, modal=modal,
-                              b_vec=np.zeros(n), weights=po.CostWeights(),
-                              state_weight=grid.weight)
+    return po.RiccatiSolution(time_grid=tg, basis=np.eye(n), modal=[pi0],
+                              b_vec=np.zeros(n), gains=np.zeros((tg.nt + 1, n)))
 
 
 def test_ks_linearized_feedback_two_percent():
@@ -250,13 +289,10 @@ def test_ks_linearized_feedback_two_percent():
     model = po.make_ks_model(g, lam=30.0, linear=True)
     fam = model.actuator_family
     design = po.ActuatorDesign.of(0.5)
-    b = fam.evaluate(design, g)
     weights = po.CostWeights(1.0, 1.0)
     sets = po.AdmissibleSets(family=fam, r1=100.0, r2=1.0)
     tg = po.TimeGrid(tau=0.2, nt=400)
-    ric = solve_differential_riccati(model.linear_op, b, weights, tg,
-                                     state_weight=g.weight, check_every=50)
-    chk = verify_feedback_consistency(model, ric, sets, weights,
-                                      smooth_clamped(g, 0.5), tg, design)
+    chk = verify_feedback_consistency(model, sets, weights,
+                                      smooth_clamped(g, 0.5), tg, design, check_every=50)
     assert not chk.inconclusive
     assert chk.discrepancy <= 0.02
