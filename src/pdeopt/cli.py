@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sps
 
 from .adjoint import CostWeights, gradient_check
 from .config import ExperimentConfig
@@ -85,6 +84,17 @@ def _state_csv(path: Path, vec: np.ndarray, label: str) -> None:
 
 # --- pipelines ---------------------------------------------------------
 
+# The dense Riccati sweep and its checks hold about 13 n x n doubles, so this
+# cap keeps riccati-validate, and optimize or worst-ic on a linear model,
+# under 1 GiB (about 0.95 GiB at 3072 nodes).
+RICCATI_MAX_NODES = 3072
+
+
+def _check_riccati_grid(model) -> None:
+    if model.is_linear and model.grid.size > RICCATI_MAX_NODES:
+        raise ConfigError("grid.nx", f"grid.nx * grid.ny = {model.grid.size} exceeds "
+                          f"the {RICCATI_MAX_NODES} nodes of a dense Riccati sweep")
+
 
 def run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     grid = cfg.build_grid()
@@ -109,6 +119,7 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
 def run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     grid = cfg.build_grid()
     model = cfg.build_model(grid)
+    _check_riccati_grid(model)
     tg = cfg.build_time_grid()
     weights = cfg.build_weights()
     sets = cfg.build_sets(model)
@@ -153,6 +164,7 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
 def run_worst_ic(cfg: ExperimentConfig, out: Path) -> dict:
     grid = cfg.build_grid()
     model = cfg.build_model(grid)
+    _check_riccati_grid(model)
     tg = cfg.build_time_grid()
     weights = cfg.build_weights()
     sets = cfg.build_sets(model)
@@ -186,16 +198,17 @@ def run_worst_ic(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_riccati_validate(cfg: ExperimentConfig, out: Path) -> dict:
+    lin_cfg = cfg if cfg["model.linear"] else cfg.with_value("model.linear", True)
+    grid = lin_cfg.build_grid()
+    model = lin_cfg.build_model(grid)
+    _check_riccati_grid(model)
     # scalar closed-form oracle: a=0, b=1, q=rho=1, tau=1 -> pi(t) = tanh(1-t)
-    scalar_op = LinearOperator(mat=sps.csr_matrix((1, 1)), symmetric=True)
+    scalar_op = LinearOperator(factors=(np.zeros((1, 1)),))
     tg_scalar = TimeGrid(tau=1.0, nt=1000)
     ric_scalar = solve_differential_riccati(scalar_op, np.ones(1),
                                             CostWeights(1.0, 1.0), tg_scalar)
     tanh_err = float(abs(ric_scalar.pi0[0, 0] - np.tanh(1.0)))
 
-    lin_cfg = cfg if cfg["model.linear"] else cfg.with_value("model.linear", True)
-    grid = lin_cfg.build_grid()
-    model = lin_cfg.build_model(grid)
     tg = TimeGrid(tau=lin_cfg["time.tau"], nt=lin_cfg["riccati.nt"])
     weights = lin_cfg.build_weights()
     sets = lin_cfg.build_sets(model)
@@ -268,7 +281,7 @@ def sweep(subcommand: str, cfg: ExperimentConfig, out_dir, param: str,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg.with_value(param, values[0])  # fail fast on a bad parameter name
-    jobs = min(cfg["output.jobs"], len(values))
+    jobs = min(cfg["output.jobs"], len(values), os.cpu_count() or 1)
     tasks = [(subcommand, dict(cfg.values), param, v,
               str(out / f"{param.replace('.', '_')}={v:g}")) for v in values]
     if jobs > 1:

@@ -12,12 +12,12 @@ Two grid families are supported:
   uniform diagonal hx*hy, which makes weighted adjoints plain transposes.
 
 All quadrature weights are uniform per grid, so the discrete L2 adjoint of any
-assembled matrix is its transpose; the rest of the package relies on that.
+operator is its transpose; the rest of the package relies on that.
 
-Every operator keeps its orthonormal eigenbasis (``LinearOperator.basis``).
-The 2-D operators are Kronecker sums of two 1-D factors, so theirs comes from
-two small eigensolves: the fast diagonalization method of Lynch, Rice &
-Thomas, Numer. Math. 6 (1964).
+Every operator is held as its dense factors and keeps its orthonormal
+eigenbasis (``LinearOperator.basis``).  The 2-D operators are Kronecker sums
+of two 1-D factors, so theirs comes from two small eigensolves: the fast
+diagonalization method of Lynch, Rice & Thomas, Numer. Math. 6 (1964).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
-import scipy.sparse as sps
 
 from .exceptions import InvalidBoundaryError, InvalidGridError
 
@@ -105,10 +104,6 @@ class Grid2D(_Grid):
         """Coordinate arrays of shape (ny, nx) matching the flat ordering."""
         return np.meshgrid(self.xs, self.ys)
 
-    @property
-    def gamma0_sides(self) -> tuple[str, ...]:
-        return tuple(s for s in SIDES if self.dirichlet[s])
-
 
 @dataclass(frozen=True)
 class SpectralBasis:
@@ -146,37 +141,37 @@ class SpectralBasis:
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Real matrix acting on interior-node state vectors.
+    """Real symmetric matrix acting on interior-node state vectors.
 
-    ``factors`` holds the dense 1-D factors (Fy, Fx) when ``mat`` is the
-    Kronecker sum Fy (x) I + I (x) Fx; otherwise the basis comes from one
-    dense eigensolve of ``mat``.
+    ``factors`` is (F,) for the matrix F itself, or (Fy, Fx) for the
+    Kronecker sum Fy (x) I + I (x) Fx on a grid with the x index fastest.
     """
 
-    mat: sps.csr_matrix
-    symmetric: bool
-    factors: tuple = ()
+    factors: tuple
 
     @cached_property
     def basis(self) -> SpectralBasis:
         """Orthonormal eigenbasis, computed on first use and kept on the operator."""
-        if not self.symmetric:
-            raise ValueError("an orthonormal eigenbasis requires a symmetric operator")
-        pairs = [np.linalg.eigh(f) for f in self.factors or (self.toarray(),)]
+        pairs = [np.linalg.eigh(f) for f in self.factors]
         return SpectralBasis(vectors=tuple(v for _, v in pairs),
                              values=reduce(np.add.outer, [w for w, _ in pairs]))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.mat @ v
-
-    __matmul__ = apply
+        if len(self.factors) == 1:
+            return self.factors[0] @ v
+        fy, fx = self.factors
+        x = v.reshape(len(fy), len(fx))
+        return (fy @ x + x @ fx.T).ravel()
 
     def toarray(self) -> np.ndarray:
-        return self.mat.toarray()
+        """The assembled n x n matrix (a fresh copy)."""
+        if len(self.factors) == 1:
+            return self.factors[0].copy()
+        fy, fx = self.factors
+        return np.kron(fy, np.eye(len(fx))) + np.kron(np.eye(len(fy)), fx)
 
     def __neg__(self) -> "LinearOperator":
-        neg = LinearOperator(mat=(-self.mat).tocsr(), symmetric=self.symmetric,
-                             factors=tuple(-f for f in self.factors))
+        neg = LinearOperator(factors=tuple(-f for f in self.factors))
         if "basis" in self.__dict__:  # -A shares the eigenvectors of A
             neg.__dict__["basis"] = SpectralBasis(self.basis.vectors, -self.basis.values)
         return neg
@@ -212,27 +207,23 @@ def build_grid_2d(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0,
     return Grid2D(nx=nx, ny=ny, lx=lx, ly=ly, dirichlet=dirichlet)
 
 
-def _second_difference_1d(n: int, h: float) -> sps.csr_matrix:
+def _second_difference_1d(n: int, h: float) -> np.ndarray:
     """Dirichlet second-difference matrix on interior vertex nodes (zero ghosts)."""
-    main = np.full(n, -2.0)
-    off = np.ones(n - 1)
-    return sps.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
+    return (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)) / h**2
 
 
-def _fourth_difference_clamped(n: int, h: float) -> sps.csr_matrix:
+def _fourth_difference_clamped(n: int, h: float) -> np.ndarray:
     """Fourth-difference matrix with clamped ends via ghost elimination.
 
     w_0 = 0 and w_xi(0) = 0 give the ghost value w_{-1} = w_1, which folds a
     +1 into the first diagonal entry (likewise at the right end), preserving
     symmetry.
     """
-    main = np.full(n, 6.0)
-    off1 = np.full(n - 1, -4.0)
-    off2 = np.full(n - 2, 1.0)
-    m = sps.diags([off2, off1, main, off1, off2], [-2, -1, 0, 1, 2], format="lil")
+    m = 6.0 * np.eye(n) - 4.0 * (np.eye(n, k=-1) + np.eye(n, k=1)) \
+        + np.eye(n, k=-2) + np.eye(n, k=2)
     m[0, 0] += 1.0
     m[n - 1, n - 1] += 1.0
-    return (m / h**4).tocsr()
+    return m / h**4
 
 
 def ks_operator(grid: Grid1D, lam: float) -> LinearOperator:
@@ -242,21 +233,19 @@ def ks_operator(grid: Grid1D, lam: float) -> LinearOperator:
     """
     d4 = _fourth_difference_clamped(grid.n, grid.h)
     d2 = _second_difference_1d(grid.n, grid.h)
-    return LinearOperator(mat=(-d4 - lam * d2).tocsr(), symmetric=True)
+    return LinearOperator(factors=(-d4 - lam * d2,))
 
 
-def _laplacian_1d_cells(n: int, h: float, dir_lo: bool, dir_hi: bool) -> sps.csr_matrix:
+def _laplacian_1d_cells(n: int, h: float, dir_lo: bool, dir_hi: bool) -> np.ndarray:
     """Cell-centered 1-D Laplacian factor with ghost elimination.
 
     Dirichlet face: ghost = -first cell (zero value at the face midpoint);
     Neumann face: ghost = first cell (mirror).  Both keep the matrix symmetric.
     """
-    main = np.full(n, -2.0)
-    off = np.ones(n - 1)
-    m = sps.diags([off, main, off], [-1, 0, 1], format="lil")
+    m = np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)
     m[0, 0] += -1.0 if dir_lo else 1.0
     m[n - 1, n - 1] += -1.0 if dir_hi else 1.0
-    return (m / h**2).tocsr()
+    return m / h**2
 
 
 def heat_operator(grid: Grid2D) -> LinearOperator:
@@ -269,11 +258,7 @@ def heat_operator(grid: Grid2D) -> LinearOperator:
         raise InvalidBoundaryError("Gamma_0 is empty: Laplacian would be singular")
     lx_op = _laplacian_1d_cells(grid.nx, grid.hx, grid.dirichlet["left"], grid.dirichlet["right"])
     ly_op = _laplacian_1d_cells(grid.ny, grid.hy, grid.dirichlet["bottom"], grid.dirichlet["top"])
-    ix = sps.eye(grid.nx, format="csr")
-    iy = sps.eye(grid.ny, format="csr")
-    lap = sps.kron(iy, lx_op) + sps.kron(ly_op, ix)
-    return LinearOperator(mat=lap.tocsr(), symmetric=True,
-                          factors=(ly_op.toarray(), lx_op.toarray()))
+    return LinearOperator(factors=(ly_op, lx_op))
 
 
 def inner_product(f: np.ndarray, g: np.ndarray, grid) -> float:
@@ -295,15 +280,9 @@ def h1_operator(grid) -> LinearOperator:
     below is its inverse.
     """
     if isinstance(grid, Grid1D):
-        neg_lap = -_second_difference_1d(grid.n, grid.h)
-        factors = ()
-    else:
-        lap = heat_operator(grid)
-        neg_lap = -lap.mat
-        fy, fx = lap.factors
-        factors = (-fy, np.eye(grid.nx) - fx)
-    k = (neg_lap + sps.eye(grid.size, format="csr")).tocsr()
-    return LinearOperator(mat=k, symmetric=True, factors=factors)
+        return LinearOperator(factors=(-_second_difference_1d(grid.n, grid.h) + np.eye(grid.n),))
+    fy, fx = heat_operator(grid).factors
+    return LinearOperator(factors=(-fy, np.eye(grid.nx) - fx))
 
 
 def h1_inner(f: np.ndarray, g: np.ndarray, grid) -> float:

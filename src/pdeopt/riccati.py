@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
 
 from .adjoint import CostWeights
 from .exceptions import PdeoptError
@@ -100,7 +99,7 @@ def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: fl
             x_new = x_next
         x_new = 0.5 * (x_new + x_new.T)
         if (m + 1) % check_every == 0 or m == nt * refine - 1:
-            evs = eigvalsh(x_new)
+            evs = np.linalg.eigvalsh(x_new)
             scale = max(abs(evs[0]), abs(evs[-1]), 1e-300)
             if evs[0] < -1e-8 * scale:
                 raise PdeoptError(f"Pi lost positive semidefiniteness (min eig {evs[0]:.2e})")
@@ -127,8 +126,7 @@ def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
     PSD failure or a singular implicit factor the sweep retries at dt/2 and
     dt/4 (keeping the requested output sampling) before aborting.
     """
-    basis = a_op.basis  # raises ValueError for a non-symmetric operator
-    lam, v = basis.values.ravel(), reduce(np.kron, basis.vectors)
+    lam, v = a_op.basis.values.ravel(), reduce(np.kron, a_op.basis.vectors)
     b_modal = v.T @ b_vec
     s_scale = state_weight / weights.r_scale
     along_modal = None if along is None else along @ v
@@ -262,8 +260,12 @@ def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
     PSD Pi(0), so eigen-alignment plus the signed quotient is what is tested.
     """
     pi0 = ric.pi0
-    vals, vecs = eigh(pi0, grid.h1.toarray())
-    extremal = vecs[:, -1]
+    # whiten with K = V diag(k) V^T: W = V diag(k^-1/2) has W^T K W = I, so
+    # Pi(0) v = theta K v becomes the standard problem (W^T Pi(0) W) y = theta y
+    k_basis = grid.h1.basis
+    w = reduce(np.kron, k_basis.vectors) / np.sqrt(k_basis.values.ravel())
+    _, y = np.linalg.eigh(w.T @ pi0 @ w)
+    extremal = w @ y[:, -1]
     denom = h1_norm(x0_star, grid) * h1_norm(extremal, grid)
     cosine = abs(h1_inner(x0_star, extremal, grid)) / max(denom, 1e-300)
     rayleigh = inner_product(x0_star, pi0 @ x0_star, grid) / \

@@ -150,11 +150,10 @@ def test_criterion_4_heat_iss_bound():
 
 def test_criterion_5_riccati_equivalence():
     t0 = time.time()
-    import scipy.sparse as sps
     from pdeopt.grids import LinearOperator
 
     # scalar integrator against the closed form
-    scalar = LinearOperator(mat=sps.csr_matrix((1, 1)), symmetric=True)
+    scalar = LinearOperator(factors=(np.zeros((1, 1)),))
     tgs = po.TimeGrid(tau=1.0, nt=1000)
     ric_s = solve_differential_riccati(scalar, np.ones(1), po.CostWeights(1.0, 1.0),
                                        tgs)

@@ -1,5 +1,9 @@
 import configparser
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pdeopt
+from pdeopt import cli
 from pdeopt.cli import main, run, sweep
 from pdeopt.config import ExperimentConfig
 from pdeopt.exceptions import ConfigError
@@ -252,6 +257,24 @@ class TestCliEntry:
         assert code == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["riccati-validate", "optimize", "worst-ic"])
+    def test_exit_two_on_grid_above_riccati_cap(self, tmp_path, capsys, monkeypatch,
+                                                 subcommand):
+        # 64 x 64 = 4096 nodes would need gigabytes of dense Riccati storage:
+        # the refusal must come before any solve, so none of these may run
+        def never(*args, **kwargs):
+            pytest.fail(f"{subcommand} started solving on a grid above the cap")
+
+        for name in ("solve_differential_riccati", "verify_feedback_consistency",
+                     "minimize_joint", "worst_initial_condition"):
+            monkeypatch.setattr(cli, name, never)
+        ini = tmp_path / "big.ini"
+        ini.write_text("[model]\nkind = heat\nlinear = true\n\n[grid]\nnx = 64\nny = 64\n")
+        code = main([subcommand, "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "grid.nx" in err and "grid.ny" in err
+
     def test_exit_three_on_blowup(self, tmp_path, capsys):
         cfg = ExperimentConfig(values={**SMALL_KS,
                                        "initial_condition.amplitude": 4e3})
@@ -297,6 +320,28 @@ class TestSweep:
         cfg = self._base_cfg().with_value("output.jobs", 2)
         results = sweep("optimize", cfg, tmp_path, "actuator.r_init", [0.4, 0.6])
         assert all(summary is not None for _, summary, _ in results)
+
+    def test_sweep_pool_never_exceeds_cpu_count(self, tmp_path, monkeypatch):
+        started = []
+
+        class RecordingPool:  # starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [(task[3], None, "not run") for task in tasks]
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        cfg = self._base_cfg().with_value("output.jobs", 64)
+        sweep("optimize", cfg, tmp_path, "actuator.r_init", [0.1 * i for i in range(1, 9)])
+        assert started == [2]
 
     def test_sweep_preserves_partial_results(self, tmp_path):
         # second value blows up; first must still be written
@@ -387,3 +432,35 @@ def test_fuzzed_ini_builds_or_names_a_schema_field(tmp_path, kind, edits):
         assert err.field in SCHEMA_KEYS
     else:
         assert np.all(np.isfinite(x0))
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from pdeopt.cli import main
+out, inis = sys.argv[1], sys.argv[2:]
+for sub in ("simulate", "optimize", "worst-ic", "riccati-validate", "gradcheck"):
+    for i, ini in enumerate(inis):
+        code = main([sub, "--config", ini, "--out", f"{out}/{sub}-{i}"])
+        if code != 0:
+            sys.exit(f"{sub} on {ini} exited with {code}")
+loaded = sorted(m for m, mod in sys.modules.items()
+                if m.split(".")[0] == "scipy" and mod is not None)
+sys.exit(f"scipy modules loaded: {loaded}" if loaded else 0)
+"""
+
+
+def test_core_pipelines_run_without_scipy(tmp_path):
+    # scipy is a test-only dependency: every pipeline must run with it blocked
+    small = {"time.nt": 40, "riccati.nt": 40, "optimizer.max_iters": 30,
+             "optimizer.multi_start": 2}
+    inis = [tmp_path / "ks.ini", tmp_path / "heat_linear.ini"]
+    ExperimentConfig(values={**SMALL_KS, "grid.n": 24, **small}).to_ini(inis[0])
+    ExperimentConfig(values={**SMALL_HEAT_LIN, **small}).to_ini(inis[1])
+    src = str(Path(pdeopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), "PDEOPT_LOG": "quiet"}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "out"),
+                           *map(str, inis)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

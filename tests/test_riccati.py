@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sps
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigvalsh, sqrtm
 
@@ -15,7 +14,7 @@ from conftest import first_mode_2d, smooth_clamped
 
 
 def scalar_op(a=0.0):
-    return LinearOperator(mat=sps.csr_matrix(np.array([[a]])), symmetric=True)
+    return LinearOperator(factors=(np.array([[a]]),))
 
 
 class TestScalarOracles:
@@ -49,7 +48,7 @@ class TestDiagonalSystem:
         # into independent scalar equations, integrated here with an
         # independent RK45 solver as the oracle
         lams = np.array([-1.0, -2.0, -3.0])
-        a_op = LinearOperator(mat=sps.csr_matrix(np.diag(lams)), symmetric=True)
+        a_op = LinearOperator(factors=(np.diag(lams),))
         b = np.array([0.0, 1.0, 0.0])
         q, rho, tau = 1.3, 0.7, 1.0
         tg = po.TimeGrid(tau=tau, nt=2000)

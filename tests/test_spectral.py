@@ -8,7 +8,6 @@ nx != ny and lx != ly, where a transposed reshape would show.
 
 import numpy as np
 import pytest
-import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 
 import pdeopt as po
@@ -91,7 +90,7 @@ def test_linearized_adjoint_duality_non_square(grid, seed):
 
 def test_singular_crank_nicolson_factor_names_dt():
     # eigenvalue 2/dt makes I - dt/2 A singular
-    op = LinearOperator(mat=sps.csr_matrix(np.diag([4.0, -1.0])), symmetric=True)
+    op = LinearOperator(factors=(np.diag([4.0, -1.0]),))
     with pytest.raises(PdeoptError, match="dt=0.5"):
         crank_nicolson_factors(op, 0.5)
 
