@@ -13,10 +13,9 @@ from .adjoint import (CostWeights, GradientBundle, GradientCheckReport,
 from .exceptions import (BlowUpError, ConfigError, ConstraintViolationError,
                          InvalidBoundaryError, InvalidGridError, NotApplicableError,
                          PdeoptError)
-from .forward import (ControlSignal, TimeGrid, Trajectory, control_l2_norm,
-                      energy_margin, energy_trace, load_checkpoint, save_checkpoint,
-                      solve_forward, trajectory_to_csv, verify_heat_iss_bound,
-                      verify_ks_bound)
+from .forward import (ControlSignal, TimeGrid, Trajectory, energy_margin, energy_trace,
+                      load_checkpoint, save_checkpoint, solve_forward, trajectory_to_csv,
+                      verify_heat_iss_bound, verify_ks_bound)
 from .grids import (Grid1D, Grid2D, LinearOperator, build_grid_1d, build_grid_2d,
                     h1_inner, h1_norm, h1_operator, h1_riesz_map, heat_operator,
                     inner_product, ks_operator, l2_norm, smallest_eigenvalue)

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import json
 import numpy as np
 
 from .forward import ControlSignal, TimeGrid, Trajectory, cn_ab2_sweep, \
-    cn_ab2_transpose_sweep, solve_forward, trapezoid_weights
-from .grids import h1_riesz_map
+    cn_ab2_transpose_sweep, solve_forward
+from .grids import h1_riesz_map, inner_product
 from .models import ActuatorDesign, ModelSpec, actuator_design_derivative_adjoint
 
 
@@ -55,7 +54,7 @@ def evaluate_cost(traj: Trajectory, u: ControlSignal | None, weights: CostWeight
     if states.shape[1:] != (grid.size,):
         raise ValueError(f"states of shape {states.shape[1:]} do not match "
                          f"grid of size {grid.size}")
-    theta = trapezoid_weights(tg.nt)
+    theta = tg.weights
     state_term = grid.weight * np.einsum("ki,ki->k", states, states)
     total = weights.q_scale * float(np.sum(theta * state_term))
     if u is not None:
@@ -113,24 +112,22 @@ def solve_adjoint(model: ModelSpec, traj: Trajectory, weights: CostWeights,
     against the trapezoid cost weight, which is O(dt) rather than literally
     zero; it converges to the continuous condition p(tau) = 0.
     """
-    theta = trapezoid_weights(tg.nt)
-    source = (2.0 * weights.q_scale) * theta[:, None] * traj.states
+    source = (2.0 * weights.q_scale) * tg.weights[:, None] * traj.states
     lam = adjoint_sweep(model, traj, tg, source)
     return Trajectory(time_grid=tg, states=0.5 * lam)
 
 
-def control_weight_states(p: Trajectory, theta_scaled: bool = True) -> np.ndarray:
+def control_weight_states(p: Trajectory) -> np.ndarray:
     """Per-sample adjoint combinations pi_j pairing with the input u_j.
 
     The AB2 stepper pairs u_j with (3/2) lam_{j+1} - (1/2) lam_{j+2}; in terms
-    of the reported p and after dividing by the trapezoid weight theta_j (so
-    the result represents B*p against the L2(0,tau) pairing) the rows are
+    of the reported p the rows are
 
-        pi_0 = 2 (p_1 - p_2 / 2),  pi_j = 3/2 p_{j+1} - 1/2 p_{j+2},
-        pi_{nt-1} = 3/2 p_nt,      pi_nt = 0.
+        pi_0 = p_1 - p_2 / 2,  pi_j = 3/2 p_{j+1} - 1/2 p_{j+2},
+        pi_{nt-1} = 3/2 p_nt,  pi_nt = 0.
 
-    With theta_scaled=False the raw (undivided) combinations are returned,
-    which is what the design-gradient time integral needs.
+    Divided by the trapezoid weight theta_j they represent B*p against the
+    L2(0,tau) pairing; undivided they feed the design-gradient time integral.
     """
     nt = p.time_grid.nt
     pv = p.states
@@ -138,9 +135,6 @@ def control_weight_states(p: Trajectory, theta_scaled: bool = True) -> np.ndarra
     pi[1:nt - 1] = 1.5 * pv[2:nt] - 0.5 * pv[3:nt + 1]
     pi[0] = pv[1] - 0.5 * pv[2]
     pi[nt - 1] = 1.5 * pv[nt]
-    if theta_scaled:
-        pi = pi.copy()
-        pi[0] *= 2.0
     return pi
 
 
@@ -162,19 +156,6 @@ class GradientBundle:
         if not (np.isfinite(self.cost) and self.cost >= 0):
             raise ValueError(f"cost must be finite and nonnegative, got {self.cost}")
 
-    def to_json(self, path) -> None:
-        payload = {
-            "cost": self.cost,
-            "grad_u_norm": float(np.linalg.norm(self.grad_u)),
-            "grad_r_norm": float(np.linalg.norm(self.grad_r)),
-            "grad_x0_norm": float(np.linalg.norm(self.grad_x0)),
-            "grad_u": self.grad_u.tolist(),
-            "grad_r": self.grad_r.tolist(),
-            "grad_x0": self.grad_x0.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-
 
 def assemble_gradients(model: ModelSpec, traj: Trajectory, p: Trajectory,
                        u: ControlSignal, design: ActuatorDesign,
@@ -184,12 +165,11 @@ def assemble_gradients(model: ModelSpec, traj: Trajectory, p: Trajectory,
     tg = traj.time_grid
     b = model.actuator_family.evaluate(design, grid)
 
-    pi_theta = control_weight_states(p, theta_scaled=True)
-    bstar_p = grid.weight * (pi_theta @ b)
+    pi = control_weight_states(p)
+    bstar_p = grid.weight * ((pi @ b) / tg.weights)
     grad_u = 2.0 * (weights.r_scale * u.values + bstar_p)
 
-    pi_raw = control_weight_states(p, theta_scaled=False)
-    s = u.values @ pi_raw
+    s = u.values @ pi
     # equals the per-step accumulation of actuator_design_derivative_adjoint
     grad_r = actuator_design_derivative_adjoint(model.actuator_family, design,
                                                 1.0, 2.0 * tg.dt * s, grid)
@@ -254,7 +234,6 @@ def gradient_check(model: ModelSpec, u: ControlSignal, design: ActuatorDesign,
     """
     rng = np.random.default_rng(seed)
     grid = model.grid
-    theta = trapezoid_weights(tg.nt)
 
     bundle, _, _ = compute_bundle(model, u, design, x0, weights, tg)
 
@@ -269,9 +248,9 @@ def gradient_check(model: ModelSpec, u: ControlSignal, design: ActuatorDesign,
         traj = solve_forward(model, ControlSignal(tg, uv), ActuatorDesign(params), x0v, tg)
         return evaluate_cost(traj, ControlSignal(tg, uv), weights, grid)
 
-    adj_u = tg.dt * float(np.sum(theta * bundle.grad_u * du))
+    adj_u = tg.inner(bundle.grad_u, du)
     adj_r = float(np.dot(bundle.grad_r, dr))
-    adj_x = grid.weight * float(np.dot(bundle.grad_x0_l2, dx))
+    adj_x = inner_product(bundle.grad_x0_l2, dx, grid)
 
     rows = []
     for eps in epsilon_list:

@@ -154,8 +154,7 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     if model.is_linear:
         chk = verify_feedback_consistency(model, sets, weights, x0,
                                           TimeGrid(tau=tg.tau, nt=cfg["riccati.nt"]),
-                                          design, config=opt_cfg,
-                                          check_every=cfg["riccati.check_every"])
+                                          design, check_every=cfg["riccati.check_every"])
         summary["riccati_discrepancy"] = None if chk.inconclusive else chk.discrepancy
         summary["riccati_inconclusive"] = chk.inconclusive
     return summary

@@ -296,6 +296,9 @@ class ExperimentConfig:
     def _initial_state(self, grid) -> np.ndarray:
         kind = self["initial_condition.kind"]
         amp = self["initial_condition.amplitude"]
+        # a numpy scalar, so that under build_x0's errstate a width too large to
+        # square gives inf (a flat bump) rather than a Python OverflowError
+        c, wdt = self["initial_condition.center"], np.float64(self["initial_condition.width"])
         if kind == "zero":
             return np.zeros(grid.size)
         if self.is_ks:
@@ -303,7 +306,6 @@ class ExperimentConfig:
             if kind == "sine":
                 return amp * (np.sin(np.pi * xi)
                               + self["initial_condition.second_mode"] * np.sin(2 * np.pi * xi))
-            c, wdt = self["initial_condition.center"], self["initial_condition.width"]
             return amp * np.exp(-((xi - c) ** 2) / (2 * wdt**2))
         xx, yy = grid.meshgrid()
         sx, sy = np.pi / grid.lx, np.pi / grid.ly
@@ -311,7 +313,6 @@ class ExperimentConfig:
             base = np.sin(sx * xx) * np.sin(sy * yy) \
                 + self["initial_condition.second_mode"] * np.sin(2 * sx * xx) * np.sin(sy * yy)
             return amp * base.ravel()
-        c, wdt = self["initial_condition.center"], self["initial_condition.width"]
         bump = np.exp(-(((xx - c * grid.lx) ** 2 + (yy - c * grid.ly) ** 2)
                         / (2 * wdt**2)))
         return amp * bump.ravel()

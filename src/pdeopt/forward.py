@@ -31,7 +31,9 @@ FOUR_PI_SQ = 4.0 * np.pi**2
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid on [0, tau] with nt steps."""
+    """Uniform time grid on [0, tau] with nt steps, and the trapezoid rule on
+    it that every L2(0, tau) quantity uses: the cost, the input ball, the
+    optimality residuals and the energy bounds."""
 
     tau: float
     nt: int
@@ -50,12 +52,21 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.tau, self.nt + 1)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Per-sample trapezoid weights theta (1/2 at both ends, 1 inside)."""
+        theta = np.ones(self.nt + 1)
+        theta[0] = theta[-1] = 0.5
+        return theta
 
-def trapezoid_weights(nt: int) -> np.ndarray:
-    """Per-sample trapezoid weights (1/2 at both ends, 1 inside)."""
-    theta = np.ones(nt + 1)
-    theta[0] = theta[-1] = 0.5
-    return theta
+    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
+        """Trapezoid L2(0, tau) pairing dt * sum_k theta_k f_k g_k of two
+        signals sampled on the grid."""
+        return self.dt * float(np.sum(self.weights * f * g))
+
+    def norm(self, f: np.ndarray) -> float:
+        """Trapezoid L2(0, tau) norm, the square root of inner(f, f)."""
+        return float(np.sqrt(self.inner(f, f)))
 
 
 @dataclass(frozen=True)
@@ -73,12 +84,6 @@ class ControlSignal:
     @staticmethod
     def zero(tg: TimeGrid) -> "ControlSignal":
         return ControlSignal(time_grid=tg, values=np.zeros(tg.nt + 1))
-
-
-def control_l2_norm(u: ControlSignal) -> float:
-    """Trapezoid-rule L2(0, tau) norm of the sampled input."""
-    theta = trapezoid_weights(u.time_grid.nt)
-    return float(np.sqrt(u.time_grid.dt * np.sum(theta * u.values**2)))
 
 
 @dataclass(frozen=True)
@@ -120,15 +125,9 @@ class CrankNicolson:
             raise PdeoptError(f"Crank-Nicolson factor I - dt/2 A is nearly singular "
                               f"at dt={dt}")
 
-    def solve(self, x: np.ndarray) -> np.ndarray:
-        return self.basis.from_modal(self.basis.to_modal(x) / self.den)
-
-    def explicit(self, x: np.ndarray) -> np.ndarray:
-        return self.basis.from_modal(self.basis.to_modal(x) * self.num)
-
 
 def crank_nicolson_factors(a_op, dt: float) -> CrankNicolson:
-    """Solver for M = I - (dt/2) A with the matching explicit half-step, in the
+    """Eigenvalues of M = I - (dt/2) A and of the explicit half-step P, in the
     eigenbasis the operator builds once and keeps; raises PdeoptError when M
     is nearly singular at this dt."""
     return CrankNicolson(a_op, dt)
@@ -272,7 +271,7 @@ def verify_ks_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDesign,
         raise NotApplicableError(f"discrete -A not positive definite (sigma = {sigma:.3e})")
     b = fam.evaluate(design, grid)
     rhs = inner_product(traj.initial, traj.initial, grid) \
-        + control_l2_norm(u)**2 * float(np.max(b**2)) / sigma
+        + u.time_grid.norm(u.values)**2 * float(np.max(b**2)) / sigma
     lhs = inner_product(traj.terminal, traj.terminal, grid)
     return rhs - lhs
 
@@ -290,7 +289,7 @@ def verify_heat_iss_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDe
     c_omega = smallest_eigenvalue(-model.linear_op)
     r_vec = model.actuator_family.evaluate(design, grid)
     rhs = inner_product(traj.initial, traj.initial, grid) \
-        + 4.0 / c_omega * control_l2_norm(u)**2 * inner_product(r_vec, r_vec, grid)
+        + 4.0 / c_omega * u.time_grid.norm(u.values)**2 * inner_product(r_vec, r_vec, grid)
     lhs = inner_product(traj.terminal, traj.terminal, grid)
     return rhs - lhs
 

@@ -146,18 +146,22 @@ class KsGaussianActuator(ActuatorFamily):
         if not (0.0 < a < b < 1.0):
             raise ValueError(f"admissible interval must satisfy 0 < a < b < 1, got {bounds}")
         self.omega = omega
+        # a numpy square is inf where the Python float one raises OverflowError:
+        # a bump too wide to square is the constant b = 1
+        with np.errstate(over="ignore"):
+            self._omega_sq = float(np.float64(omega)**2)
         self.bounds = (float(a), float(b))
 
     def evaluate(self, design: ActuatorDesign, grid: Grid1D) -> np.ndarray:
         self.check(design)
         r = design.params[0]
-        return np.exp(-((grid.nodes - r) ** 2) / (2.0 * self.omega**2))
+        return np.exp(-((grid.nodes - r) ** 2) / (2.0 * self._omega_sq))
 
     def param_derivative(self, design: ActuatorDesign, grid: Grid1D) -> np.ndarray:
         self.check(design)
         r = design.params[0]
-        b = np.exp(-((grid.nodes - r) ** 2) / (2.0 * self.omega**2))
-        return (b * (grid.nodes - r) / self.omega**2)[None, :]
+        b = np.exp(-((grid.nodes - r) ** 2) / (2.0 * self._omega_sq))
+        return (b * (grid.nodes - r) / self._omega_sq)[None, :]
 
     def project(self, params: np.ndarray) -> np.ndarray:
         return np.clip(params, self.bounds[0], self.bounds[1])

@@ -17,9 +17,8 @@ import numpy as np
 from .adjoint import (CostWeights, GradientBundle, assemble_gradients, compute_bundle,
                       evaluate_cost)
 from .exceptions import BlowUpError
-from .forward import (ControlSignal, TimeGrid, Trajectory, energy_margin, solve_forward,
-                      trapezoid_weights)
-from .grids import h1_norm
+from .forward import ControlSignal, TimeGrid, Trajectory, energy_margin, solve_forward
+from .grids import h1_norm, inner_product
 from .models import ActuatorDesign, ActuatorFamily, ModelSpec
 
 
@@ -100,17 +99,12 @@ class CostReport:
                 fh.write(",".join(cells) + "\n")
 
 
-def _signal_norm(values: np.ndarray, tg: TimeGrid) -> float:
-    theta = trapezoid_weights(tg.nt)
-    return float(np.sqrt(tg.dt * np.sum(theta * values**2)))
-
-
 def project_U(u: ControlSignal, sets: AdmissibleSets) -> ControlSignal:
     """Box clamp (if configured), then radial projection onto the R1 ball."""
     values = u.values
     if sets.u_box is not None:
         values = np.clip(values, -sets.u_box, sets.u_box)
-    norm = _signal_norm(values, u.time_grid)
+    norm = u.time_grid.norm(values)
     if norm > sets.r1:
         values = values * (sets.r1 / norm)
     elif values is u.values:
@@ -150,7 +144,6 @@ def optimality_residuals(model: ModelSpec, traj: Trajectory, p: Trajectory,
     tg = u.time_grid
     if bundle is None:
         bundle = assemble_gradients(model, traj, p, u, design, weights)
-    theta = trapezoid_weights(tg.nt)
 
     # input residual: v = rho*u + B*p, direction d = -v restricted to feasible moves
     v = 0.5 * bundle.grad_u
@@ -162,14 +155,14 @@ def optimality_residuals(model: ModelSpec, traj: Trajectory, p: Trajectory,
         d = d.copy()
         d[at_hi & (d > 0)] = 0.0
         d[at_lo & (d < 0)] = 0.0
-    norm_u = _signal_norm(u.values, tg)
+    norm_u = tg.norm(u.values)
     u_active = False
     if norm_u >= sets.r1 * (1 - active_tol) and norm_u > 0:
-        pairing = tg.dt * float(np.sum(theta * d * u.values))
+        pairing = tg.inner(d, u.values)
         if pairing > 0:  # descent direction points out of the ball: clip radial part
             u_active = True
-            d = d - (pairing / (tg.dt * float(np.sum(theta * u.values**2)))) * u.values
-    res_u = _signal_norm(d, tg)
+            d = d - (pairing / tg.inner(u.values, u.values)) * u.values
+    res_u = tg.norm(d)
 
     # design residual, componentwise box cone
     d_r = -0.5 * bundle.grad_r
@@ -200,7 +193,6 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
     adjoint solutions at the returned iterate.  Whatever ends the run, the
     report's last row is that iterate.
     """
-    theta = trapezoid_weights(tg.nt)
     u = project_U(ControlSignal.zero(tg), sets)
     start = initial_design if initial_design is not None \
         else model.actuator_family.initial_design()
@@ -215,7 +207,7 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
     for it in range(config.max_iters + 1):
         res = optimality_residuals(model, traj, p, u, design, weights, sets, bundle=bundle)
         report.append(iter=it, cost=bundle.cost,
-                      grad_u_norm=_signal_norm(bundle.grad_u, tg),
+                      grad_u_norm=tg.norm(bundle.grad_u),
                       grad_r_norm=float(np.linalg.norm(bundle.grad_r)),
                       step=alpha, res_u=res.res_u, res_r=res.res_r,
                       margin=energy_margin(model, traj, u, design))
@@ -234,7 +226,7 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
             u_trial = project_U(ControlSignal(tg, u.values - alpha * bundle.grad_u), sets)
             d_trial = project_K(ActuatorDesign(design.params - alpha * bundle.grad_r), sets) \
                 if optimize_design else design
-            pred = tg.dt * float(np.sum(theta * bundle.grad_u * (u.values - u_trial.values))) \
+            pred = tg.inner(bundle.grad_u, u.values - u_trial.values) \
                 + float(np.dot(bundle.grad_r, design.params - d_trial.params))
             if pred <= 0:
                 break  # projection moved nowhere useful; stationary in the moving blocks
@@ -346,7 +338,7 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
             alpha = min(alpha * 2.0, 1e8)
             while alpha >= config.min_step:
                 x_trial = project_V_ball(x0 + alpha * g_v, sets.r2, grid)
-                pred = grid.weight * float(np.dot(bundle.grad_x0_l2, x_trial - x0))
+                pred = inner_product(bundle.grad_x0_l2, x_trial - x0, grid)
                 if pred <= 0:
                     break
                 try:

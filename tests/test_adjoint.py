@@ -181,26 +181,9 @@ class TestAssembleGradients:
     def test_control_weight_states_shapes(self, rng):
         tg = po.TimeGrid(tau=1.0, nt=6)
         p = po.Trajectory(tg, rng.standard_normal((7, 4)))
-        pi_raw = control_weight_states(p, theta_scaled=False)
-        pi_sc = control_weight_states(p, theta_scaled=True)
-        assert np.array_equal(pi_sc[0], 2 * pi_raw[0])
-        assert np.array_equal(pi_sc[1:], pi_raw[1:])
+        pi_raw = control_weight_states(p)
         assert np.all(pi_raw[-1] == 0.0)
         assert pi_raw[tg.nt - 1] == pytest.approx(1.5 * p.states[tg.nt])
-
-    def test_bundle_json_export(self, tmp_path, ks_model_small):
-        g = ks_model_small.grid
-        tg = po.TimeGrid(tau=0.2, nt=20)
-        u = po.ControlSignal(tg, 0.1 * np.ones(tg.nt + 1))
-        x0 = 0.1 * np.sin(np.pi * g.nodes)
-        bundle, _, _ = compute_bundle(ks_model_small, u, po.ActuatorDesign.of(0.5),
-                                      x0, po.CostWeights(), tg)
-        path = tmp_path / "bundle.json"
-        bundle.to_json(path)
-        import json
-        payload = json.loads(path.read_text())
-        assert payload["cost"] == pytest.approx(bundle.cost)
-        assert len(payload["grad_u"]) == tg.nt + 1
 
 
 class TestGradientCheck:

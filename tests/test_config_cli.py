@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pdeopt
@@ -137,6 +137,17 @@ class TestRunPipelines:
         cfg = ExperimentConfig(values=dict(SMALL_HEAT_LIN))
         summary = run("optimize", cfg, tmp_path)
         assert summary["res_u"] <= 1e-6
+        assert not summary["riccati_inconclusive"]
+        assert summary["riccati_discrepancy"] <= 0.02
+
+    def test_riccati_crosscheck_keeps_its_own_stopping_rule(self, tmp_path):
+        # default linear heat 8x8: the run's own optimizer stops at u = 0
+        # (res_u 9.4e-6 < tol 1e-5); the cross-check must still solve to its
+        # own tolerance instead of comparing the Riccati feedback with u = 0
+        cfg = ExperimentConfig(values={"model.kind": "heat", "model.linear": True,
+                                       "grid.nx": 8, "grid.ny": 8})
+        summary = run("optimize", cfg, tmp_path)
+        assert summary["iterations"] == 1
         assert not summary["riccati_inconclusive"]
         assert summary["riccati_discrepancy"] <= 0.02
 
@@ -275,6 +286,21 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert "grid.nx" in err and "grid.ny" in err
 
+    @pytest.mark.parametrize("name,value", [
+        ("actuator.omega", 1e200),
+        ("initial_condition.width", 1e200),
+        ("initial_condition.width", 1.3407807929942597e+154),
+    ])
+    def test_bump_too_wide_to_square_runs_flat(self, tmp_path, name, value):
+        # width**2 overflows a Python float; the bump is flat instead of a traceback
+        ini = tmp_path / "wide.ini"
+        ExperimentConfig(values={**SMALL_KS, name: value}).to_ini(ini)
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(ini), "--out", str(out)])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert np.isfinite(summary["terminal_energy"])
+
     def test_exit_three_on_blowup(self, tmp_path, capsys):
         cfg = ExperimentConfig(values={**SMALL_KS,
                                        "initial_condition.amplitude": 4e3})
@@ -409,6 +435,8 @@ def _raw_values():
 @given(kind=st.sampled_from(["ks", "heat"]),
        edits=st.dictionaries(st.sampled_from(SCHEMA_KEYS), _raw_values(),
                              min_size=1, max_size=3))
+@example(kind="ks", edits={"initial_condition.width": "1e200"})
+@example(kind="heat", edits={"initial_condition.width": "1.3407807929942597e+154"})
 def test_fuzzed_ini_builds_or_names_a_schema_field(tmp_path, kind, edits):
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(ExperimentConfig(values={**FUZZ_BASE, "model.kind": kind}).to_ini())

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdeopt as po
 from pdeopt.exceptions import BlowUpError, NotApplicableError
-from pdeopt.forward import trapezoid_weights
 from pdeopt.models import ScalarNonlinearity
 
 from conftest import first_mode_2d, smooth_clamped
@@ -24,11 +24,20 @@ class TestTimeGridAndSignals:
     def test_control_l2_norm_trapezoid(self):
         tg = po.TimeGrid(tau=2.0, nt=4)
         u = po.ControlSignal(tg, np.ones(5))
-        assert po.control_l2_norm(u) == pytest.approx(np.sqrt(2.0))
+        assert tg.norm(u.values) == pytest.approx(np.sqrt(2.0))
 
     def test_trapezoid_weights(self):
-        th = trapezoid_weights(4)
+        th = po.TimeGrid(tau=1.0, nt=4).weights
         assert list(th) == [0.5, 1.0, 1.0, 1.0, 0.5]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(tau=st.floats(1e-3, 1e3), nt=st.integers(2, 500), seed=st.integers(0, 2**16))
+    def test_inner_symmetric_and_exact_on_linear_signals(self, tau, nt, seed):
+        tg = po.TimeGrid(tau=tau, nt=nt)
+        f, g = np.random.default_rng(seed).standard_normal((2, nt + 1))
+        assert tg.inner(f, g) == pytest.approx(tg.inner(g, f), rel=1e-14)
+        # the trapezoid rule integrates the linear t exactly: int_0^tau t dt
+        assert tg.inner(np.ones(nt + 1), tg.times) == pytest.approx(0.5 * tau**2, rel=1e-12)
 
 
 class TestSolveForward:

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdeopt as po
 from pdeopt.adjoint import compute_bundle
-from pdeopt.forward import trapezoid_weights
 
 from conftest import first_mode_2d
-
-
-def trapz_norm(values, tg):
-    theta = trapezoid_weights(tg.nt)
-    return float(np.sqrt(tg.dt * np.sum(theta * values**2)))
 
 
 @pytest.fixture
@@ -28,7 +23,7 @@ class TestProjections:
         tg = po.TimeGrid(tau=1.0, nt=20)
         u = po.ControlSignal(tg, np.full(21, 4.0))  # norm 4 = 2 R1
         proj = po.project_U(u, ks_sets)
-        assert trapz_norm(proj.values, tg) == pytest.approx(ks_sets.r1, rel=1e-13)
+        assert tg.norm(proj.values) == pytest.approx(ks_sets.r1, rel=1e-13)
         # direction preserved
         assert proj.values == pytest.approx(u.values * ks_sets.r1 / 4.0)
 
@@ -40,8 +35,27 @@ class TestProjections:
             pa, pb = po.project_U(a, ks_sets), po.project_U(b, ks_sets)
             assert pa.values == pytest.approx(po.project_U(pa, ks_sets).values,
                                               rel=1e-13, abs=1e-15)
-            assert trapz_norm(pa.values - pb.values, tg) <= \
-                trapz_norm(a.values - b.values, tg) * (1 + 1e-12)
+            assert tg.norm(pa.values - pb.values) <= \
+                tg.norm(a.values - b.values) * (1 + 1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tau=st.floats(1e-2, 1e2), nt=st.integers(2, 80), r1=st.floats(1e-3, 1e3),
+           u_box=st.one_of(st.none(), st.floats(1e-3, 1e3)),
+           scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**16))
+    def test_project_u_in_ball_idempotent_nonexpansive(self, tau, nt, r1, u_box,
+                                                       scale, seed):
+        tg = po.TimeGrid(tau=tau, nt=nt)
+        sets = po.AdmissibleSets(family=po.KsGaussianActuator(), r1=r1, u_box=u_box)
+        a, b = (po.ControlSignal(tg, v) for v in
+                scale * np.random.default_rng(seed).standard_normal((2, nt + 1)))
+        pa, pb = po.project_U(a, sets), po.project_U(b, sets)
+        assert tg.norm(pa.values) <= r1 * (1 + 1e-12)
+        if u_box is not None:
+            assert np.max(np.abs(pa.values)) <= u_box
+        assert po.project_U(pa, sets).values == pytest.approx(pa.values, rel=1e-12,
+                                                              abs=1e-300)
+        assert tg.norm(pa.values - pb.values) <= \
+            tg.norm(a.values - b.values) * (1 + 1e-12) + 1e-12 * r1
 
     def test_project_u_box_then_ball(self, ks_model_small):
         sets = po.AdmissibleSets(family=ks_model_small.actuator_family, r1=10.0,
@@ -106,7 +120,7 @@ class TestMinimizeJoint:
         assert rep.final["res_u"] <= 1e-7
         costs = [row["cost"] for row in rep.iterations]
         assert all(costs[i + 1] <= costs[i] + 1e-12 for i in range(len(costs) - 1))
-        assert trapz_norm(u.values, tg) < sets.r1
+        assert tg.norm(u.values) < sets.r1
 
     def test_ks_joint_descent_and_feasibility(self):
         g = po.build_grid_1d(64)
@@ -120,7 +134,7 @@ class TestMinimizeJoint:
         assert rep.converged
         assert max(rep.final["res_u"], rep.final["res_r"]) <= 1e-5
         assert 0.1 <= d.params[0] <= 0.9
-        assert trapz_norm(u.values, tg) <= sets.r1 * (1 + 1e-12)
+        assert tg.norm(u.values) <= sets.r1 * (1 + 1e-12)
         assert len(rep.iterations) > 3  # the problem is not trivially stationary
 
     def test_report_csv(self, tmp_path, heat_model_linear):
@@ -187,9 +201,8 @@ class TestOptimalityResiduals:
         # interior point: res_u = ||v|| with v the half-gradient; the
         # directional derivative of the cost along v/||v|| equals 2 res_u
         v = 0.5 * bundle.grad_u
-        d = v / trapz_norm(v, tg)
+        d = v / tg.norm(v)
         eps = 1e-6
-        theta = trapezoid_weights(tg.nt)
 
         def cost_at(uv):
             t = po.solve_forward(ks_model_small, po.ControlSignal(tg, uv), design,
