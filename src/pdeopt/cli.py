@@ -84,9 +84,9 @@ def _state_csv(path: Path, vec: np.ndarray, label: str) -> None:
 
 # --- pipelines ---------------------------------------------------------
 
-# The dense Riccati sweep and its checks hold about 13 n x n doubles, so this
+# The dense Riccati sweep and its checks hold about 7 n x n doubles, so this
 # cap keeps riccati-validate, and optimize or worst-ic on a linear model,
-# under 1 GiB (about 0.95 GiB at 3072 nodes).
+# under 1 GiB (about 0.55 GiB at 3072 nodes).
 RICCATI_MAX_NODES = 3072
 
 

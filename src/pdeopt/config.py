@@ -193,6 +193,13 @@ class ExperimentConfig:
                      "optimizer.tol", "optimizer.step0"):
             if v[name] <= 0:
                 raise ConfigError(name, f"must be positive, got {v[name]}")
+        for name, cells in (("grid.lx", v["grid.nx"]), ("grid.ly", v["grid.ny"])):
+            # the Laplacian factors scale by 1/h^2, which must be a usable float64
+            with np.errstate(all="ignore"):
+                inv_h2 = 1.0 / np.square(np.float64(v[name]) / cells)
+            if not (np.isfinite(inv_h2) and inv_h2 > 0):
+                raise ConfigError(name, f"{v[name]} over {cells} cells gives a 1/h^2 "
+                                  "outside the float64 range")
         if v["sets.u_box"] is not None and v["sets.u_box"] <= 0:
             raise ConfigError("sets.u_box", f"must be positive or empty, got {v['sets.u_box']}")
         if v["cost.q_scale"] < 0:

@@ -6,9 +6,12 @@ The matrix Riccati equation (backward, terminal value zero)
 
 is integrated with an implicit trapezoid rule in the orthonormal eigenbasis of
 the (symmetric) discrete A, where the stiff Lyapunov part becomes an
-elementwise solve; the rank-one quadratic term is handled by a short fixed
-point.  Every step is re-symmetrized, and positive semidefiniteness is
-checked (the eigenvalues are basis-invariant, so the check runs modally).
+elementwise solve.  The rank-one quadratic term depends on Pi only through
+the n-vector Pi b, so the implicit step is a short fixed point on that vector
+(one matrix-vector product per iteration), and Pi is formed once per step.
+Every term of the step is exactly symmetric, so no re-symmetrization is
+needed.  Positive semidefiniteness is checked every few steps (the
+eigenvalues are basis-invariant, so the check runs modally).
 
 Adjoint pairing uses the uniform quadrature weight w of the grid, so with
 scalar input the matrix form of B R^{-1} B* is (w/rho) b b^T, and the feedback
@@ -63,50 +66,82 @@ def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: fl
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Backward trapezoid sweep in the eigenbasis over nt * refine steps of dt.
 
+    With c = dt/2, s = s_scale, W = 1 / (1 - c(lam_i + lam_j)) and
+    R = (1 + c(lam_i + lam_j)) W elementwise, one step from Pi_k (modal, with
+    y = Pi_k b) reads
+
+        Pi_{k+1} = M - c s (z z^T) o W,   M = R o Pi_k + 2cq diag(W) - c s (y y^T) o W,
+
+    where z = Pi_{k+1} b is the fixed point of z = M b - c s z o (W (z o b)),
+    iterated from the lagged z = y.  Each iteration is one matrix-vector
+    product.  The Pi_{k+1} formed from two successive iterates z_{j-1}, z_j
+    differ by c s (z_j z_j^T - z_{j-1} z_{j-1}^T) o W, whose Frobenius norm
+    is at most c s max|W| sqrt(2 (|u|^2 |v|^2 + (u.v)^2)) / 2 with
+    u = z_j - z_{j-1}, v = z_j + z_{j-1}.  The iteration stops once this
+    bound is at most 1e-13 max(1, |Pi_{k+1} b| / |b|); as
+    |Pi_{k+1} b| / |b| <= ||Pi_{k+1}||_F, it never stops before the rule
+    ||dPi_{k+1}||_F <= 1e-13 max(1, ||Pi_{k+1}||_F) on the matrix iterates.
+    Every term is exactly symmetric, so Pi_{k+1} is too.
+
     Returns Pi-tilde(0) and, at the nt + 1 coarse times t_k (every
     ``refine``-th step), the rows Pi-tilde(t_k) b_modal and
     Pi-tilde(t_k) along_modal[k].  Raises PdeoptError on a near-singular
-    implicit factor or a PSD violation beyond tolerance (caller retries with
-    a finer step).
+    implicit factor, a fixed point that does not converge in 20 iterations,
+    a non-finite iterate, or a PSD violation beyond tolerance (caller retries
+    with a finer step).
     """
     n = lam.size
     c = 0.5 * dt
-    shift = c * (lam[:, None] + lam[None, :])
-    denom, explicit = 1.0 - shift, 1.0 + shift
-    if np.min(np.abs(denom)) < 1e-10 * max(1.0, c * float(np.max(np.abs(lam)))):
+    shift = c * np.add.outer(lam, lam)
+    ratio = 1.0 + shift
+    weight = np.subtract(1.0, shift, out=shift)
+    if np.min(np.abs(weight)) < 1e-10 * max(1.0, c * float(np.max(np.abs(lam)))):
         raise PdeoptError("implicit Riccati factor nearly singular at this step size")
-
-    def quad(x: np.ndarray) -> np.ndarray:
-        """c times the quadratic term Pi B R^-1 B* Pi, in modal form."""
-        xb = x @ b_modal
-        return np.outer((c * s_scale) * xb, xb)
+    np.divide(1.0, weight, out=weight)
+    ratio *= weight
+    source = (2.0 * c * q) * np.diagonal(weight)
+    weight *= c * s_scale  # from here on c s W, the weight of the quadratic term
+    weight_max = float(np.max(np.abs(weight)))
+    b_norm = max(float(np.linalg.norm(b_modal)), 1e-300)
 
     pib = np.zeros((nt + 1, n))  # Pi(tau) = 0 leaves row nt zero
     pix = None if along_modal is None else np.zeros((nt + 1, n))
-    x = np.zeros((n, n))
+    x, m_part = np.zeros((n, n)), np.empty((n, n))
+    y = np.zeros(n)
     for m in range(nt * refine):
-        # explicit half plus both halves of the source: x E - c quad(x) + 2 c q I
-        lagged = quad(x)
-        base = x * explicit
-        base -= lagged
-        base.flat[::n + 1] += 2.0 * c * q
-        x_new = (base - lagged) / denom  # predictor: lag the quadratic term
+        np.multiply(ratio, x, out=m_part)
+        np.multiply.outer(y, y, out=x)
+        x *= weight
+        m_part -= x
+        m_part.flat[::n + 1] += source
+        beta = m_part @ b_modal
+        z_prev, z = y, beta - y * (weight @ (y * b_modal))
         for _ in range(20):
-            x_next = (base - quad(x_new)) / denom
-            if np.linalg.norm(x_next - x_new) <= 1e-13 * max(1.0, np.linalg.norm(x_next)):
-                x_new = x_next
+            z_next = beta - z * (weight @ (z * b_modal))  # Pi_{k+1} b for this z
+            u, v = z - z_prev, z + z_prev
+            change = weight_max * np.sqrt(0.5 * ((u @ u) * (v @ v) + (u @ v) ** 2))
+            z_norm = float(np.linalg.norm(z_next))
+            if not np.isfinite(change + z_norm):
+                raise PdeoptError("Riccati iterate is not finite")
+            if change <= 1e-13 * max(1.0, z_norm / b_norm):
                 break
-            x_new = x_next
-        x_new = 0.5 * (x_new + x_new.T)
+            z_prev, z = z, z_next
+        else:
+            raise PdeoptError("Riccati fixed point did not converge in 20 iterations")
+        np.multiply.outer(z, z, out=x)
+        x *= weight
+        np.subtract(m_part, x, out=x)
+        y = z_next
         if (m + 1) % check_every == 0 or m == nt * refine - 1:
-            evs = np.linalg.eigvalsh(x_new)
+            if not np.all(np.isfinite(x)):
+                raise PdeoptError("Riccati iterate is not finite")
+            evs = np.linalg.eigvalsh(x)
             scale = max(abs(evs[0]), abs(evs[-1]), 1e-300)
             if evs[0] < -1e-8 * scale:
                 raise PdeoptError(f"Pi lost positive semidefiniteness (min eig {evs[0]:.2e})")
-        x = x_new
         k, rest = divmod(nt * refine - m - 1, refine)
         if rest == 0:
-            pib[k] = x @ b_modal
+            pib[k] = y
             if pix is not None:
                 pix[k] = x @ along_modal[k]
     return x, pib, pix

@@ -258,6 +258,9 @@ class TestCliEntry:
         ("cost", "q_scale", "-1.0"),
         ("grid", "lx", "0.0"),
         ("grid", "ly", "-1.0"),
+        ("grid", "lx", "1e-200"),  # h^2 underflows to 0
+        ("grid", "lx", "1e200"),  # h^2 overflows to inf
+        ("grid", "ly", "1e-200"),
         ("grid", "dirichlet", "left,middle"),
         ("optimizer", "mode", "joint"),  # removed key: unknown field
     ])
@@ -309,6 +312,18 @@ class TestCliEntry:
         code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "step" in capsys.readouterr().err
+
+    def test_exit_one_when_riccati_sweep_fails(self, tmp_path, capsys):
+        # linear KS at lambda = 60: the Riccati fixed point does not converge
+        # at any step size tried, which must end in an error line, not a traceback
+        ini = tmp_path / "ks60.ini"
+        ini.write_text("[model]\nkind = ks\nlambda = 60\nlinear = true\n\n[grid]\nn = 64\n\n"
+                       "[time]\ntau = 0.5\n\n[riccati]\nnt = 100\n")
+        code = main(["riccati-validate", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: Riccati sweep failed after dt refinements" in err
+        assert "Traceback" not in err
 
     def test_seed_override_changes_summary_seed(self, tmp_path):
         cfg = ExperimentConfig(values=dict(SMALL_KS))

@@ -1,7 +1,9 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigvalsh, sqrtm
 
@@ -15,6 +17,68 @@ from conftest import first_mode_2d, smooth_clamped
 
 def scalar_op(a=0.0):
     return LinearOperator(factors=(np.array([[a]]),))
+
+
+def reference_riccati(a_op, b_vec, weights, tg, state_weight, along):
+    """The sweep with the fixed point on the full n x n matrix: each iterate is
+    Pi_{k+1} = (E o Pi_k + 2cq I - c s (y y^T + z z^T)) / D, with
+    E, D = 1 +- c (lam_i + lam_j), y = Pi_k b and z the previous iterate
+    times b, stopped at ||dPi||_F <= 1e-13 max(1, ||Pi_{k+1}||_F) and then
+    re-symmetrized.  No dt refinement and no PSD check: callers draw stable
+    operators.  Returns the nodal Pi(0), the gains and Pi(t_k) along[k].
+    """
+    lam, v = a_op.basis.values.ravel(), reduce(np.kron, a_op.basis.vectors)
+    n, b = lam.size, v.T @ b_vec
+    s, q, c = state_weight / weights.r_scale, weights.q_scale, 0.5 * tg.dt
+    shift = c * (lam[:, None] + lam[None, :])
+    denom, explicit = 1.0 - shift, 1.0 + shift
+
+    def quad(x):
+        xb = x @ b
+        return np.outer((c * s) * xb, xb)
+
+    gains, pix = np.zeros((tg.nt + 1, n)), np.zeros((tg.nt + 1, n))
+    x = np.zeros((n, n))
+    for k in range(tg.nt - 1, -1, -1):
+        lagged = quad(x)
+        base = x * explicit - lagged
+        base.flat[::n + 1] += 2.0 * c * q
+        x_new = (base - lagged) / denom
+        for _ in range(20):
+            x_next = (base - quad(x_new)) / denom
+            done = np.linalg.norm(x_next - x_new) <= 1e-13 * max(1.0, np.linalg.norm(x_next))
+            x_new = x_next
+            if done:
+                break
+        else:
+            raise AssertionError("reference fixed point did not converge")
+        x = 0.5 * (x_new + x_new.T)
+        gains[k] = s * (v @ (x @ b))
+        pix[k] = v @ (x @ (v.T @ along[k]))
+    return v @ x @ v.T, gains, pix
+
+
+def assert_rel_close(got, want, rel):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@st.composite
+def stable_problems(draw):
+    """A small symmetric stable operator with b, q, rho, the state weight, a
+    time grid, a PSD check interval and a trajectory to carry Pi along."""
+    n = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    lams = -np.exp(rng.uniform(np.log(0.1), np.log(50.0), n))
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    f = basis @ np.diag(lams) @ basis.T
+    b = rng.standard_normal(n)
+    b *= draw(st.floats(0.1, 1.0)) / np.linalg.norm(b)
+    weights = po.CostWeights(draw(st.floats(0.0, 2.0)), draw(st.floats(1.0, 10.0)))
+    tg = po.TimeGrid(tau=draw(st.floats(0.1, 1.0)), nt=draw(st.integers(10, 60)))
+    return (LinearOperator(factors=(0.5 * (f + f.T),)), b, weights, tg,
+            draw(st.floats(0.1, 1.0)), draw(st.integers(1, 20)),
+            rng.standard_normal((tg.nt + 1, n)))
 
 
 class TestScalarOracles:
@@ -40,6 +104,50 @@ class TestScalarOracles:
                                          po.CostWeights(2.0, 0.5), tg,
                                          along=np.ones((tg.nt + 1, 1)))
         assert np.all(ric.along[tg.nt] == 0.0)
+
+
+class TestAgainstMatrixFixedPoint:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(problem=stable_problems())
+    def test_matches_reference_sweep(self, problem):
+        a_op, b, weights, tg, state_weight, check_every, xs = problem
+        ric = solve_differential_riccati(a_op, b, weights, tg, state_weight=state_weight,
+                                         check_every=check_every, along=xs)
+        pi0, gains, along = reference_riccati(a_op, b, weights, tg, state_weight, xs)
+        assert_rel_close(ric.pi0, pi0, 1e-12)
+        assert_rel_close(ric.gains, gains, 1e-12)
+        assert_rel_close(ric.along, along, 1e-12)
+
+
+class TestStepRefinement:
+    def test_singular_factor_retries_at_half_step(self):
+        # a = nt / tau makes I - (dt/2)(a + a) exactly zero, so the sweep must
+        # run at dt/2 and sample every second step: that is the plain sweep
+        # on the grid with 2 nt steps, read at the even indices
+        tau, nt, a = 1.0, 2, 2.0
+        weights = po.CostWeights(0.1, 10.0)
+        xs = np.array([[1.0], [-2.0], [0.5]])
+        ric = solve_differential_riccati(scalar_op(a), np.ones(1), weights,
+                                         po.TimeGrid(tau, nt), along=xs)
+        fine = solve_differential_riccati(scalar_op(a), np.ones(1), weights,
+                                          po.TimeGrid(tau, 2 * nt),
+                                          along=np.repeat(xs, 2, axis=0)[:2 * nt + 1])
+        np.testing.assert_array_equal(ric.pi0, fine.pi0)
+        np.testing.assert_array_equal(ric.gains, fine.gains[::2])
+        np.testing.assert_array_equal(ric.along, fine.along[::2])
+        assert ric.pi0[0, 0] > 0
+
+    def test_unconverged_fixed_point_raises(self):
+        # linear KS at lambda = 60: the fixed point of the quadratic term does
+        # not converge in 20 iterations at dt, dt/2 or dt/4, and the sweep
+        # must say so rather than keep an unconverged iterate
+        g = po.build_grid_1d(64)
+        model = po.make_ks_model(g, lam=60.0, linear=True)
+        b = model.actuator_family.evaluate(model.actuator_family.initial_design(), g)
+        with pytest.raises(po.PdeoptError, match="failed after dt refinements"):
+            solve_differential_riccati(model.linear_op, b, po.CostWeights(),
+                                       po.TimeGrid(tau=0.5, nt=100),
+                                       state_weight=g.weight, check_every=1)
 
 
 class TestDiagonalSystem:
