@@ -146,8 +146,7 @@ class GradientBundle:
     grad_r: np.ndarray
     grad_x0: np.ndarray
     cost: float
-    bstar_p: np.ndarray = field(repr=False, default=None)
-    grad_x0_l2: np.ndarray = field(repr=False, default=None)
+    grad_x0_l2: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         for name in ("grad_u", "grad_r", "grad_x0"):
@@ -178,7 +177,7 @@ def assemble_gradients(model: ModelSpec, traj: Trajectory, p: Trajectory,
     grad_x0 = h1_riesz_map(grad_x0_l2, grid)
     cost = evaluate_cost(traj, u, weights, grid)
     return GradientBundle(grad_u=grad_u, grad_r=grad_r, grad_x0=grad_x0, cost=cost,
-                          bstar_p=bstar_p, grad_x0_l2=grad_x0_l2)
+                          grad_x0_l2=grad_x0_l2)
 
 
 def compute_bundle(model: ModelSpec, u: ControlSignal, design: ActuatorDesign,

@@ -30,7 +30,7 @@ from .exceptions import BlowUpError, ConfigError, PdeoptError
 from .forward import (ControlSignal, TimeGrid, energy_margin, energy_trace,
                       save_checkpoint, solve_forward, trajectory_to_csv)
 from .grids import LinearOperator
-from .optimize import minimize_joint, optimality_residuals, worst_initial_condition
+from .optimize import minimize_joint, worst_initial_condition
 from .riccati import (solve_differential_riccati, verify_feedback_consistency,
                       worst_ic_eigen_check)
 
@@ -136,8 +136,7 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     np.savetxt(out / "control.csv", np.column_stack((tg.times, u.values)), fmt="%.16e",
                delimiter=",", header="t,u", comments="")
 
-    res = optimality_residuals(model, traj, report.p, u, design, weights, sets,
-                               bundle=report.bundle)
+    res = report.residuals
     summary = {
         "pipeline": "optimize",
         "final_cost": report.final.get("cost"),

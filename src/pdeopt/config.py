@@ -87,6 +87,16 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 
+# The most doubles that one array sized by the config may hold: an (nt+1) x n
+# trajectory, the sampled actuator basis (basis_per_axis^2 x n) or a dense
+# 1-D heat factor (nx x nx, ny x ny).  From peak RSS on heat 32x32,
+# optimize holds about 9 trajectory-sized arrays and riccati-validate about
+# 11, so a linear optimize with its Riccati cross-check holds 20 x 16 MiB;
+# with the dense Riccati storage (at most 0.55 GiB, see cli.RICCATI_MAX_NODES)
+# a run stays under 1 GiB.  The basis is held twice while it is sampled.
+MAX_SAMPLES = 2**21
+
+
 def _parse(section: str, key: str, kind, raw: str):
     name = f"{section}.{key}"
     try:
@@ -122,7 +132,7 @@ def _render(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return ",".join(repr(v) for v in value)
     return str(value)
 
@@ -155,16 +165,17 @@ class ExperimentConfig:
             raise ConfigError(name, "unknown field")
         sec, key = name.split(".", 1)
         kind, _ = _SCHEMA[sec][key]
-        if isinstance(value, str):
-            value = _parse(sec, key, kind, value)
-        elif kind == "floats":
-            value = tuple(float(v) for v in np.atleast_1d(value))
-        elif kind is int and not isinstance(value, bool):
-            value = int(value)
-        elif kind is float:
-            value = float(value)
+        if not isinstance(value, str):
+            # a number or sequence is written as INI text and parsed like the
+            # file: an int field takes integral values, a bool field 0 or 1
+            value = np.asarray(value).tolist()  # numpy scalars to Python
+            if kind is int and isinstance(value, float) and value.is_integer():
+                value = int(value)
+            elif kind is bool and not isinstance(value, list) and value in (0, 1):
+                value = bool(value)
+            value = _render(value)
         new = dict(self.values)
-        new[name] = value
+        new[name] = _parse(sec, key, kind, value)
         return ExperimentConfig(values=new)
 
     def validate(self) -> None:
@@ -193,13 +204,23 @@ class ExperimentConfig:
                      "optimizer.tol", "optimizer.step0"):
             if v[name] <= 0:
                 raise ConfigError(name, f"must be positive, got {v[name]}")
-        for name, cells in (("grid.lx", v["grid.nx"]), ("grid.ly", v["grid.ny"])):
-            # the Laplacian factors scale by 1/h^2, which must be a usable float64
+        # the Laplacian's eigenvalues lie in [-bound, 0) with bound
+        # 4/hx^2 + 4/hy^2, which must be a positive float64
+        with np.errstate(all="ignore"):
+            bounds = {name: 4.0 / np.square(np.float64(v[name]) / v[cells])
+                      for name, cells in (("grid.lx", "grid.nx"), ("grid.ly", "grid.ny"))}
+        for name, bound in bounds.items():
+            if not bound > 0:
+                raise ConfigError(name, f"{v[name]} gives a 4/h^2 of 0 in float64")
+        if not np.isfinite(bounds["grid.lx"] + bounds["grid.ly"]):
+            name = max(bounds, key=bounds.get)
+            raise ConfigError(name, f"{v[name]} makes the Laplacian's spectral bound "
+                              "4/hx^2 + 4/hy^2 overflow float64")
+        for name in ("actuator.omega", "initial_condition.width"):
+            # a Gaussian divides by the square of its width
             with np.errstate(all="ignore"):
-                inv_h2 = 1.0 / np.square(np.float64(v[name]) / cells)
-            if not (np.isfinite(inv_h2) and inv_h2 > 0):
-                raise ConfigError(name, f"{v[name]} over {cells} cells gives a 1/h^2 "
-                                  "outside the float64 range")
+                if np.square(np.float64(v[name])) == 0:
+                    raise ConfigError(name, f"{v[name]} squares to 0 in float64")
         if v["sets.u_box"] is not None and v["sets.u_box"] <= 0:
             raise ConfigError("sets.u_box", f"must be positive or empty, got {v['sets.u_box']}")
         if v["cost.q_scale"] < 0:
@@ -217,6 +238,18 @@ class ExperimentConfig:
             raise ConfigError("riccati.nt", "need at least 2 Riccati time steps")
         if v["initial_condition.kind"] not in ("sine", "bump", "zero"):
             raise ConfigError("initial_condition.kind", "expected sine|bump|zero")
+        if v["model.kind"] == "heat":
+            n = v["grid.nx"] * v["grid.ny"]
+            sizes = {"grid.nx": v["grid.nx"] ** 2, "grid.ny": v["grid.ny"] ** 2,
+                     "actuator.basis_per_axis": v["actuator.basis_per_axis"] ** 2 * n}
+        else:
+            n, sizes = v["grid.n"], {}
+        nt_name = max(("time.nt", "riccati.nt"), key=v.get)
+        sizes[nt_name] = (v[nt_name] + 1) * n
+        for name, size in sizes.items():
+            if size > MAX_SAMPLES:
+                raise ConfigError(name, f"{v[name]} needs an array of {size} doubles, "
+                                  f"above the cap of {MAX_SAMPLES}")
 
     # --- serialization -------------------------------------------------
 

@@ -107,30 +107,22 @@ class Trajectory:
         return self.states[-1]
 
 
-class CrankNicolson:
+def crank_nicolson_factors(a_op, dt: float) -> tuple:
     """M = I - (dt/2) A and P = I + (dt/2) A as diagonal scalings in A's eigenbasis.
 
-    ``den`` and ``num`` are the eigenvalues of M and P.  Both are symmetric,
-    so the adjoint sweep's transposed solves are the same scalings, and it
-    stays the exact transpose of the forward sweep to a few ulps even for the
-    stiff biharmonic operator (an LU pairing loses ~kappa(M) digits there).
+    Returns (basis, num, den): the eigenbasis the operator builds once and
+    keeps, and the eigenvalues of P and M.  Both are symmetric, so the
+    adjoint sweep's transposed solves are the same scalings, and it stays the
+    exact transpose of the forward sweep to a few ulps even for the stiff
+    biharmonic operator (an LU pairing loses ~kappa(M) digits there).  Raises
+    PdeoptError when M is nearly singular at this dt.
     """
-
-    def __init__(self, a_op, dt: float):
-        self.basis = a_op.basis
-        lam = self.basis.values
-        self.den = 1.0 - 0.5 * dt * lam
-        self.num = 1.0 + 0.5 * dt * lam
-        if np.min(np.abs(self.den)) < 1e-8:
-            raise PdeoptError(f"Crank-Nicolson factor I - dt/2 A is nearly singular "
-                              f"at dt={dt}")
-
-
-def crank_nicolson_factors(a_op, dt: float) -> CrankNicolson:
-    """Eigenvalues of M = I - (dt/2) A and of the explicit half-step P, in the
-    eigenbasis the operator builds once and keeps; raises PdeoptError when M
-    is nearly singular at this dt."""
-    return CrankNicolson(a_op, dt)
+    basis = a_op.basis
+    den = 1.0 - 0.5 * dt * basis.values
+    if np.min(np.abs(den)) < 1e-8:
+        raise PdeoptError(f"Crank-Nicolson factor I - dt/2 A is nearly singular "
+                          f"at dt={dt}")
+    return basis, 1.0 + 0.5 * dt * basis.values, den
 
 
 def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
@@ -151,9 +143,9 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
     Raises BlowUpError(step) at the first non-finite state, and when ``term``
     raises PdeoptError.
     """
-    cn = crank_nicolson_factors(a_op, tg.dt)
-    basis, nt = cn.basis, tg.nt
-    ratio, gain = cn.num / cn.den, tg.dt / cn.den
+    basis, num, den = crank_nicolson_factors(a_op, tg.dt)
+    nt = tg.nt
+    ratio, gain = num / den, tg.dt / den
     with np.errstate(over="ignore", invalid="ignore"):
         forced = None
         if source is not None:
@@ -202,17 +194,17 @@ def cn_ab2_transpose_sweep(a_op: LinearOperator, tg: TimeGrid, source: np.ndarra
     in and the result moves out in one batched transform each, and only
     ``term_t`` makes a round trip per step.
     """
-    cn = crank_nicolson_factors(a_op, tg.dt)
-    basis, nt, dt = cn.basis, tg.nt, tg.dt
-    ratio, gain = cn.num / cn.den, dt / cn.den
+    basis, num, den = crank_nicolson_factors(a_op, tg.dt)
+    nt, dt = tg.nt, tg.dt
+    ratio, gain = num / den, dt / den
     coef = basis.to_modal(source)
     coef *= dt
-    coef[1:] /= cn.den
+    coef[1:] /= den
     coef[nt - 1] += ratio * coef[nt]
     if term_t is None:
         for j in range(nt - 2, 0, -1):
             coef[j] += ratio * coef[j + 1]
-        coef[0] += cn.num * coef[1]
+        coef[0] += num * coef[1]
         return basis.from_modal(coef)
 
     def jac_t(j, comb):
@@ -221,7 +213,7 @@ def cn_ab2_transpose_sweep(a_op: LinearOperator, tg: TimeGrid, source: np.ndarra
     coef[nt - 1] += gain * jac_t(nt - 1, 1.5 * coef[nt])
     for j in range(nt - 2, 0, -1):
         coef[j] += ratio * coef[j + 1] + gain * jac_t(j, 1.5 * coef[j + 1] - 0.5 * coef[j + 2])
-    coef[0] += cn.num * coef[1] + dt * jac_t(0, coef[1] - 0.5 * coef[2])
+    coef[0] += num * coef[1] + dt * jac_t(0, coef[1] - 0.5 * coef[2])
     return basis.from_modal(coef)
 
 
@@ -231,12 +223,11 @@ def solve_forward(model: ModelSpec, u: ControlSignal | None, design: ActuatorDes
     grid = model.grid
     if x0.shape != (grid.size,):
         raise ValueError(f"x0 of shape {x0.shape} does not match grid size {grid.size}")
-    model.actuator_family.check(design)
     uv = np.zeros(tg.nt + 1) if u is None else u.values
     if uv.shape != (tg.nt + 1,):
         raise ValueError("control and state time grids disagree")
 
-    b = model.actuator_family.evaluate(design, grid)
+    b = model.actuator_family.evaluate(design, grid)  # checks the design
     source = None
     if np.any(uv[:-1]):
         u_ab2 = uv[:-1].copy()  # AB2 extrapolation of the input term b u_k
@@ -260,7 +251,8 @@ def verify_ks_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDesign,
 
     ||w(tau)||^2 <= ||w_0||^2 + (1/sigma(lam)) ||u||_{L2}^2 max_xi b^2(xi; r),
     with sigma(lam) the smallest eigenvalue of the discrete -A.  Only asserted
-    for lam < 4 pi^2, where -A is positive definite.  Pass the model's A as
+    where sigma > 0, which needs lam < 4 pi^2 and on coarse grids a smaller
+    lam; raises NotApplicableError elsewhere.  Pass the model's A as
     ``a_op`` to reuse its eigenbasis instead of assembling A from (grid, lam).
     """
     if lam >= FOUR_PI_SQ:
@@ -298,18 +290,19 @@ def energy_margin(model: ModelSpec, traj: Trajectory, u: ControlSignal,
                   design: ActuatorDesign) -> float | None:
     """Margin of the energy bound that applies to ``model``, None if none does.
 
-    The KS bound applies for lam < 4 pi^2, with or without the nonlinearity;
-    the heat ISS bound applies under the sign condition or on the linear model.
+    Each bound decides for itself whether it applies (it raises
+    NotApplicableError when not): the KS bound when the discrete -A is
+    positive definite, with or without the nonlinearity; the heat ISS bound
+    under the sign condition or on the linear model.
     """
-    if model.lam is not None:
-        if model.lam >= FOUR_PI_SQ:
-            return None
-        return float(verify_ks_bound(traj, u, design, model.lam, model.grid,
-                                     actuator=model.actuator_family,
-                                     a_op=model.linear_op))
-    if model.sign_condition or model.is_linear:
+    try:
+        if model.lam is not None:
+            return float(verify_ks_bound(traj, u, design, model.lam, model.grid,
+                                         actuator=model.actuator_family,
+                                         a_op=model.linear_op))
         return float(verify_heat_iss_bound(traj, u, design, model.grid, model))
-    return None
+    except NotApplicableError:
+        return None
 
 
 # --- trajectory export -----------------------------------------------------

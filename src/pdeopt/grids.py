@@ -46,7 +46,6 @@ class Grid1D(_Grid):
     n: int
     h: float
     nodes: np.ndarray
-    quad_weights: np.ndarray
 
     @property
     def size(self) -> int:
@@ -89,10 +88,6 @@ class Grid2D(_Grid):
         return self.hx * self.hy
 
     @property
-    def quad_weights(self) -> np.ndarray:
-        return np.full(self.size, self.weight)
-
-    @property
     def xs(self) -> np.ndarray:
         return (np.arange(self.nx) + 0.5) * self.hx
 
@@ -110,9 +105,9 @@ class SpectralBasis:
     """Orthonormal eigenbasis V of a symmetric operator, A = V diag(values) V^T.
 
     ``vectors`` is (V,), or (Vy, Vx) for a Kronecker sum Fy (x) I + I (x) Fx
-    on a grid with the x index fastest: then V = Vy (x) Vx is never formed,
-    the modal coefficients of x are Vy^T X Vx with X = x.reshape(ny, nx), and
-    ``values`` has shape (ny, nx).
+    on a grid with the x index fastest: then the modal coefficients of x are
+    Vy^T X Vx with X = x.reshape(ny, nx), ``values`` has shape (ny, nx), and
+    the maps below never form V = Vy (x) Vx (only ``matrix`` does).
 
     Both maps accept leading batch axes: ``to_modal`` takes x of shape
     (..., n) to coefficients of shape (..., *values.shape), and
@@ -121,6 +116,11 @@ class SpectralBasis:
 
     vectors: tuple
     values: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n V = Vy (x) Vx, whose columns follow ``values.ravel()``."""
+        return reduce(np.kron, self.vectors)
 
     def to_modal(self, x: np.ndarray) -> np.ndarray:
         if len(self.vectors) == 1:
@@ -181,14 +181,12 @@ def build_grid_1d(n: int) -> Grid1D:
     """Uniform grid with n interior nodes on (0,1).
 
     Interior trapezoid weights are h each (boundary values are zero for every
-    field this grid carries), so sum(quad_weights) = 1 - h.
+    field this grid carries), so the weights sum to 1 - h.
     """
     if n < 4:
         raise InvalidGridError(f"need at least 4 interior nodes for the stencils, got n={n}")
     h = 1.0 / (n + 1)
-    nodes = h * np.arange(1, n + 1)
-    weights = np.full(n, h)
-    return Grid1D(n=n, h=h, nodes=nodes, quad_weights=weights)
+    return Grid1D(n=n, h=h, nodes=h * np.arange(1, n + 1))
 
 
 def build_grid_2d(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0,

@@ -56,14 +56,12 @@ class ScalarNonlinearity:
     hypothesis under which the ISS energy bound applies.
     """
 
-    name: str
     value: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
     sign_condition: bool
 
 
 CUBIC_SINK = ScalarNonlinearity(
-    name="cubic",
     value=lambda z: -z**3,
     derivative=lambda z: -3.0 * z**2,
     sign_condition=True,
@@ -102,7 +100,6 @@ class ActuatorDesign:
 class ActuatorFamily:
     """Common interface of the two actuator parametrizations."""
 
-    kind: str
     design_dim: int
 
     def evaluate(self, design: ActuatorDesign, grid) -> np.ndarray:
@@ -136,7 +133,6 @@ class KsGaussianActuator(ActuatorFamily):
     b * (xi - r)/omega^2.
     """
 
-    kind = "ks-gaussian"
     design_dim = 1
 
     def __init__(self, omega: float = 0.05, bounds: tuple[float, float] = (0.1, 0.9)):
@@ -145,7 +141,6 @@ class KsGaussianActuator(ActuatorFamily):
         a, b = bounds
         if not (0.0 < a < b < 1.0):
             raise ValueError(f"admissible interval must satisfy 0 < a < b < 1, got {bounds}")
-        self.omega = omega
         # a numpy square is inf where the Python float one raises OverflowError:
         # a bump too wide to square is the constant b = 1
         with np.errstate(over="ignore"):
@@ -179,12 +174,9 @@ class HeatShapeActuator(ActuatorFamily):
     max_xi (|r| + |grad r|) <= 1, i.e. the shape inside the C1 unit ball.
     """
 
-    kind = "heat-shape"
-
     def __init__(self, basis_per_axis: int = 3, lx: float = 1.0, ly: float = 1.0):
         if basis_per_axis < 1:
             raise ValueError("need at least one basis function per axis")
-        self.basis_per_axis = basis_per_axis
         self.lx, self.ly = float(lx), float(ly)
         self.modes = [(j, k) for k in range(basis_per_axis) for j in range(basis_per_axis)]
         self.design_dim = len(self.modes)
@@ -247,7 +239,6 @@ class ModelSpec:
     variants.  ``sign_condition`` marks zeta*F(zeta) <= 0 (ISS hypothesis).
     """
 
-    name: str
     grid: object
     linear_op: LinearOperator
     nonlinearity: Callable[[np.ndarray], np.ndarray] | None
@@ -261,11 +252,6 @@ class ModelSpec:
     def is_linear(self) -> bool:
         return self.nonlinearity is None
 
-    def nonlinear_term(self, w: np.ndarray) -> np.ndarray:
-        if self.nonlinearity is None:
-            return np.zeros_like(w)
-        return self.nonlinearity(w)
-
 
 def make_ks_model(grid: Grid1D, lam: float, actuator: KsGaussianActuator | None = None,
                   linear: bool = False) -> ModelSpec:
@@ -278,9 +264,8 @@ def make_ks_model(grid: Grid1D, lam: float, actuator: KsGaussianActuator | None 
         nl = lambda w: ks_nonlinearity(w, grid)
         jac = lambda w, f: ks_jacobian_apply(w, f, grid)
         jac_t = lambda w, g: ks_jacobian_adjoint_apply(w, g, grid)
-    return ModelSpec(name="ks-linear" if linear else "ks", grid=grid, linear_op=a_op,
-                     nonlinearity=nl, jacobian_apply=jac, jacobian_adjoint_apply=jac_t,
-                     actuator_family=fam, sign_condition=False, lam=lam)
+    return ModelSpec(grid=grid, linear_op=a_op, nonlinearity=nl, jacobian_apply=jac,
+                     jacobian_adjoint_apply=jac_t, actuator_family=fam, lam=lam)
 
 
 def make_heat_model(grid: Grid2D, f_scalar: ScalarNonlinearity | None = CUBIC_SINK,
@@ -289,12 +274,12 @@ def make_heat_model(grid: Grid2D, f_scalar: ScalarNonlinearity | None = CUBIC_SI
     fam = actuator if actuator is not None else HeatShapeActuator(lx=grid.lx, ly=grid.ly)
     a_op = heat_operator(grid)
     if f_scalar is None:
-        return ModelSpec(name="heat-linear", grid=grid, linear_op=a_op, nonlinearity=None,
+        return ModelSpec(grid=grid, linear_op=a_op, nonlinearity=None,
                          jacobian_apply=None, jacobian_adjoint_apply=None,
-                         actuator_family=fam, sign_condition=False)
+                         actuator_family=fam)
     nl = lambda w: heat_nonlinearity(w, f_scalar)
     jac = lambda w, f: heat_jacobian_apply(w, f, f_scalar)
     jac_t = lambda w, g: heat_jacobian_adjoint_apply(w, g, f_scalar)
-    return ModelSpec(name="heat", grid=grid, linear_op=a_op, nonlinearity=nl,
+    return ModelSpec(grid=grid, linear_op=a_op, nonlinearity=nl,
                      jacobian_apply=jac, jacobian_adjoint_apply=jac_t,
                      actuator_family=fam, sign_condition=f_scalar.sign_condition)

@@ -58,21 +58,32 @@ class OptimizerConfig:
             raise ValueError("stopping tolerance must be positive")
 
 
+@dataclass(frozen=True)
+class Residuals:
+    """Tangent-cone-projected first-order stationarity residuals."""
+
+    res_u: float
+    res_r: float
+    u_active: bool
+    r_active: np.ndarray
+
+
 @dataclass
 class CostReport:
     """Per-iteration diagnostics; accepted-step costs must not increase.
 
-    ``traj``, ``p`` and ``bundle`` are the forward and adjoint solutions and
-    the gradients at the returned iterate (not written by ``to_csv``).
+    ``traj``, ``p``, ``bundle`` and ``residuals`` are the forward and adjoint
+    solutions, the gradients and the optimality residuals at the returned
+    iterate (not written by ``to_csv``).
     """
 
-    initialization: dict = field(default_factory=dict)
     iterations: list = field(default_factory=list)
     converged: bool = False
     stop_reason: str = ""
     traj: Trajectory | None = field(default=None, repr=False)
     p: Trajectory | None = field(default=None, repr=False)
     bundle: GradientBundle | None = field(default=None, repr=False)
+    residuals: Residuals | None = field(default=None, repr=False)
 
     _FIELDS = ("iter", "cost", "grad_u_norm", "grad_r_norm", "step",
                "res_u", "res_r", "margin")
@@ -123,16 +134,6 @@ def project_V_ball(x0: np.ndarray, r2: float, grid) -> np.ndarray:
     if norm <= r2:
         return x0
     return x0 * (r2 / norm)
-
-
-@dataclass(frozen=True)
-class Residuals:
-    """Tangent-cone-projected first-order stationarity residuals."""
-
-    res_u: float
-    res_r: float
-    u_active: bool
-    r_active: np.ndarray
 
 
 def optimality_residuals(model: ModelSpec, traj: Trajectory, p: Trajectory,
@@ -197,10 +198,7 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
     start = initial_design if initial_design is not None \
         else model.actuator_family.initial_design()
     design = project_K(start, sets)
-    report = CostReport(initialization={
-        "u": "zero", "design": design.params.tolist(),
-        "seed": config.seed, "optimize_design": optimize_design,
-    })
+    report = CostReport()
 
     bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
     alpha = config.step0
@@ -249,7 +247,7 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
         if not backtracked:
             alpha = min(alpha * 2.0, 1e6)  # grow only after a clean acceptance
         bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
-    report.traj, report.p, report.bundle = traj, p, bundle
+    report.traj, report.p, report.bundle, report.residuals = traj, p, bundle, res
     return u, design, report
 
 
@@ -324,11 +322,11 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
             g_v = bundle.grad_x0  # H1 representer of dJ/dx0 (= 2 * riesz(p0))
             riesz_p0 = 0.5 * g_v
             norm_x0 = h1_norm(x0, grid)
+            norm_p0 = h1_norm(riesz_p0, grid)
             active = norm_x0 >= sets.r2 * (1 - 1e-9)
-            mu = h1_norm(riesz_p0, grid) / sets.r2 if active else 0.0
+            mu = norm_p0 / sets.r2 if active else 0.0
             kkt = h1_norm(riesz_p0 - mu * x0, grid)
-            scale = max(h1_norm(riesz_p0, grid), 1e-300)
-            if kkt <= 1e-5 * max(scale, 1e-300):
+            if kkt <= 1e-5 * max(norm_p0, 1e-300):
                 stop = "kkt residual below tolerance"
                 break
             if it == config.max_iters:

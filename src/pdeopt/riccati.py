@@ -21,7 +21,6 @@ law reads u(t) = -(w/rho) b^T Pi(t) x(t).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -44,7 +43,6 @@ class RiccatiSolution:
     the trajectory X passed as ``along=`` (None without one).
     """
 
-    time_grid: TimeGrid
     basis: np.ndarray = field(repr=False)
     modal: list = field(repr=False)
     b_vec: np.ndarray = field(repr=False)
@@ -161,7 +159,7 @@ def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
     PSD failure or a singular implicit factor the sweep retries at dt/2 and
     dt/4 (keeping the requested output sampling) before aborting.
     """
-    lam, v = a_op.basis.values.ravel(), reduce(np.kron, a_op.basis.vectors)
+    lam, v = a_op.basis.values.ravel(), a_op.basis.matrix
     b_modal = v.T @ b_vec
     s_scale = state_weight / weights.r_scale
     along_modal = None if along is None else along @ v
@@ -175,7 +173,7 @@ def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
         except PdeoptError as err:
             last_err = err
             continue
-        return RiccatiSolution(time_grid=tg, basis=v, modal=[pi0], b_vec=b_vec,
+        return RiccatiSolution(basis=v, modal=[pi0], b_vec=b_vec,
                                gains=s_scale * (pib @ v.T),
                                along=None if pix is None else pix @ v.T)
     raise PdeoptError(f"Riccati sweep failed after dt refinements: {last_err}")
@@ -300,7 +298,7 @@ def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
     # whiten with K = V diag(k) V^T: W = V diag(k^-1/2) has W^T K W = I, so
     # Pi(0) v = theta K v becomes the standard problem (W^T Pi(0) W) y = theta y
     k_basis = grid.h1.basis
-    w = reduce(np.kron, k_basis.vectors) / np.sqrt(k_basis.values.ravel())
+    w = k_basis.matrix / np.sqrt(k_basis.values.ravel())
     _, y = np.linalg.eigh(w.T @ pi0 @ w)
     extremal = w @ y[:, -1]
     denom = h1_norm(x0_star, grid) * h1_norm(extremal, grid)

@@ -80,6 +80,19 @@ class TestExperimentConfig:
         cfg = ExperimentConfig().with_value("cost.r_scale", "0.25")
         assert cfg["cost.r_scale"] == 0.25
 
+    def test_with_value_takes_what_the_ini_file_takes(self):
+        cfg = ExperimentConfig()
+        assert cfg.with_value("grid.nx", 8.0)["grid.nx"] == 8
+        assert cfg.with_value("grid.nx", np.int64(8))["grid.nx"] == 8
+        assert cfg.with_value("model.linear", 0.0)["model.linear"] is False
+        assert cfg.with_value("model.linear", np.float64(1))["model.linear"] is True
+        assert cfg.with_value("actuator.r_init", np.float64(0.3))["actuator.r_init"] == (0.3,)
+        for name, value in (("grid.nx", 8.7), ("grid.nx", np.float64(8.5)),
+                            ("time.nt", True), ("model.linear", 0.5), ("model.linear", 2)):
+            with pytest.raises(ConfigError) as err:
+                cfg.with_value(name, value)
+            assert err.value.field == name
+
     def test_builders_produce_consistent_objects(self):
         cfg = ExperimentConfig(values=dict(SMALL_HEAT_LIN))
         grid = cfg.build_grid()
@@ -222,6 +235,18 @@ class TestRunPipelines:
         assert (tmp_path / "pi0.csv").exists()
 
 
+# the rest of the config that a case of test_exit_two_names_out_of_range_field
+# needs to reach its hole
+_CONTEXT = {
+    ("initial_condition", "width", "1e-170"):
+        {"grid.n": "31", "initial_condition.kind": "bump", "initial_condition.center": "0.5"},
+    ("grid", "lx", "1e-153"): {"model.kind": "heat", "grid.nx": "8", "grid.ny": "8"},
+    ("actuator", "basis_per_axis", "1000"): {"model.kind": "heat"},
+    ("grid", "nx", "100000"): {"model.kind": "heat", "grid.ny": "4", "time.nt": "2",
+                               "riccati.nt": "2"},
+}
+
+
 class TestCliEntry:
     def test_exit_zero_simulate(self, tmp_path):
         cfg = ExperimentConfig(values=dict(SMALL_KS))
@@ -263,10 +288,23 @@ class TestCliEntry:
         ("grid", "ly", "1e-200"),
         ("grid", "dirichlet", "left,middle"),
         ("optimizer", "mode", "joint"),  # removed key: unknown field
+        ("actuator", "omega", "1e-170"),  # omega^2 underflows to 0
+        ("initial_condition", "width", "1e-170"),  # 0/0 at the bump's centre node
+        ("grid", "lx", "1e-153"),  # 1/hx^2 is finite, 4/hx^2 + 4/hy^2 is not
+        ("time", "nt", "1000000"),  # memory caps: a (10**6 + 1) x 128 trajectory is 1 GiB
+        ("riccati", "nt", "1000000"),
+        ("actuator", "basis_per_axis", "1000"),  # 10**6 x 1024 samples are 7.6 GiB
+        ("grid", "nx", "100000"),  # a dense 10**5 x 10**5 factor is 75 GiB
     ])
     def test_exit_two_names_out_of_range_field(self, tmp_path, capsys, section, key, raw):
+        fields = {"model.kind": "ks", **_CONTEXT.get((section, key, raw), {}),
+                  f"{section}.{key}": raw}
+        lines: dict[str, list[str]] = {}
+        for name, text in fields.items():
+            sec, field = name.split(".", 1)
+            lines.setdefault(sec, []).append(f"{field} = {text}\n")
         ini = tmp_path / "bad.ini"
-        ini.write_text(f"[model]\nkind = ks\n\n[{section}]\n{key} = {raw}\n")
+        ini.write_text("\n".join(f"[{sec}]\n" + "".join(rows) for sec, rows in lines.items()))
         code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{section}.{key}" in capsys.readouterr().err
@@ -303,6 +341,16 @@ class TestCliEntry:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert np.isfinite(summary["terminal_energy"])
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "optimize"])
+    def test_ks_margin_null_where_discrete_operator_is_indefinite(self, tmp_path, subcommand):
+        # lambda = 39.2 < 4 pi^2, but on 16 nodes the discrete -A has a negative
+        # eigenvalue: the KS bound does not apply, which is a null margin
+        ini = tmp_path / "ks.ini"
+        ini.write_text("[model]\nkind = ks\nlambda = 39.2\n\n[grid]\nn = 16\n")
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", str(ini), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["margin"] is None
 
     def test_exit_three_on_blowup(self, tmp_path, capsys):
         cfg = ExperimentConfig(values={**SMALL_KS,
@@ -404,6 +452,17 @@ class TestSweep:
         code = main(["sweep", "--config", str(ini), "--out", str(tmp_path / "s2")])
         assert code == 2
 
+    def test_cli_sweep_refuses_a_fractional_int_value(self, tmp_path, capsys):
+        # grid.nx = 8.5 must not run as nx = 8 in a directory named grid_nx=8.5
+        ini = tmp_path / "exp.ini"
+        self._base_cfg().to_ini(ini)
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", str(ini), "--out", str(out),
+                     "--param", "grid.nx", "--values", "8.5"])
+        assert code == 2
+        assert "grid.nx" in capsys.readouterr().err
+        assert not (out / "grid_nx=8.5").exists()
+
     def test_cli_sweep_rows_match_their_summaries(self, tmp_path):
         ini = tmp_path / "exp.ini"
         self._base_cfg().to_ini(ini)
@@ -475,6 +534,46 @@ def test_fuzzed_ini_builds_or_names_a_schema_field(tmp_path, kind, edits):
         assert err.field in SCHEMA_KEYS
     else:
         assert np.all(np.isfinite(x0))
+
+
+DEFAULTS = ExperimentConfig().values
+_CHOICES = ["ks", "heat", "cubic", "none", "left,top", "sine", "bump", "zero", "out"]
+
+
+def _values_for(name: str):
+    """Python and numpy values of the kind of field ``name``, most of them valid."""
+    default = DEFAULTS[name]
+    if isinstance(default, bool):
+        return st.one_of(st.booleans(), st.sampled_from([0, 1, 0.0, 1.0, np.float64(1)]))
+    if isinstance(default, int):
+        ints = st.integers(min_value=1, max_value=64)
+        return st.one_of(ints, ints.map(float), ints.map(np.int64))
+    if isinstance(default, str):
+        return st.sampled_from(_CHOICES)
+    floats = st.floats(min_value=1e-3, max_value=0.999)
+    if default is None:
+        return st.one_of(st.none(), floats)
+    if isinstance(default, tuple):
+        return st.one_of(floats, st.lists(floats, max_size=3).map(tuple))
+    return st.one_of(floats, floats.map(np.float64), st.floats(min_value=1.0, max_value=1e3))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.sampled_from(SCHEMA_KEYS).flatmap(
+    lambda name: st.tuples(st.just(name), _values_for(name))), min_size=1, max_size=4))
+@example(edits=[("model.linear", 0.0)])
+@example(edits=[("grid.nx", 8.0), ("actuator.r_init", 0.3)])
+def test_with_value_edits_round_trip_through_ini(tmp_path, edits):
+    cfg = ExperimentConfig()
+    for name, value in edits:
+        try:
+            cfg = cfg.with_value(name, value)
+        except ConfigError as err:
+            assert err.field in SCHEMA_KEYS
+    path = tmp_path / "cfg.ini"
+    cfg.to_ini(path)
+    assert ExperimentConfig.from_ini(path) == cfg
 
 
 _WITHOUT_SCIPY = """

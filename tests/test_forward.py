@@ -125,7 +125,7 @@ class TestEnergyTrace:
         trace = po.energy_trace(traj, g)
         for k in range(4):
             assert trace[k] == pytest.approx(
-                sum(g.quad_weights[i] * states[k, i] ** 2 for i in range(8)), rel=1e-13)
+                sum(g.weight * states[k, i] ** 2 for i in range(8)), rel=1e-13)
 
 
 class TestKsBound:
@@ -168,7 +168,7 @@ class TestHeatIssBound:
         assert po.verify_heat_iss_bound(traj, u, d, g, heat_model_small) == 0.0
 
     def test_missing_sign_condition(self, grid2d_small):
-        growth = ScalarNonlinearity(name="growth", value=lambda z: z**3,
+        growth = ScalarNonlinearity(value=lambda z: z**3,
                                     derivative=lambda z: 3 * z**2,
                                     sign_condition=False)
         model = po.make_heat_model(grid2d_small, f_scalar=growth)

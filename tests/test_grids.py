@@ -21,7 +21,7 @@ class TestGrid1D:
     def test_weight_sum_is_one_minus_h(self):
         g = po.build_grid_1d(127)
         # direct summation oracle
-        assert np.sum(g.quad_weights) == pytest.approx(1.0 - g.h, rel=1e-14)
+        assert np.sum(np.full(g.n, g.weight)) == pytest.approx(1.0 - g.h, rel=1e-14)
 
 
 class TestKsOperator:
@@ -148,7 +148,7 @@ class TestInnerProduct:
         g = po.build_grid_2d(16, 16)
         ones = np.ones(g.size)
         # weight-summation oracle
-        assert po.inner_product(ones, ones, g) == pytest.approx(np.sum(g.quad_weights))
+        assert po.inner_product(ones, ones, g) == pytest.approx(np.sum(np.full(g.size, g.weight)))
         assert po.inner_product(ones, ones, g) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self, grid1d_small):

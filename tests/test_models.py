@@ -289,10 +289,11 @@ class TestModelSpecDuality:
     def test_linear_variant_has_no_nonlinearity(self, grid1d_small):
         m = po.make_ks_model(grid1d_small, lam=10.0, linear=True)
         assert m.is_linear
-        assert np.all(m.nonlinear_term(np.ones(32)) == 0.0)
+        w = np.ones(32)
+        assert np.all((np.zeros_like(w) if m.nonlinearity is None else m.nonlinearity(w)) == 0.0)
 
     def test_custom_scalar_nonlinearity_flag(self, grid2d_small):
-        source = ScalarNonlinearity(name="growth", value=lambda z: z**3,
+        source = ScalarNonlinearity(value=lambda z: z**3,
                                     derivative=lambda z: 3 * z**2,
                                     sign_condition=False)
         m = po.make_heat_model(grid2d_small, f_scalar=source)

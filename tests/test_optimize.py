@@ -163,7 +163,7 @@ class TestOptimalityResiduals:
         x0 = 0.3 * np.sin(np.pi * g.nodes)
         u0 = po.ControlSignal.zero(tg)
         bundle, traj, p = compute_bundle(ks_model_small, u0, design, x0, weights, tg)
-        u_star = po.ControlSignal(tg, -bundle.bstar_p / weights.r_scale)
+        u_star = po.ControlSignal(tg, -0.5 * bundle.grad_u / weights.r_scale)
         res = po.optimality_residuals(ks_model_small, traj, p, u_star, design,
                                       weights, ks_sets)
         assert res.res_u <= 1e-12
@@ -292,3 +292,23 @@ def test_golden_section_matches_joint():
     r_golden, cost_golden = po.golden_section_r(model, sets, weights, x0, tg, cfg,
                                                 tol=5e-3)
     assert abs(r_golden - d_joint.params[0]) < 2e-2
+
+
+_FAMILIES = {
+    "ks": lambda: po.KsGaussianActuator(bounds=(0.2, 0.7)),
+    "heat": lambda: po.HeatShapeActuator(basis_per_axis=2, lx=1.0, ly=2.0),
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(_FAMILIES)), data=st.data())
+def test_project_K_is_a_nonexpansive_projection_onto_the_box(kind, data):
+    family = _FAMILIES[kind]()
+    sets = po.AdmissibleSets(family=family)
+    coords = st.lists(st.floats(min_value=-10.0, max_value=10.0),
+                      min_size=family.design_dim, max_size=family.design_dim)
+    a, b = (po.ActuatorDesign(params=np.array(data.draw(coords))) for _ in range(2))
+    pa, pb = po.project_K(a, sets), po.project_K(b, sets)
+    assert family.contains(pa.params)
+    assert np.array_equal(po.project_K(pa, sets).params, pa.params)
+    assert np.linalg.norm(pa.params - pb.params) <= np.linalg.norm(a.params - b.params)

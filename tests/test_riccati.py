@@ -387,7 +387,7 @@ def _synthetic_riccati(pi0: np.ndarray, grid) -> po.RiccatiSolution:
     """Wrap a given matrix as Pi(0) of a degenerate one-step solution."""
     n = pi0.shape[0]
     tg = po.TimeGrid(tau=1.0, nt=2)
-    return po.RiccatiSolution(time_grid=tg, basis=np.eye(n), modal=[pi0],
+    return po.RiccatiSolution(basis=np.eye(n), modal=[pi0],
                               b_vec=np.zeros(n), gains=np.zeros((tg.nt + 1, n)))
 
 

@@ -44,7 +44,9 @@ def dense_cn_ab2(model, uv, design, x0, tg):
     n_prev = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(tg.nt):
-            n_k = model.nonlinear_term(states[k]) + b * uv[k]
+            x = states[k]
+            n_k = (np.zeros_like(x) if model.nonlinearity is None
+                   else model.nonlinearity(x)) + b * uv[k]
             s_k = n_k if k == 0 else 1.5 * n_k - 0.5 * n_prev
             states.append(np.linalg.solve(m, p @ states[k] + tg.dt * s_k))
             n_prev = n_k
