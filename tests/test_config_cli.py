@@ -291,7 +291,7 @@ class TestCliEntry:
         ("actuator", "omega", "1e-170"),  # omega^2 underflows to 0
         ("initial_condition", "width", "1e-170"),  # 0/0 at the bump's centre node
         ("grid", "lx", "1e-153"),  # 1/hx^2 is finite, 4/hx^2 + 4/hy^2 is not
-        ("time", "nt", "1000000"),  # memory caps: a (10**6 + 1) x 128 trajectory is 1 GiB
+        ("time", "nt", "1000000"),  # memory caps: one (10**6 + 1) x 128 array is 0.95 GiB
         ("riccati", "nt", "1000000"),
         ("actuator", "basis_per_axis", "1000"),  # 10**6 x 1024 samples are 7.6 GiB
         ("grid", "nx", "100000"),  # a dense 10**5 x 10**5 factor is 75 GiB
