@@ -45,10 +45,10 @@ class CostWeights:
             raise ValueError("r_scale must be positive (R coercive)")
 
 
-def evaluate_cost(traj: Trajectory, u: ControlSignal | None, weights: CostWeights, grid) -> float:
+def evaluate_cost(traj: Trajectory, u: ControlSignal, weights: CostWeights, grid) -> float:
     """Trapezoid-in-time of q <x, x> + rho u^2."""
     tg = traj.time_grid
-    if u is not None and u.time_grid != tg:
+    if u.time_grid != tg:
         raise ValueError("control and trajectory time grids disagree")
     states = traj.states
     if states.shape[1:] != (grid.size,):
@@ -56,9 +56,8 @@ def evaluate_cost(traj: Trajectory, u: ControlSignal | None, weights: CostWeight
                          f"grid of size {grid.size}")
     theta = tg.weights
     state_term = grid.weight * np.einsum("ki,ki->k", states, states)
-    total = weights.q_scale * float(np.sum(theta * state_term))
-    if u is not None:
-        total += weights.r_scale * float(np.sum(theta * u.values**2))
+    total = weights.q_scale * float(np.sum(theta * state_term)) \
+        + weights.r_scale * float(np.sum(theta * u.values**2))
     return tg.dt * total
 
 

@@ -21,70 +21,87 @@ from .models import (CUBIC_SINK, ActuatorDesign, HeatShapeActuator,
                      KsGaussianActuator, ModelSpec, make_heat_model, make_ks_model)
 from .optimize import AdmissibleSets, OptimizerConfig
 
+# a field's admissible range: (predicate, message)
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_NONNEGATIVE = (lambda x: x >= 0, "must be nonnegative")
+_UNIT = (lambda x: 0 < x < 1, "must lie in (0, 1)")
+
+
+def _at_least(k: int) -> tuple:
+    return (lambda x: x >= k, f"must be at least {k}")
+
+
+def _one_of(*choices: str) -> tuple:
+    return (lambda x: x in choices, f"expected one of {'|'.join(choices)}")
+
+
 _SCHEMA: dict[str, dict[str, tuple]] = {
-    # section -> key -> (type, default); type in {float, int, bool, str, "floats", "optfloat"}
+    # section -> key -> (type, default, rule); type in {float, int, bool, str,
+    # "floats", "optfloat"}; rule is the field's admissible range or None,
+    # and an empty optfloat passes every rule
     "model": {
-        "kind": (str, "ks"),
-        "lambda": (float, 30.0),
-        "nonlinearity": (str, "cubic"),
-        "linear": (bool, False),
+        "kind": (str, "ks", _one_of("ks", "heat")),
+        "lambda": (float, 30.0, None),
+        "nonlinearity": (str, "cubic", _one_of("cubic", "none")),
+        "linear": (bool, False, None),
     },
     "grid": {
-        "n": (int, 128),
-        "nx": (int, 32),
-        "ny": (int, 32),
-        "lx": (float, 1.0),
-        "ly": (float, 1.0),
-        "dirichlet": (str, "left,right,bottom,top"),
+        "n": (int, 128, _at_least(4)),
+        "nx": (int, 32, _at_least(4)),
+        "ny": (int, 32, _at_least(4)),
+        "lx": (float, 1.0, _POSITIVE),
+        "ly": (float, 1.0, _POSITIVE),
+        "dirichlet": (str, "left,right,bottom,top", None),
     },
     "time": {
-        "tau": (float, 1.0),
-        "nt": (int, 400),
+        "tau": (float, 1.0, _POSITIVE),
+        "nt": (int, 400, _at_least(2)),
     },
     "cost": {
-        "q_scale": (float, 1.0),
-        "r_scale": (float, 1.0),
+        "q_scale": (float, 1.0, _NONNEGATIVE),
+        "r_scale": (float, 1.0, _POSITIVE),
     },
     "sets": {
-        "r1": (float, 10.0),
-        "r2": (float, 1.0),
-        "u_box": ("optfloat", None),
+        "r1": (float, 10.0, _POSITIVE),
+        "r2": (float, 1.0, _POSITIVE),
+        "u_box": ("optfloat", None, _POSITIVE),
     },
     "actuator": {
-        "omega": (float, 0.05),
-        "kad_low": (float, 0.1),
-        "kad_high": (float, 0.9),
-        "basis_per_axis": (int, 3),
-        "r_init": ("floats", ()),
+        "omega": (float, 0.05, _POSITIVE),
+        "kad_low": (float, 0.1, _UNIT),
+        "kad_high": (float, 0.9, _UNIT),
+        "basis_per_axis": (int, 3, _at_least(1)),
+        "r_init": ("floats", (), None),
     },
     "initial_condition": {
-        "kind": (str, "sine"),
-        "amplitude": (float, 0.1),
-        "center": (float, 0.5),
-        "width": (float, 0.07),
+        "kind": (str, "sine", _one_of("sine", "bump", "zero")),
+        "amplitude": (float, 0.1, None),
+        "center": (float, 0.5, None),
+        "width": (float, 0.07, _POSITIVE),
         # second-harmonic admixture; breaks the mirror symmetry that would
         # make the actuator-location gradient vanish identically at r = 1/2
-        "second_mode": (float, 0.3),
+        "second_mode": (float, 0.3, None),
     },
     "optimizer": {
-        "max_iters": (int, 2000),
-        "tol": (float, 1e-5),
-        "armijo_c1": (float, 1e-4),
-        "backtrack": (float, 0.5),
-        "step0": (float, 1.0),
-        "seed": (int, 0),
-        "multi_start": (int, 5),
-        "optimize_design": (bool, True),
+        "max_iters": (int, 2000, _at_least(1)),
+        "tol": (float, 1e-5, _POSITIVE),
+        "armijo_c1": (float, 1e-4, _UNIT),
+        "backtrack": (float, 0.5, _UNIT),
+        "step0": (float, 1.0, _POSITIVE),
+        "seed": (int, 0, _at_least(0)),
+        "multi_start": (int, 5, _at_least(1)),
+        "optimize_design": (bool, True, None),
     },
     "riccati": {
-        "nt": (int, 400),
-        "check_every": (int, 10),
+        "nt": (int, 400, _at_least(2)),
+        "check_every": (int, 10, _at_least(1)),
     },
     "output": {
-        "dir": (str, "out"),
-        "jobs": (int, 1),
+        "dir": (str, "out", None),
+        "jobs": (int, 1, _at_least(1)),
     },
 }
+_FIELDS = {f"{sec}.{key}": row for sec, keys in _SCHEMA.items() for key, row in keys.items()}
 
 
 # The most doubles that one array sized by the config may hold: an (nt+1) x n
@@ -97,8 +114,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 MAX_SAMPLES = 2**21
 
 
-def _parse(section: str, key: str, kind, raw: str):
-    name = f"{section}.{key}"
+def _parse(name: str, kind, raw: str):
     try:
         if kind is float:
             return float(raw)
@@ -144,10 +160,7 @@ class ExperimentConfig:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        merged = {}
-        for sec, keys in _SCHEMA.items():
-            for key, (_, default) in keys.items():
-                merged[f"{sec}.{key}"] = default
+        merged = {name: default for name, (_, default, _) in _FIELDS.items()}
         unknown = sorted(set(self.values) - set(merged))
         if unknown:
             raise ConfigError(unknown[0], "unknown field")
@@ -163,8 +176,7 @@ class ExperimentConfig:
     def with_value(self, name: str, value) -> "ExperimentConfig":
         if name not in self.values:
             raise ConfigError(name, "unknown field")
-        sec, key = name.split(".", 1)
-        kind, _ = _SCHEMA[sec][key]
+        kind = _FIELDS[name][0]
         if not isinstance(value, str):
             # a number or sequence is written as INI text and parsed like the
             # file: an int field takes integral values, a bool field 0 or 1
@@ -175,7 +187,7 @@ class ExperimentConfig:
                 value = bool(value)
             value = _render(value)
         new = dict(self.values)
-        new[name] = _parse(sec, key, kind, value)
+        new[name] = _parse(name, kind, value)
         return ExperimentConfig(values=new)
 
     def validate(self) -> None:
@@ -183,13 +195,10 @@ class ExperimentConfig:
         for name, value in v.items():
             if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
                 raise ConfigError(name, f"must be finite, got {value!r}")
-        if v["model.kind"] not in ("ks", "heat"):
-            raise ConfigError("model.kind", f"expected 'ks' or 'heat', got {v['model.kind']!r}")
-        if v["model.nonlinearity"] not in ("cubic", "none"):
-            raise ConfigError("model.nonlinearity", "expected 'cubic' or 'none'")
-        for name in ("grid.n", "grid.nx", "grid.ny"):
-            if v[name] < 4:
-                raise ConfigError(name, "grids need at least 4 nodes per axis")
+            rule = _FIELDS[name][2]
+            if rule is not None and value is not None and not rule[0](value):
+                raise ConfigError(name, f"{rule[1]}, got {value!r}")
+        # the rules below read more than one field or float64 arithmetic
         if v["model.kind"] == "ks" and v["grid.n"] > 512:
             # the KS stepper works in the dense eigenbasis of the n x n operator
             raise ConfigError("grid.n", "KS grids take at most 512 nodes")
@@ -197,13 +206,6 @@ class ExperimentConfig:
         if not sides or not set(sides) <= set(SIDES):
             raise ConfigError("grid.dirichlet",
                               f"expected a nonempty subset of {','.join(SIDES)}")
-        if v["time.nt"] < 2:
-            raise ConfigError("time.nt", "need at least 2 time steps")
-        for name in ("grid.lx", "grid.ly", "time.tau", "cost.r_scale", "sets.r1",
-                     "sets.r2", "actuator.omega", "initial_condition.width",
-                     "optimizer.tol", "optimizer.step0"):
-            if v[name] <= 0:
-                raise ConfigError(name, f"must be positive, got {v[name]}")
         # the Laplacian's eigenvalues lie in [-bound, 0) with bound
         # 4/hx^2 + 4/hy^2, which must be a positive float64
         with np.errstate(all="ignore"):
@@ -217,27 +219,15 @@ class ExperimentConfig:
             raise ConfigError(name, f"{v[name]} makes the Laplacian's spectral bound "
                               "4/hx^2 + 4/hy^2 overflow float64")
         for name in ("actuator.omega", "initial_condition.width"):
-            # a Gaussian divides by the square of its width
+            # a Gaussian divides by the square of its width, which a subnormal
+            # square turns into an overflow
             with np.errstate(all="ignore"):
-                if np.square(np.float64(v[name])) == 0:
-                    raise ConfigError(name, f"{v[name]} squares to 0 in float64")
-        if v["sets.u_box"] is not None and v["sets.u_box"] <= 0:
-            raise ConfigError("sets.u_box", f"must be positive or empty, got {v['sets.u_box']}")
-        if v["cost.q_scale"] < 0:
-            raise ConfigError("cost.q_scale", f"must be nonnegative, got {v['cost.q_scale']}")
-        if not (0 < v["actuator.kad_low"] < v["actuator.kad_high"] < 1):
-            raise ConfigError("actuator.kad_low", "need 0 < a < b < 1")
-        for name in ("optimizer.backtrack", "optimizer.armijo_c1"):
-            if not 0 < v[name] < 1:
-                raise ConfigError(name, f"must lie in (0, 1), got {v[name]}")
-        for name in ("actuator.basis_per_axis", "optimizer.max_iters",
-                     "optimizer.multi_start", "riccati.check_every", "output.jobs"):
-            if v[name] < 1:
-                raise ConfigError(name, f"must be >= 1, got {v[name]}")
-        if v["riccati.nt"] < 2:
-            raise ConfigError("riccati.nt", "need at least 2 Riccati time steps")
-        if v["initial_condition.kind"] not in ("sine", "bump", "zero"):
-            raise ConfigError("initial_condition.kind", "expected sine|bump|zero")
+                if np.square(np.float64(v[name])) < np.finfo(np.float64).tiny:
+                    raise ConfigError(name, f"{v[name]} squares below the smallest "
+                                      "normal float64")
+        if not v["actuator.kad_low"] < v["actuator.kad_high"]:
+            raise ConfigError("actuator.kad_low", "must be below actuator.kad_high, got "
+                              f"{v['actuator.kad_low']} >= {v['actuator.kad_high']}")
         if v["model.kind"] == "heat":
             n = v["grid.nx"] * v["grid.ny"]
             sizes = {"grid.nx": v["grid.nx"] ** 2, "grid.ny": v["grid.ny"] ** 2,
@@ -268,8 +258,8 @@ class ExperimentConfig:
             for key, raw in parser.items(sec):
                 if key not in _SCHEMA[sec]:
                     raise ConfigError(f"{sec}.{key}", "unknown field")
-                kind, _ = _SCHEMA[sec][key]
-                vals[f"{sec}.{key}"] = _parse(sec, key, kind, raw)
+                name = f"{sec}.{key}"
+                vals[name] = _parse(name, _FIELDS[name][0], raw)
         return ExperimentConfig(values=vals)
 
     def to_ini(self, path=None) -> str:

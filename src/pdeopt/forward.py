@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BlowUpError, NotApplicableError, PdeoptError
-from .grids import (Grid1D, Grid2D, LinearOperator, build_grid_1d, build_grid_2d,
-                    inner_product, ks_operator, smallest_eigenvalue)
-from .models import ActuatorDesign, KsGaussianActuator, ModelSpec
+from .grids import (Grid1D, LinearOperator, build_grid_1d, build_grid_2d, inner_product,
+                    smallest_eigenvalue)
+from .models import ActuatorDesign, ModelSpec
 
 FOUR_PI_SQ = 4.0 * np.pi**2
 
@@ -244,24 +244,21 @@ def energy_trace(traj: Trajectory, grid) -> np.ndarray:
 
 
 def verify_ks_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDesign,
-                    lam: float, grid: Grid1D,
-                    actuator: KsGaussianActuator | None = None,
-                    a_op: LinearOperator | None = None) -> float:
+                    model: ModelSpec) -> float:
     """Margin of the KS energy bound; nonnegative means the bound held.
 
     ||w(tau)||^2 <= ||w_0||^2 + (1/sigma(lam)) ||u||_{L2}^2 max_xi b^2(xi; r),
-    with sigma(lam) the smallest eigenvalue of the discrete -A.  Only asserted
-    where sigma > 0, which needs lam < 4 pi^2 and on coarse grids a smaller
-    lam; raises NotApplicableError elsewhere.  Pass the model's A as
-    ``a_op`` to reuse its eigenbasis instead of assembling A from (grid, lam).
+    with sigma(lam) the smallest eigenvalue of the model's discrete -A.  Only
+    asserted where sigma > 0, which needs lam < 4 pi^2 and on coarse grids a
+    smaller lam; raises NotApplicableError elsewhere.
     """
+    lam, grid = model.lam, model.grid
     if lam >= FOUR_PI_SQ:
         raise NotApplicableError(f"bound requires lam < 4*pi^2 ~= {FOUR_PI_SQ:.3f}, got {lam}")
-    fam = actuator if actuator is not None else KsGaussianActuator()
-    sigma = smallest_eigenvalue(-(a_op if a_op is not None else ks_operator(grid, lam)))
+    sigma = smallest_eigenvalue(-model.linear_op)
     if sigma <= 0:
         raise NotApplicableError(f"discrete -A not positive definite (sigma = {sigma:.3e})")
-    b = fam.evaluate(design, grid)
+    b = model.actuator_family.evaluate(design, grid)
     rhs = inner_product(traj.initial, traj.initial, grid) \
         + u.time_grid.norm(u.values)**2 * float(np.max(b**2)) / sigma
     lhs = inner_product(traj.terminal, traj.terminal, grid)
@@ -269,7 +266,7 @@ def verify_ks_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDesign,
 
 
 def verify_heat_iss_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDesign,
-                          grid: Grid2D, model: ModelSpec) -> float:
+                          model: ModelSpec) -> float:
     """Margin of the ISS bound for the nonlinear heat model.
 
     ||w(tau)||^2 <= ||w_0||^2 + (4/c_Omega) ||u||_{L2}^2 ||r||_{L2}^2, with
@@ -278,6 +275,7 @@ def verify_heat_iss_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDe
     """
     if not (model.sign_condition or model.is_linear):
         raise NotApplicableError("ISS bound needs the sign condition zeta*F(zeta) <= 0")
+    grid = model.grid
     c_omega = smallest_eigenvalue(-model.linear_op)
     r_vec = model.actuator_family.evaluate(design, grid)
     rhs = inner_product(traj.initial, traj.initial, grid) \
@@ -288,19 +286,14 @@ def verify_heat_iss_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDe
 
 def energy_margin(model: ModelSpec, traj: Trajectory, u: ControlSignal,
                   design: ActuatorDesign) -> float | None:
-    """Margin of the energy bound that applies to ``model``, None if none does.
-
-    Each bound decides for itself whether it applies (it raises
-    NotApplicableError when not): the KS bound when the discrete -A is
-    positive definite, with or without the nonlinearity; the heat ISS bound
-    under the sign condition or on the linear model.
+    """Margin of the energy bound that belongs to ``model``, None if it does
+    not apply (the bound raises NotApplicableError): the KS bound when the
+    discrete -A is positive definite, with or without the nonlinearity; the
+    heat ISS bound under the sign condition or on the linear model.
     """
+    bound = verify_ks_bound if model.lam is not None else verify_heat_iss_bound
     try:
-        if model.lam is not None:
-            return float(verify_ks_bound(traj, u, design, model.lam, model.grid,
-                                         actuator=model.actuator_family,
-                                         a_op=model.linear_op))
-        return float(verify_heat_iss_bound(traj, u, design, model.grid, model))
+        return float(bound(traj, u, design, model))
     except NotApplicableError:
         return None
 

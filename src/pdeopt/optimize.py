@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import (CostWeights, GradientBundle, assemble_gradients, compute_bundle,
-                      evaluate_cost)
+from .adjoint import CostWeights, GradientBundle, compute_bundle, evaluate_cost
 from .exceptions import BlowUpError
 from .forward import ControlSignal, TimeGrid, Trajectory, energy_margin, solve_forward
 from .grids import h1_norm, inner_product
@@ -136,16 +135,12 @@ def project_V_ball(x0: np.ndarray, r2: float, grid) -> np.ndarray:
     return x0 * (r2 / norm)
 
 
-def optimality_residuals(model: ModelSpec, traj: Trajectory, p: Trajectory,
-                         u: ControlSignal, design: ActuatorDesign,
-                         weights: CostWeights, sets: AdmissibleSets,
-                         bundle: GradientBundle | None = None) -> Residuals:
-    """res_u = ||rho u + B* p|| and res_r = |int (B'_r u)* p dt| after
-    projecting the steepest-descent direction onto the tangent cones."""
+def optimality_residuals(bundle: GradientBundle, u: ControlSignal,
+                         design: ActuatorDesign, sets: AdmissibleSets) -> Residuals:
+    """res_u = ||rho u + B* p|| and res_r = |int (B'_r u)* p dt| at the point
+    (u, design) whose gradients ``bundle`` holds, after projecting the
+    steepest-descent direction onto the tangent cones."""
     tg = u.time_grid
-    if bundle is None:
-        bundle = assemble_gradients(model, traj, p, u, design, weights)
-
     # input residual: v = rho*u + B*p, direction d = -v restricted to feasible moves
     v = 0.5 * bundle.grad_u
     d = -v
@@ -203,7 +198,7 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
     bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
     alpha = config.step0
     for it in range(config.max_iters + 1):
-        res = optimality_residuals(model, traj, p, u, design, weights, sets, bundle=bundle)
+        res = optimality_residuals(bundle, u, design, sets)
         report.append(iter=it, cost=bundle.cost,
                       grad_u_norm=tg.norm(bundle.grad_u),
                       grad_r_norm=float(np.linalg.norm(bundle.grad_r)),

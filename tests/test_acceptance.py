@@ -119,7 +119,7 @@ def test_criterion_3_ks_energy_bound():
         u = po.project_U(po.ControlSignal(tg, rng.standard_normal(tg.nt + 1)), sets)
         design = po.ActuatorDesign.of(rng.uniform(0.1, 0.9))
         traj = po.solve_forward(model, u, design, x0, tg)
-        margins.append(po.verify_ks_bound(traj, u, design, 30.0, grid))
+        margins.append(po.verify_ks_bound(traj, u, design, model))
     ok = all(m >= 0 for m in margins)
     _report(3, "KS energy bound margins", ok, f"min margin {min(margins):.3e}", t0)
     assert ok
@@ -142,7 +142,7 @@ def test_criterion_4_heat_iss_bound():
         u = po.project_U(po.ControlSignal(tg, rng.standard_normal(tg.nt + 1)), sets)
         design = po.ActuatorDesign(fam.project(rng.standard_normal(fam.design_dim)))
         traj = po.solve_forward(model, u, design, x0, tg)
-        margins.append(po.verify_heat_iss_bound(traj, u, design, grid, model))
+        margins.append(po.verify_heat_iss_bound(traj, u, design, model))
     ok = all(m >= 0 for m in margins)
     _report(4, "heat ISS bound margins", ok, f"min margin {min(margins):.3e}", t0)
     assert ok
@@ -225,7 +225,8 @@ def test_criterion_7_ks_joint_optimality_residuals():
 
     traj = po.solve_forward(model, u, design, x0, tg)
     p = po.solve_adjoint(model, traj, weights, tg)
-    res = po.optimality_residuals(model, traj, p, u, design, weights, sets)
+    res = po.optimality_residuals(po.assemble_gradients(model, traj, p, u, design, weights),
+                                  u, design, sets)
     costs = [row["cost"] for row in report.iterations]
     monotone = all(costs[i + 1] <= costs[i] + 1e-12 for i in range(len(costs) - 1))
     res_u_ok = res.res_u <= 1e-5 or res.u_active

@@ -244,6 +244,8 @@ _CONTEXT = {
     ("actuator", "basis_per_axis", "1000"): {"model.kind": "heat"},
     ("grid", "nx", "100000"): {"model.kind": "heat", "grid.ny": "4", "time.nt": "2",
                                "riccati.nt": "2"},
+    ("initial_condition", "width", "1e-160"):
+        {"grid.n": "31", "initial_condition.kind": "bump", "initial_condition.center": "0.5"},
 }
 
 
@@ -295,6 +297,19 @@ class TestCliEntry:
         ("riccati", "nt", "1000000"),
         ("actuator", "basis_per_axis", "1000"),  # 10**6 x 1024 samples are 7.6 GiB
         ("grid", "nx", "100000"),  # a dense 10**5 x 10**5 factor is 75 GiB
+        ("actuator", "omega", "1e-160"),  # omega^2 is subnormal: 1/omega^2 overflows
+        ("initial_condition", "width", "1e-160"),
+        ("optimizer", "seed", "-1"),
+        ("actuator", "kad_high", "1.5"),
+        ("actuator", "kad_low", "0.95"),  # in (0, 1) but above kad_high
+        ("model", "nonlinearity", "quartic"),
+        ("grid", "n", "3"),
+        ("grid", "ny", "3"),
+        ("time", "nt", "1"),
+        ("cost", "r_scale", "0.0"),
+        ("sets", "r1", "-1.0"),
+        ("initial_condition", "kind", "ramp"),
+        ("output", "jobs", "0"),
     ])
     def test_exit_two_names_out_of_range_field(self, tmp_path, capsys, section, key, raw):
         fields = {"model.kind": "ks", **_CONTEXT.get((section, key, raw), {}),
@@ -308,6 +323,14 @@ class TestCliEntry:
         code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_exit_two_on_negative_seed_override(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ExperimentConfig(values=dict(SMALL_HEAT_LIN)).to_ini(ini)
+        code = main(["worst-ic", "--seed", "-1", "--config", str(ini),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "optimizer.seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["riccati-validate", "optimize", "worst-ic"])
     def test_exit_two_on_grid_above_riccati_cap(self, tmp_path, capsys, monkeypatch,

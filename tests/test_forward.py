@@ -103,6 +103,18 @@ class TestSolveForward:
         assert np.array_equal(traj.initial, x0)
         assert np.all(np.isfinite(traj.states))
 
+    def test_nonlinearity_overflow_is_a_blowup(self, grid2d_small):
+        # z^3 of a finite state overflows: the stepper reports the step
+        growth = ScalarNonlinearity(value=lambda z: z**3, derivative=lambda z: 3 * z**2,
+                                    sign_condition=False)
+        model = po.make_heat_model(grid2d_small, f_scalar=growth)
+        tg = po.TimeGrid(tau=0.1, nt=10)
+        x0 = first_mode_2d(grid2d_small, 1e110)
+        with pytest.raises(BlowUpError) as err:
+            po.solve_forward(model, None, model.actuator_family.initial_design(), x0, tg)
+        assert err.value.step == 1
+        assert "nonlinearity overflowed" in str(err.value)
+
 
 class TestEnergyTrace:
     def test_zero_trajectory(self, grid1d_small):
@@ -136,7 +148,7 @@ class TestKsBound:
         x0 = 0.2 * np.sin(np.pi * g.nodes)
         u = po.ControlSignal.zero(tg)
         traj = po.solve_forward(model, u, po.ActuatorDesign.of(0.5), x0, tg)
-        margin = po.verify_ks_bound(traj, u, po.ActuatorDesign.of(0.5), 30.0, g)
+        margin = po.verify_ks_bound(traj, u, po.ActuatorDesign.of(0.5), model)
         energy = po.energy_trace(traj, g)
         assert margin == pytest.approx(energy[0] - energy[-1], rel=1e-12)
         assert margin >= 0
@@ -146,7 +158,8 @@ class TestKsBound:
         traj = po.Trajectory(tg, np.zeros((11, 32)))
         u = po.ControlSignal.zero(tg)
         with pytest.raises(NotApplicableError):
-            po.verify_ks_bound(traj, u, po.ActuatorDesign.of(0.5), 39.5, grid1d_small)
+            po.verify_ks_bound(traj, u, po.ActuatorDesign.of(0.5),
+                               po.make_ks_model(grid1d_small, lam=39.5))
 
 
 class TestHeatIssBound:
@@ -157,7 +170,7 @@ class TestHeatIssBound:
         u = po.ControlSignal.zero(tg)
         d = heat_model_small.actuator_family.initial_design()
         traj = po.solve_forward(heat_model_small, u, d, x0, tg)
-        assert po.verify_heat_iss_bound(traj, u, d, g, heat_model_small) >= 0
+        assert po.verify_heat_iss_bound(traj, u, d, heat_model_small) >= 0
 
     def test_zero_data_margin_zero(self, heat_model_small):
         g = heat_model_small.grid
@@ -165,7 +178,7 @@ class TestHeatIssBound:
         u = po.ControlSignal.zero(tg)
         d = heat_model_small.actuator_family.initial_design()
         traj = po.solve_forward(heat_model_small, u, d, np.zeros(g.size), tg)
-        assert po.verify_heat_iss_bound(traj, u, d, g, heat_model_small) == 0.0
+        assert po.verify_heat_iss_bound(traj, u, d, heat_model_small) == 0.0
 
     def test_missing_sign_condition(self, grid2d_small):
         growth = ScalarNonlinearity(value=lambda z: z**3,
@@ -177,7 +190,7 @@ class TestHeatIssBound:
         d = model.actuator_family.initial_design()
         traj = po.Trajectory(tg, np.zeros((11, grid2d_small.size)))
         with pytest.raises(NotApplicableError):
-            po.verify_heat_iss_bound(traj, u, d, grid2d_small, model)
+            po.verify_heat_iss_bound(traj, u, d, model)
 
 
 class TestExports:

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdeopt as po
+import pdeopt.optimize as optimize
 from pdeopt.adjoint import compute_bundle
+from pdeopt.exceptions import BlowUpError
+from pdeopt.models import ScalarNonlinearity
 
 from conftest import first_mode_2d
 
@@ -11,6 +14,31 @@ from conftest import first_mode_2d
 @pytest.fixture
 def ks_sets(ks_model_small):
     return po.AdmissibleSets(family=ks_model_small.actuator_family, r1=2.0, r2=1.0)
+
+
+@pytest.fixture
+def growth_model(grid2d_small):
+    """Heat model with the growth term F = +z^3: large states blow up."""
+    growth = ScalarNonlinearity(value=lambda z: z**3, derivative=lambda z: 3 * z**2,
+                                sign_condition=False)
+    return po.make_heat_model(grid2d_small, f_scalar=growth)
+
+
+@pytest.fixture
+def blowups(monkeypatch):
+    """Step indices of the blow-ups raised by the optimizers' forward solves."""
+    steps = []
+    solve = optimize.solve_forward
+
+    def recording(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except BlowUpError as err:
+            steps.append(err.step)
+            raise
+
+    monkeypatch.setattr(optimize, "solve_forward", recording)
+    return steps
 
 
 class TestProjections:
@@ -151,8 +179,37 @@ class TestMinimizeJoint:
         assert lines[0] == "iter,cost,grad_u_norm,grad_r_norm,step,res_u,res_r,margin"
         assert len(lines) == len(rep.iterations) + 1
 
+    def test_blowup_rejects_the_trial_and_backtracks(self, growth_model, blowups):
+        # a huge first step drives the growth model to overflow; the line
+        # search must shrink the step and still accept descent steps
+        g = growth_model.grid
+        sets = po.AdmissibleSets(family=growth_model.actuator_family, r1=1e8, r2=1.0)
+        tg = po.TimeGrid(tau=0.2, nt=20)
+        cfg = po.OptimizerConfig(step0=1e8, max_iters=3, tol=1e-12)
+        _, _, rep = po.minimize_joint(growth_model, sets, po.CostWeights(),
+                                      first_mode_2d(g, 0.5), tg, cfg)
+        costs = [row["cost"] for row in rep.iterations]
+        assert blowups
+        assert len(costs) == 4 and costs[-1] < costs[0]
+
 
 class TestOptimalityResiduals:
+    def test_box_active_components_leave_the_cone(self):
+        # u at +box on samples 0-1 and -box on 2-3: only moves back into the
+        # box count, so the outward components of -grad_u/2 drop out
+        tg = po.TimeGrid(tau=1.0, nt=4)
+        fam = po.KsGaussianActuator()
+        sets = po.AdmissibleSets(family=fam, r1=100.0, u_box=1.0)
+        u = po.ControlSignal(tg, np.array([1.0, 1.0, -1.0, -1.0, 0.5]))
+        grad_u = np.array([-2.0, 2.0, 2.0, -2.0, 2.0])
+        bundle = po.GradientBundle(grad_u=grad_u, grad_r=np.zeros(1),
+                                   grad_x0=np.zeros(4), cost=1.0, grad_x0_l2=np.zeros(4))
+        res = po.optimality_residuals(bundle, u, fam.initial_design(), sets)
+        assert res.res_u == pytest.approx(tg.norm(np.array([0.0, -1.0, 0.0, 1.0, -1.0])),
+                                          rel=1e-15)
+        assert not res.u_active
+        assert res.res_r == 0.0
+
     def test_exact_stationarity_construction(self, ks_model_small, ks_sets):
         # with u := -(1/rho) B*p taken from the same adjoint, the input
         # residual vanishes identically
@@ -164,8 +221,8 @@ class TestOptimalityResiduals:
         u0 = po.ControlSignal.zero(tg)
         bundle, traj, p = compute_bundle(ks_model_small, u0, design, x0, weights, tg)
         u_star = po.ControlSignal(tg, -0.5 * bundle.grad_u / weights.r_scale)
-        res = po.optimality_residuals(ks_model_small, traj, p, u_star, design,
-                                      weights, ks_sets)
+        bundle = po.assemble_gradients(ks_model_small, traj, p, u_star, design, weights)
+        res = po.optimality_residuals(bundle, u_star, design, ks_sets)
         assert res.res_u <= 1e-12
 
     def test_active_clamp_zero_residual(self):
@@ -182,7 +239,8 @@ class TestOptimalityResiduals:
         u, d, rep = po.minimize_joint(model, sets, weights, x0, tg, cfg)
         traj = po.solve_forward(model, u, d, x0, tg)
         p = po.solve_adjoint(model, traj, weights, tg)
-        res = po.optimality_residuals(model, traj, p, u, d, weights, sets)
+        res = po.optimality_residuals(po.assemble_gradients(model, traj, p, u, d, weights),
+                                      u, d, sets)
         assert d.params[0] == pytest.approx(0.2, abs=1e-12)
         assert bool(res.r_active[0])
         assert res.res_r == 0.0
@@ -196,8 +254,7 @@ class TestOptimalityResiduals:
         x0 = 0.4 * np.sin(np.pi * g.nodes)
         u = po.ControlSignal(tg, 0.2 * rng.standard_normal(tg.nt + 1))
         bundle, traj, p = compute_bundle(ks_model_small, u, design, x0, weights, tg)
-        res = po.optimality_residuals(ks_model_small, traj, p, u, design, weights,
-                                      ks_sets, bundle=bundle)
+        res = po.optimality_residuals(bundle, u, design, ks_sets)
         # interior point: res_u = ||v|| with v the half-gradient; the
         # directional derivative of the cost along v/||v|| equals 2 res_u
         v = 0.5 * bundle.grad_u
@@ -214,6 +271,18 @@ class TestOptimalityResiduals:
 
 
 class TestWorstInitialCondition:
+    def test_blowup_rejects_the_ascent_trial(self, growth_model, blowups):
+        # on a wide H1 ball the doubled ascent step overflows the growth
+        # model; the ascent must backtrack instead of raising
+        tg = po.TimeGrid(tau=0.2, nt=20)
+        sets = po.AdmissibleSets(family=growth_model.actuator_family, r1=10.0, r2=1e4)
+        cfg = po.OptimizerConfig(step0=1e6, max_iters=3, multi_start=1)
+        _, _, rep = po.worst_initial_condition(
+            growth_model, po.ControlSignal.zero(tg),
+            growth_model.actuator_family.initial_design(), sets, po.CostWeights(), tg, cfg)
+        assert blowups
+        assert rep.best["iterations"] == 4
+
     def test_ascent_reaches_sphere(self, heat_model_linear):
         g = heat_model_linear.grid
         sets = po.AdmissibleSets(family=heat_model_linear.actuator_family,

@@ -107,7 +107,7 @@ def test_iss_margin_uses_own_poincare_constant():
         states = np.zeros((tg.nt + 1, grid.size))
         states[0] = rng.standard_normal(grid.size)
         traj = po.Trajectory(tg, states)
-        margin = po.verify_heat_iss_bound(traj, u, design, grid, model)
+        margin = po.verify_heat_iss_bound(traj, u, design, model)
 
         c_omega = np.linalg.eigvalsh(-model.linear_op.toarray())[0]
         r_vec = model.actuator_family.evaluate(design, grid)
