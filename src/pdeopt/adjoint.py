@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forward import ControlSignal, TimeGrid, Trajectory, cn_ab2_sweep, \
-    cn_ab2_transpose_sweep, solve_forward
+    crank_nicolson_factors, solve_forward
 from .grids import h1_riesz_map, inner_product
 from .models import ActuatorDesign, ModelSpec, actuator_design_derivative_adjoint
 
@@ -76,12 +76,33 @@ def adjoint_sweep(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
 
     lam_0 is the gradient row: <lam_0, d>_L2 is the exact derivative of the
     space-time pairing sum_k dt <x_k, source_k> along an initial perturbation.
+
+    It steps in the forward sweep's modal coordinates, where only the G_j^T
+    term makes a round trip per step.
     """
     if traj.time_grid != tg:
         raise ValueError("trajectory and requested time grids disagree")
+    basis, num, den = crank_nicolson_factors(model.linear_op, tg.dt)
+    nt, dt = tg.nt, tg.dt
+    ratio, gain = num / den, dt / den
     jac_t, x = model.jacobian_adjoint_apply, traj.states
-    term_t = None if jac_t is None else lambda j, v: jac_t(x[j], v)
-    return cn_ab2_transpose_sweep(model.linear_op, tg, source, term_t)
+
+    def term_t(j, comb):
+        return basis.to_modal(jac_t(x[j], basis.from_modal(comb)))
+
+    coef = basis.to_modal(source)
+    coef *= dt
+    coef[1:] /= den
+    coef[nt - 1] += ratio * coef[nt]
+    if jac_t is not None:
+        coef[nt - 1] += gain * term_t(nt - 1, 1.5 * coef[nt])
+    for j in range(nt - 2, -1, -1):
+        step = (ratio if j else num) * coef[j + 1]
+        if jac_t is not None:
+            step += (gain if j else dt) * term_t(
+                j, (1.5 if j else 1.0) * coef[j + 1] - 0.5 * coef[j + 2])
+        coef[j] += step
+    return basis.from_modal(coef)
 
 
 def linearized_forward(model: ModelSpec, traj: Trajectory, tg: TimeGrid,

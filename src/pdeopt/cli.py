@@ -276,12 +276,18 @@ def _sweep_worker(args: tuple) -> tuple[float, dict | None, str]:
 def sweep(subcommand: str, cfg: ExperimentConfig, out_dir, param: str,
           values: list[float]) -> list[tuple[float, dict | None, str]]:
     """Run ``subcommand`` once per parameter value; aggregate results to CSV."""
+    cfg.with_value(param, values[0])  # fail fast on a bad parameter name
+    # one directory per value, named by its shortest round-trip text
+    names = [f"{param.replace('.', '_')}={repr(float(v)).removesuffix('.0')}"
+             for v in values]
+    twice = [v for i, v in enumerate(values) if names[i] in names[:i]]
+    if twice:
+        raise ConfigError("--values", f"{twice[0]!r} is given twice")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg.with_value(param, values[0])  # fail fast on a bad parameter name
     jobs = min(cfg["output.jobs"], len(values), os.cpu_count() or 1)
-    tasks = [(subcommand, dict(cfg.values), param, v,
-              str(out / f"{param.replace('.', '_')}={v:g}")) for v in values]
+    tasks = [(subcommand, dict(cfg.values), param, v, str(out / name))
+             for v, name in zip(values, names)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_worker, tasks))

@@ -164,7 +164,18 @@ class ExperimentConfig:
         unknown = sorted(set(self.values) - set(merged))
         if unknown:
             raise ConfigError(unknown[0], "unknown field")
-        merged.update(self.values)
+        for name, value in self.values.items():
+            kind = _FIELDS[name][0]
+            if not isinstance(value, str):
+                # a number or sequence is written as INI text and parsed like
+                # the file: an int field takes integral values, a bool field 0 or 1
+                value = np.asarray(value).tolist()  # numpy scalars to Python
+                if kind is int and isinstance(value, float) and value.is_integer():
+                    value = int(value)
+                elif kind is bool and not isinstance(value, list) and value in (0, 1):
+                    value = bool(value)
+                value = _render(value)
+            merged[name] = _parse(name, kind, value)
         self.values = merged
         self.validate()
 
@@ -174,21 +185,7 @@ class ExperimentConfig:
         return self.values[name]
 
     def with_value(self, name: str, value) -> "ExperimentConfig":
-        if name not in self.values:
-            raise ConfigError(name, "unknown field")
-        kind = _FIELDS[name][0]
-        if not isinstance(value, str):
-            # a number or sequence is written as INI text and parsed like the
-            # file: an int field takes integral values, a bool field 0 or 1
-            value = np.asarray(value).tolist()  # numpy scalars to Python
-            if kind is int and isinstance(value, float) and value.is_integer():
-                value = int(value)
-            elif kind is bool and not isinstance(value, list) and value in (0, 1):
-                value = bool(value)
-            value = _render(value)
-        new = dict(self.values)
-        new[name] = _parse(name, kind, value)
-        return ExperimentConfig(values=new)
+        return ExperimentConfig(values={**self.values, name: value})
 
     def validate(self) -> None:
         v = self.values
@@ -255,11 +252,7 @@ class ExperimentConfig:
         for sec in parser.sections():
             if sec not in _SCHEMA:
                 raise ConfigError(sec, "unknown section")
-            for key, raw in parser.items(sec):
-                if key not in _SCHEMA[sec]:
-                    raise ConfigError(f"{sec}.{key}", "unknown field")
-                name = f"{sec}.{key}"
-                vals[name] = _parse(name, _FIELDS[name][0], raw)
+            vals.update((f"{sec}.{key}", raw) for key, raw in parser.items(sec))
         return ExperimentConfig(values=vals)
 
     def to_ini(self, path=None) -> str:

@@ -184,39 +184,6 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
     return states
 
 
-def cn_ab2_transpose_sweep(a_op: LinearOperator, tg: TimeGrid, source: np.ndarray,
-                           term_t=None) -> np.ndarray:
-    """Exact transpose of ``cn_ab2_sweep`` with a linear term N_k = G_k x_k.
-
-    Returns lam_0..lam_nt of the backward recursion written out in
-    ``adjoint.adjoint_sweep``, with G_j^T v = term_t(j, v), stepped in the
-    same modal coordinates as the forward sweep: ``source`` (nt+1 rows) moves
-    in and the result moves out in one batched transform each, and only
-    ``term_t`` makes a round trip per step.
-    """
-    basis, num, den = crank_nicolson_factors(a_op, tg.dt)
-    nt, dt = tg.nt, tg.dt
-    ratio, gain = num / den, dt / den
-    coef = basis.to_modal(source)
-    coef *= dt
-    coef[1:] /= den
-    coef[nt - 1] += ratio * coef[nt]
-    if term_t is None:
-        for j in range(nt - 2, 0, -1):
-            coef[j] += ratio * coef[j + 1]
-        coef[0] += num * coef[1]
-        return basis.from_modal(coef)
-
-    def jac_t(j, comb):
-        return basis.to_modal(term_t(j, basis.from_modal(comb)))
-
-    coef[nt - 1] += gain * jac_t(nt - 1, 1.5 * coef[nt])
-    for j in range(nt - 2, 0, -1):
-        coef[j] += ratio * coef[j + 1] + gain * jac_t(j, 1.5 * coef[j + 1] - 0.5 * coef[j + 2])
-    coef[0] += num * coef[1] + dt * jac_t(0, coef[1] - 0.5 * coef[2])
-    return basis.from_modal(coef)
-
-
 def solve_forward(model: ModelSpec, u: ControlSignal | None, design: ActuatorDesign,
                   x0: np.ndarray, tg: TimeGrid) -> Trajectory:
     """Integrate the IVP; raises BlowUpError(step) on non-finite states."""

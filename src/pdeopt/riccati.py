@@ -256,19 +256,14 @@ def verify_feedback_consistency(model: ModelSpec, sets: AdmissibleSets,
 
     traj_ric, _ = closed_loop_simulate(model, ric, x0, tg)
 
-    # state comparison at node times
-    norms_ric = np.array([np.sqrt(inner_product(x, x, grid)) for x in traj_ric.states])
-    denom_state = max(np.max(norms_ric), 1e-300)
-    e_state = max(
-        np.sqrt(inner_product(d, d, grid))
-        for d in (traj_opt.states - traj_ric.states)
-    ) / denom_state
+    def sup_norm(rows):  # max over t of the row's L2 norm
+        return max(np.sqrt(inner_product(v, v, grid)) for v in rows)
 
+    # state comparison at node times
+    e_state = sup_norm(traj_opt.states - traj_ric.states) \
+        / max(sup_norm(traj_ric.states), 1e-300)
     pix = ric.along
-    denom_p = max(np.max([np.sqrt(inner_product(v, v, grid)) for v in pix]), 1e-300)
-    e_adj = max(
-        np.sqrt(inner_product(d, d, grid)) for d in (p_opt.states[1:] - pix[1:])
-    ) / denom_p
+    e_adj = sup_norm(p_opt.states[1:] - pix[1:]) / max(sup_norm(pix), 1e-300)
 
     # control comparison: midpoint gain on the node state
     g_mid = 0.5 * (ric.gains[:-1] + ric.gains[1:])

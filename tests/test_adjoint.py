@@ -4,6 +4,7 @@ import pytest
 import pdeopt as po
 from pdeopt.adjoint import adjoint_sweep, compute_bundle, control_weight_states, \
     linearized_forward
+from pdeopt.forward import cn_ab2_sweep
 
 from conftest import first_mode_2d, smooth_clamped
 
@@ -151,6 +152,34 @@ class TestDiscreteAdjointIdentity:
                                 x0, tg)
         for _ in range(3):
             assert spacetime_identity_error(heat_model_small, traj, tg, rng) < 1e-11
+
+
+    @pytest.mark.parametrize("kind", ["ks", "ks-linear", "heat", "heat-linear"])
+    def test_initial_row(self, kind, rng):
+        """dt sum_{k=0..nt} <h_k, phi_k> = <d, lam_0> for the linearized
+        stepper started at h_0 = d: pins lam_0, the gradient row, which the
+        identity above leaves out."""
+        if kind.startswith("ks"):
+            g = po.build_grid_1d(48)
+            model = po.make_ks_model(g, lam=30.0, linear=kind == "ks-linear")
+            x0 = smooth_clamped(g, 0.4)
+        else:
+            g = po.build_grid_2d(8, 8)
+            model = po.make_heat_model(g, f_scalar=None if kind == "heat-linear"
+                                       else po.CUBIC_SINK)
+            x0 = first_mode_2d(g, 0.7)
+        tg = po.TimeGrid(tau=0.5, nt=60)
+        u = po.ControlSignal(tg, 0.3 * np.sin(2 * np.pi * tg.times))
+        traj = po.solve_forward(model, u, model.actuator_family.initial_design(), x0, tg)
+        jac, x = model.jacobian_apply, traj.states
+        term = None if jac is None else lambda k, h: jac(x[k], h)
+        for _ in range(3):
+            d = rng.standard_normal(g.size)
+            phi = rng.standard_normal(x.shape)
+            h = cn_ab2_sweep(model.linear_op, tg, d, None, term)
+            lam = adjoint_sweep(model, traj, tg, phi)
+            lhs = tg.dt * float(np.sum(h * phi))
+            assert abs(lhs - float(d @ lam[0])) / abs(lhs) < 1e-11
 
 
 class TestAssembleGradients:

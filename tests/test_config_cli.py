@@ -80,6 +80,15 @@ class TestExperimentConfig:
         cfg = ExperimentConfig().with_value("cost.r_scale", "0.25")
         assert cfg["cost.r_scale"] == 0.25
 
+    def test_constructor_refuses_a_fractional_int(self):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(values={"time.nt": 2.5})
+        assert err.value.field == "time.nt"
+
+    def test_constructor_parses_ini_text(self):
+        n = ExperimentConfig(values={"grid.n": "31"})["grid.n"]
+        assert n == 31 and isinstance(n, int)
+
     def test_with_value_takes_what_the_ini_file_takes(self):
         cfg = ExperimentConfig()
         assert cfg.with_value("grid.nx", 8.0)["grid.nx"] == 8
@@ -501,6 +510,31 @@ class TestSweep:
             summary = json.loads((out / f"actuator_r_init={float(value):g}"
                                   / "summary.json").read_text())
             assert float(final_cost) == summary["final_cost"]
+
+    def test_cli_sweep_gives_close_values_their_own_directories(self, tmp_path):
+        # both values print as 0.5 under %g; each run needs its own directory
+        ini = tmp_path / "exp.ini"
+        self._base_cfg().to_ini(ini)
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", str(ini), "--out", str(out),
+                     "--param", "actuator.r_init", "--values", "0.5000001,0.5000002"])
+        assert code == 0
+        for value in ("0.5000001", "0.5000002"):
+            summary = json.loads((out / f"actuator_r_init={value}"
+                                  / "summary.json").read_text())
+            assert summary["design"] == [float(value)]
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+            "actuator_r_init=0.5000001", "actuator_r_init=0.5000002"]
+
+    def test_cli_sweep_refuses_a_value_given_twice(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        self._base_cfg().to_ini(ini)
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", str(ini), "--out", str(out),
+                     "--param", "actuator.r_init", "--values", "0.4,0.6,0.4"])
+        assert code == 2
+        assert "--values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_sweep_rejects_non_numeric_values(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
