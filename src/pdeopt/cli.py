@@ -19,7 +19,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +104,7 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     u = ControlSignal.zero(tg)
     traj = solve_forward(model, u, design, x0, tg)
     trajectory_to_csv(traj, out / "trajectory.csv")
-    save_checkpoint(traj, grid, out / "trajectory.bin")
+    save_checkpoint(traj, out / "trajectory.bin", grid)
     energies = energy_trace(traj, grid)
     return {
         "pipeline": "simulate",
@@ -131,7 +130,7 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
                                        initial_design=cfg.build_design(model))
     report.to_csv(out / "iterations.csv")
     traj = report.traj
-    trajectory_to_csv(traj, out / "trajectory.csv")
+    save_checkpoint(traj, out / "trajectory.bin", grid)
     _state_csv(out / "final_state.csv", traj.terminal, "x_tau")
     np.savetxt(out / "control.csv", np.column_stack((tg.times, u.values)), fmt="%.16e",
                delimiter=",", header="t,u", comments="")
@@ -276,7 +275,8 @@ def _sweep_worker(args: tuple) -> tuple[float, dict | None, str]:
 def sweep(subcommand: str, cfg: ExperimentConfig, out_dir, param: str,
           values: list[float]) -> list[tuple[float, dict | None, str]]:
     """Run ``subcommand`` once per parameter value; aggregate results to CSV."""
-    cfg.with_value(param, values[0])  # fail fast on a bad parameter name
+    for v in values:  # a bad name or value fails before any run
+        cfg.with_value(param, v)
     # one directory per value, named by its shortest round-trip text
     names = [f"{param.replace('.', '_')}={repr(float(v)).removesuffix('.0')}"
              for v in values]
@@ -289,6 +289,8 @@ def sweep(subcommand: str, cfg: ExperimentConfig, out_dir, param: str,
     tasks = [(subcommand, dict(cfg.values), param, v, str(out / name))
              for v, name in zip(values, names)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
@@ -335,6 +337,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = cfg.with_value("optimizer.seed", args.seed)
         out_dir = args.out if args.out is not None else cfg["output.dir"]
+        for path in (Path(out_dir), *Path(out_dir).parents):
+            if path.exists() and not path.is_dir():
+                raise ConfigError("--out" if args.out is not None else "output.dir",
+                                  f"{path} exists and is not a directory")
         if args.subcommand == "sweep":
             if not args.param or not args.values:
                 print("sweep requires --param and --values", file=sys.stderr)

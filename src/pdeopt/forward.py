@@ -140,8 +140,9 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
     term the trajectory returns to nodal values in one batched transform at
     the end.
 
-    Raises BlowUpError(step) at the first non-finite state, and when ``term``
-    raises PdeoptError.
+    Raises BlowUpError(step) at the first non-finite state, found in one
+    pass over the finished trajectory, and when ``term`` raises PdeoptError
+    on a finite state.
     """
     basis, num, den = crank_nicolson_factors(a_op, tg.dt)
     nt = tg.nt
@@ -159,29 +160,42 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
                 if forced is not None:
                     coef[k + 1] += forced[k]
             states = basis.from_modal(coef)
-            bad = ~np.isfinite(states[1:]).all(axis=1)
-            if bad.any():
-                raise BlowUpError(step=int(np.argmax(bad)) + 1)
+            _check_finite(states[1:])
             return states
 
         states = np.empty((nt + 1, x0.size))
         states[0] = x0
         coef = basis.to_modal(x0)
+        s_k = np.empty_like(coef)
         n_prev = None
         for k in range(nt):
             try:
                 n_k = basis.to_modal(term(k, states[k]))
             except PdeoptError as err:
+                _check_finite(states[1:k + 1])  # a non-finite state the term refused
                 raise BlowUpError(step=k + 1, message=f"step {k + 1}: {err}") from None
-            s_k = n_k if k == 0 else 1.5 * n_k - 0.5 * n_prev
-            coef = ratio * coef + gain * s_k
+            if k:  # s_k = 3/2 N_k - 1/2 N_{k-1}
+                n_prev *= 0.5
+                np.multiply(1.5, n_k, out=s_k)
+                s_k -= n_prev
+                s_k *= gain
+            else:
+                np.multiply(gain, n_k, out=s_k)
+            coef *= ratio
+            coef += s_k
             if forced is not None:
                 coef += forced[k]
             states[k + 1] = basis.from_modal(coef)
-            if not np.isfinite(states[k + 1]).all():
-                raise BlowUpError(step=k + 1)
             n_prev = n_k
+        _check_finite(states[1:])
     return states
+
+
+def _check_finite(rows: np.ndarray) -> None:
+    """Raise BlowUpError naming the first non-finite row of states[1:]."""
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise BlowUpError(step=int(np.argmax(bad)) + 1)
 
 
 def solve_forward(model: ModelSpec, u: ControlSignal | None, design: ActuatorDesign,
@@ -278,7 +292,7 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
 _MAGIC = b"PDEOPTRJ"
 
 
-def save_checkpoint(traj: Trajectory, grid, path) -> None:
+def save_checkpoint(traj: Trajectory, path, grid) -> None:
     """Compact binary checkpoint: grid descriptor header + row-major doubles."""
     if isinstance(grid, Grid1D):
         desc = {"kind": "1d", "n": grid.n}
@@ -295,13 +309,18 @@ def save_checkpoint(traj: Trajectory, grid, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[Trajectory, object]:
+    """Read a ``save_checkpoint`` file back.  Raises ValueError on a foreign
+    file, and on a truncated or overlong one with the byte counts."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path} is not a trajectory checkpoint")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(hlen).decode("utf-8"))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
+        data = fh.read()
+    if not data.startswith(_MAGIC):
+        raise ValueError(f"{path} is not a trajectory checkpoint")
+    start = len(_MAGIC) + 4
+    hlen = struct.unpack_from("<I", data, len(_MAGIC))[0] if len(data) >= start else 0
+    if len(data) < start + hlen:
+        raise ValueError(f"{path}: checkpoint header is truncated, expected at least "
+                         f"{start + hlen} bytes, found {len(data)}")
+    meta = json.loads(data[start:start + hlen].decode("utf-8"))
     desc = meta["grid"]
     if desc["kind"] == "1d":
         grid = build_grid_1d(desc["n"])
@@ -309,5 +328,10 @@ def load_checkpoint(path) -> tuple[Trajectory, object]:
         grid = build_grid_2d(desc["nx"], desc["ny"], desc["lx"], desc["ly"],
                              dirichlet_sides=tuple(desc["dirichlet"]))
     tg = TimeGrid(tau=meta["tau"], nt=meta["nt"])
-    states = payload.reshape(tg.nt + 1, grid.size).copy()
-    return Trajectory(time_grid=tg, states=states), grid
+    start += hlen
+    expect, found = 8 * (tg.nt + 1) * grid.size, len(data) - start
+    if found != expect:
+        raise ValueError(f"{path}: checkpoint payload has {found} bytes, "
+                         f"expected {expect}")
+    states = np.frombuffer(data, dtype="<f8", offset=start).reshape(tg.nt + 1, grid.size)
+    return Trajectory(time_grid=tg, states=states.copy()), grid

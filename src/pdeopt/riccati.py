@@ -108,7 +108,7 @@ def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: fl
     y = np.zeros(n)
     for m in range(nt * refine):
         np.multiply(ratio, x, out=m_part)
-        np.multiply.outer(y, y, out=x)
+        np.einsum("i,j->ij", y, y, out=x)
         x *= weight
         m_part -= x
         m_part.flat[::n + 1] += source
@@ -126,7 +126,7 @@ def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: fl
             z_prev, z = z, z_next
         else:
             raise PdeoptError("Riccati fixed point did not converge in 20 iterations")
-        np.multiply.outer(z, z, out=x)
+        np.einsum("i,j->ij", z, z, out=x)
         x *= weight
         np.subtract(m_part, x, out=x)
         y = z_next

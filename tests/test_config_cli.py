@@ -155,6 +155,14 @@ class TestRunPipelines:
         run("optimize", cfg, out2)
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
+    def test_optimize_writes_the_trajectory_as_a_checkpoint(self, tmp_path):
+        run("optimize", ExperimentConfig(values=dict(SMALL_KS)), tmp_path)
+        assert not (tmp_path / "trajectory.csv").exists()
+        traj, grid = pdeopt.load_checkpoint(tmp_path / "trajectory.bin")
+        assert traj.states.shape == (SMALL_KS["time.nt"] + 1, grid.size)
+        final = np.loadtxt(tmp_path / "final_state.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(traj.terminal, final[:, 1])
+
     def test_optimize_linear_heat_riccati_crosscheck(self, tmp_path):
         cfg = ExperimentConfig(values=dict(SMALL_HEAT_LIN))
         summary = run("optimize", cfg, tmp_path)
@@ -265,6 +273,16 @@ class TestCliEntry:
         cfg.to_ini(ini)
         code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
         assert code == 0
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_exit_two_when_out_names_a_file(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code = main(["simulate", "--out", str(taken / below)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
+        assert taken.read_text() == "not a directory\n"
 
     def test_exit_two_on_malformed_config(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
@@ -458,7 +476,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return [(task[3], None, "not run") for task in tasks]
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         cfg = self._base_cfg().with_value("output.jobs", 64)
         sweep("optimize", cfg, tmp_path, "actuator.r_init", [0.1 * i for i in range(1, 9)])
@@ -534,6 +552,17 @@ class TestSweep:
                      "--param", "actuator.r_init", "--values", "0.4,0.6,0.4"])
         assert code == 2
         assert "--values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_sweep_checks_every_value_before_any_run(self, tmp_path, capsys):
+        # inf is out of range: 0.5 must not run and leave an error row behind
+        ini = tmp_path / "exp.ini"
+        self._base_cfg().to_ini(ini)
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", str(ini), "--out", str(out),
+                     "--param", "actuator.r_init", "--values", "0.5,inf"])
+        assert code == 2
+        assert "actuator.r_init" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cli_sweep_rejects_non_numeric_values(self, tmp_path, capsys):
@@ -663,3 +692,15 @@ def test_core_pipelines_run_without_scipy(tmp_path):
                            *map(str, inis)], env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only a sweep with output.jobs > 1 starts a pool; importing it costs time and memory
+    src = str(Path(pdeopt.__file__).resolve().parents[1])
+    code = ("import sys, pdeopt.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

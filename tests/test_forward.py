@@ -224,10 +224,25 @@ class TestExports:
         states = rng.standard_normal((8, grid.size))
         traj = po.Trajectory(tg, states)
         path = tmp_path / "traj.bin"
-        po.save_checkpoint(traj, grid, path)
+        po.save_checkpoint(traj, path, grid)
         loaded, grid2 = po.load_checkpoint(path)
         assert loaded.time_grid == tg
         assert np.array_equal(loaded.states, states)
         assert grid2.size == grid.size
         if which == "heat":
             assert grid2.dirichlet == grid.dirichlet
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda data: data[:10], "header is truncated, expected at least 12 bytes, found 10"),
+        (lambda data: data[:30], "header is truncated, expected at least 66 bytes, found 30"),
+        (lambda data: data[:-8], "payload has 632 bytes, expected 640"),
+        (lambda data: data + b"\0", "payload has 641 bytes, expected 640"),
+    ], ids=["length", "header", "short-payload", "long-payload"])
+    def test_checkpoint_refuses_a_cut_or_padded_file(self, tmp_path, edit, match):
+        path = tmp_path / "traj.bin"
+        tg = po.TimeGrid(tau=0.3, nt=4)
+        po.save_checkpoint(po.Trajectory(tg, np.ones((5, 16))), path, po.build_grid_1d(16))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match=match) as err:
+            po.load_checkpoint(path)
+        assert str(path) in str(err.value)

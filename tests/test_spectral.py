@@ -35,7 +35,8 @@ def rel_err(got, want):
 
 def dense_cn_ab2(model, uv, design, x0, tg):
     """Nodal CN-AB2 with dense solves of I - dt/2 A: the stepper as written
-    in forward.py's docstring, with no eigenbasis involved."""
+    in forward.py's docstring, with no eigenbasis involved.  Stops after the
+    first non-finite state, which the heat nonlinearity refuses."""
     a = model.linear_op.toarray()
     eye = np.eye(a.shape[0])
     m, p = eye - 0.5 * tg.dt * a, eye + 0.5 * tg.dt * a
@@ -45,6 +46,8 @@ def dense_cn_ab2(model, uv, design, x0, tg):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(tg.nt):
             x = states[k]
+            if not np.isfinite(x).all():
+                break
             n_k = (np.zeros_like(x) if model.nonlinearity is None
                    else model.nonlinearity(x)) + b * uv[k]
             s_k = n_k if k == 0 else 1.5 * n_k - 0.5 * n_prev
@@ -192,6 +195,29 @@ def test_linear_blow_up_step_matches_dense_cn_ab2(grid, nt, data):
     uv = np.ones(nt + 1)
     uv[data.draw(st.integers(0, nt - 1))] = data.draw(st.sampled_from([np.inf, np.nan]))
     x0 = np.ones(grid.size)
+    want = dense_cn_ab2(model, uv, design, x0, tg)
+    first_bad = int(np.argmax(~np.isfinite(want).all(axis=1)))
+    with pytest.raises(BlowUpError) as err:
+        po.solve_forward(model, po.ControlSignal(tg, uv), design, x0, tg)
+    assert err.value.step == first_bad
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["ks", "heat"]), nt=st.integers(2, 20), data=st.data())
+def test_nonlinear_blow_up_step_matches_dense_cn_ab2(kind, nt, data):
+    # The nonlinear path also checks the whole trajectory once, at the end or
+    # when the heat term refuses a non-finite state; it must name the step
+    # the per-step reference fails at.
+    if kind == "ks":
+        model = po.make_ks_model(po.build_grid_1d(data.draw(st.integers(8, 24))), 30.0)
+        tg = po.TimeGrid(tau=1e-3, nt=nt)
+    else:
+        model = po.make_heat_model(data.draw(rect_grids()))
+        tg = po.TimeGrid(tau=0.05, nt=nt)
+    design = model.actuator_family.initial_design()
+    uv = np.ones(nt + 1)
+    uv[data.draw(st.integers(0, nt - 1))] = data.draw(st.sampled_from([np.inf, np.nan]))
+    x0 = 0.5 * np.ones(model.grid.size)
     want = dense_cn_ab2(model, uv, design, x0, tg)
     first_bad = int(np.argmax(~np.isfinite(want).all(axis=1)))
     with pytest.raises(BlowUpError) as err:
