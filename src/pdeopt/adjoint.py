@@ -119,9 +119,10 @@ def linearized_forward(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
     """
     if traj.time_grid != tg:
         raise ValueError("trajectory and requested time grids disagree")
-    jac, x = model.jacobian_apply, traj.states
+    jac, x, a_op = model.jacobian_apply, traj.states, model.linear_op
     term = None if jac is None else lambda k, h: jac(x[k], h)
-    return cn_ab2_sweep(model.linear_op, tg, np.zeros_like(x[0]), forcing[:tg.nt], term)
+    return cn_ab2_sweep(a_op, tg, np.zeros_like(x[0]), a_op.basis.to_modal(forcing[:tg.nt]),
+                        term)
 
 
 def solve_adjoint(model: ModelSpec, traj: Trajectory, weights: CostWeights,
@@ -134,28 +135,8 @@ def solve_adjoint(model: ModelSpec, traj: Trajectory, weights: CostWeights,
     """
     source = (2.0 * weights.q_scale) * tg.weights[:, None] * traj.states
     lam = adjoint_sweep(model, traj, tg, source)
-    return Trajectory(time_grid=tg, states=0.5 * lam)
-
-
-def control_weight_states(p: Trajectory) -> np.ndarray:
-    """Per-sample adjoint combinations pi_j pairing with the input u_j.
-
-    The AB2 stepper pairs u_j with (3/2) lam_{j+1} - (1/2) lam_{j+2}; in terms
-    of the reported p the rows are
-
-        pi_0 = p_1 - p_2 / 2,  pi_j = 3/2 p_{j+1} - 1/2 p_{j+2},
-        pi_{nt-1} = 3/2 p_nt,  pi_nt = 0.
-
-    Divided by the trapezoid weight theta_j they represent B*p against the
-    L2(0,tau) pairing; undivided they feed the design-gradient time integral.
-    """
-    nt = p.time_grid.nt
-    pv = p.states
-    pi = np.zeros_like(pv)
-    pi[1:nt - 1] = 1.5 * pv[2:nt] - 0.5 * pv[3:nt + 1]
-    pi[0] = pv[1] - 0.5 * pv[2]
-    pi[nt - 1] = 1.5 * pv[nt]
-    return pi
+    lam *= 0.5
+    return Trajectory(time_grid=tg, states=lam)
 
 
 @dataclass(frozen=True)
@@ -179,16 +160,27 @@ class GradientBundle:
 def assemble_gradients(model: ModelSpec, traj: Trajectory, p: Trajectory,
                        u: ControlSignal, design: ActuatorDesign,
                        weights: CostWeights) -> GradientBundle:
-    """Gradients with respect to u (L2 representer), r, and x0 (H1 representer)."""
+    """Gradients with respect to u (L2 representer), r, and x0 (H1 representer).
+
+    The AB2 stepper pairs u_j with pi_j = (3/2) p_{j+1} - (1/2) p_{j+2}
+    (pi_0 = p_1 - p_2 / 2, pi_{nt-1} = 3/2 p_nt, pi_nt = 0).  The input is
+    rank one, so both pairings are GEMVs: B*p is <pi_j, b> / theta_j, taken
+    from the nt+1 scalars <p_k, b>, and the design integral sum_j u_j pi_j is
+    the AB2 weights of u against p_1..p_nt.
+    """
     grid = model.grid
     tg = traj.time_grid
     b = model.actuator_family.evaluate(design, grid)
 
-    pi = control_weight_states(p)
-    bstar_p = grid.weight * ((pi @ b) / tg.weights)
+    pb = p.states @ b
+    pi_b = np.zeros_like(pb)
+    pi_b[:-1] = 1.5 * pb[1:]
+    pi_b[0] = pb[1]
+    pi_b[:-2] -= 0.5 * pb[2:]
+    bstar_p = grid.weight * (pi_b / tg.weights)
     grad_u = 2.0 * (weights.r_scale * u.values + bstar_p)
 
-    s = u.values @ pi
+    s = u.ab2 @ p.states[1:]
     # equals the per-step accumulation of actuator_design_derivative_adjoint
     grad_r = actuator_design_derivative_adjoint(model.actuator_family, design,
                                                 1.0, 2.0 * tg.dt * s, grid)

@@ -85,6 +85,13 @@ class ControlSignal:
     def zero(tg: TimeGrid) -> "ControlSignal":
         return ControlSignal(time_grid=tg, values=np.zeros(tg.nt + 1))
 
+    @property
+    def ab2(self) -> np.ndarray:
+        """The nt input weights of the AB2 steps, u_0 and 3/2 u_k - 1/2 u_{k-1}."""
+        u_ab2 = self.values[:-1].copy()
+        u_ab2[1:] = 1.5 * self.values[1:-1] - 0.5 * self.values[:-2]
+        return u_ab2
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -131,14 +138,14 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
 
         M x_{k+1} = P x_k + dt (3/2 N_k - 1/2 N_{k-1}) + dt source_k,
 
-    N_k = term(k, x_k) (plain N_0 on the first step) and source of shape
-    (nt, n).  The state is carried as modal coefficients c_k in A's basis, so
-    a step is the elementwise c_{k+1} = (num/den) c_k + (dt/den) s_k with the
-    right-hand side s_k in modal form.  The state-independent ``source``
-    moves to modal coordinates once, in one batched transform, and only
-    ``term`` makes a round trip per step (N_k in, x_{k+1} out).  Without a
-    term the trajectory returns to nodal values in one batched transform at
-    the end.
+    N_k = term(k, x_k) (plain N_0 on the first step).  The state is carried
+    as modal coefficients c_k in A's basis, so a step is the elementwise
+    c_{k+1} = (num/den) c_k + (dt/den) s_k with the right-hand side s_k in
+    modal form.  The state-independent ``source`` comes already in modal
+    coordinates, shape (nt, *basis.values.shape), and is scaled by dt/den in
+    place; only ``term`` makes a round trip per step (N_k in, x_{k+1} out).
+    Without a term the trajectory returns to nodal values in one batched
+    transform at the end.
 
     Raises BlowUpError(step) at the first non-finite state, found in one
     pass over the finished trajectory, and when ``term`` raises PdeoptError
@@ -148,17 +155,15 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
     nt = tg.nt
     ratio, gain = num / den, tg.dt / den
     with np.errstate(over="ignore", invalid="ignore"):
-        forced = None
         if source is not None:
-            forced = basis.to_modal(source)
-            forced *= gain
+            source *= gain
         if term is None:
             coef = np.empty((nt + 1, *ratio.shape))
             coef[0] = basis.to_modal(x0)
             for k in range(nt):
                 np.multiply(ratio, coef[k], out=coef[k + 1])
-                if forced is not None:
-                    coef[k + 1] += forced[k]
+                if source is not None:
+                    coef[k + 1] += source[k]
             states = basis.from_modal(coef)
             _check_finite(states[1:])
             return states
@@ -183,8 +188,8 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
                 np.multiply(gain, n_k, out=s_k)
             coef *= ratio
             coef += s_k
-            if forced is not None:
-                coef += forced[k]
+            if source is not None:
+                coef += source[k]
             states[k + 1] = basis.from_modal(coef)
             n_prev = n_k
         _check_finite(states[1:])
@@ -210,10 +215,8 @@ def solve_forward(model: ModelSpec, u: ControlSignal | None, design: ActuatorDes
 
     b = model.actuator_family.evaluate(design, grid)  # checks the design
     source = None
-    if np.any(uv[:-1]):
-        u_ab2 = uv[:-1].copy()  # AB2 extrapolation of the input term b u_k
-        u_ab2[1:] = 1.5 * uv[1:-1] - 0.5 * uv[:-2]
-        source = np.outer(u_ab2, b)
+    if np.any(uv[:-1]):  # the rank-one input b u_k in modal form, from one transform of b
+        source = np.multiply.outer(u.ab2, model.linear_op.basis.to_modal(b))
     term = None if model.nonlinearity is None else lambda k, x: model.nonlinearity(x)
     states = cn_ab2_sweep(model.linear_op, tg, x0, source, term)
     return Trajectory(time_grid=tg, states=states)

@@ -62,7 +62,7 @@ class ScalarNonlinearity:
 
 
 CUBIC_SINK = ScalarNonlinearity(
-    value=lambda z: -z**3,
+    value=lambda z: -(z * z * z),
     derivative=lambda z: -3.0 * z**2,
     sign_condition=True,
 )
@@ -72,7 +72,7 @@ def heat_nonlinearity(w: np.ndarray, f_scalar: ScalarNonlinearity) -> np.ndarray
     """Pointwise application F(w_i)."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = f_scalar.value(w)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise PdeoptError("pointwise nonlinearity overflowed to a non-finite value")
     return out
 

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import pdeopt as po
-from pdeopt.adjoint import adjoint_sweep, compute_bundle, control_weight_states, \
-    linearized_forward
+from pdeopt.adjoint import adjoint_sweep, assemble_gradients, compute_bundle, \
+    linearized_forward, solve_adjoint
 from pdeopt.forward import cn_ab2_sweep
+from pdeopt.models import actuator_design_derivative_adjoint
 
 from conftest import first_mode_2d, smooth_clamped
 
@@ -19,6 +22,49 @@ def spacetime_identity_error(model, traj, tg, rng):
     lhs = tg.dt * w * float(np.sum(h[1:] * phi[1:]))
     rhs = tg.dt * w * float(np.sum(g[:-1] * lam[1:]))
     return abs(lhs - rhs) / max(abs(lhs), 1e-300)
+
+
+def reference_pi_rows(p):
+    """AB2 pairing rows of the reported adjoint p, one n-vector per input
+    sample, built step by step: u_j enters step j with weight 3/2 (1 on the
+    first step) and step j+1 with weight -1/2, and step k is paired with
+    p_{k+1}.  So pi_0 = p_1 - p_2 / 2, pi_j = 3/2 p_{j+1} - 1/2 p_{j+2},
+    pi_{nt-1} = 3/2 p_nt and pi_nt = 0."""
+    nt, pv = p.time_grid.nt, p.states
+    pi = np.zeros_like(pv)
+    for j in range(nt):
+        pi[j] = (1.0 if j == 0 else 1.5) * pv[j + 1]
+        if j + 1 < nt:
+            pi[j] -= 0.5 * pv[j + 2]
+    return pi
+
+
+def reference_gradients(model, p, u, design, weights):
+    """grad_u and grad_r from the nodal pi rows: B*p = <pi_j, b> / theta_j,
+    and the design gradient accumulated one time sample at a time."""
+    grid, tg = model.grid, p.time_grid
+    pi = reference_pi_rows(p)
+    b = model.actuator_family.evaluate(design, grid)
+    grad_u = 2.0 * (weights.r_scale * u.values + grid.weight * (pi @ b) / tg.weights)
+    grad_r = sum(actuator_design_derivative_adjoint(model.actuator_family, design, u_j,
+                                                    2.0 * tg.dt * pi_j, grid)
+                 for u_j, pi_j in zip(u.values, pi))
+    return grad_u, grad_r
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes traced while it ran, above those live before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 class TestCostWeights:
@@ -207,12 +253,65 @@ class TestAssembleGradients:
                                       x0, po.CostWeights(), tg)
         assert np.all(bundle.grad_r == 0.0)
 
-    def test_control_weight_states_shapes(self, rng):
+    def test_reference_pi_rows_ends(self, rng):
         tg = po.TimeGrid(tau=1.0, nt=6)
         p = po.Trajectory(tg, rng.standard_normal((7, 4)))
-        pi_raw = control_weight_states(p)
+        pi_raw = reference_pi_rows(p)
         assert np.all(pi_raw[-1] == 0.0)
         assert pi_raw[tg.nt - 1] == pytest.approx(1.5 * p.states[tg.nt])
+
+    @pytest.mark.parametrize("nt", [2, 3, 30])
+    @pytest.mark.parametrize("kind", ["ks", "heat-linear", "heat"])
+    def test_matches_reference_pi_rows(self, kind, nt, rng):
+        """The rank-one pairings (B*p from <p_k, b>, the design integral from
+        the AB2 weights of u) equal the nodal pi-row assembly; nt = 2 leaves
+        the interior slices empty."""
+        if kind == "ks":
+            # off the symmetric center r = 0.5, where grad_r is a cancellation
+            # residue of the mirror-symmetric state and measures only rounding
+            g = po.build_grid_1d(32)
+            model, x0 = po.make_ks_model(g, lam=30.0), smooth_clamped(g, 0.4)
+            design = po.ActuatorDesign.of(0.3)
+        else:
+            g = po.build_grid_2d(8, 8)
+            model = po.make_heat_model(g, f_scalar=None if kind == "heat-linear"
+                                       else po.CUBIC_SINK)
+            x0 = first_mode_2d(g, 0.7)
+            design = model.actuator_family.initial_design()
+        tg = po.TimeGrid(tau=0.2, nt=nt)
+        u = po.ControlSignal(tg, rng.standard_normal(nt + 1))
+        weights = po.CostWeights(r_scale=0.1)
+        bundle, _, p = compute_bundle(model, u, design, x0, weights, tg)
+        want_u, want_r = reference_gradients(model, p, u, design, weights)
+        for got, want in ((bundle.grad_u, want_u), (bundle.grad_r, want_r)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+class TestAllocation:
+    """A gradient evaluation holds no trajectory-sized temporary beyond the
+    rank-one input's modal forcing: 32x32 cubic heat with u != 0."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        g = po.build_grid_2d(32, 32)
+        model = po.make_heat_model(g)
+        tg = po.TimeGrid(tau=0.1, nt=100)
+        u = po.ControlSignal(tg, np.random.default_rng(0).standard_normal(tg.nt + 1))
+        design, weights = model.actuator_family.initial_design(), po.CostWeights()
+        x0 = first_mode_2d(g)
+        traj = po.solve_forward(model, u, design, x0, tg)  # builds the eigenbasis
+        p = solve_adjoint(model, traj, weights, tg)
+        return model, u, design, x0, weights, traj, p
+
+    def test_solve_forward_peak(self, case):
+        model, u, design, x0, _, traj, _ = case
+        got, peak = traced_peak(lambda: po.solve_forward(model, u, design, x0, traj.time_grid))
+        assert peak < 2.5 * got.states.nbytes
+
+    def test_assemble_gradients_peak(self, case):
+        model, u, design, _, weights, traj, p = case
+        _, peak = traced_peak(lambda: assemble_gradients(model, traj, p, u, design, weights))
+        assert peak < 0.5 * p.states.nbytes
 
 
 class TestGradientCheck:

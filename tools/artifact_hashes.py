@@ -46,18 +46,24 @@ def runs() -> list[tuple[str, str, dict]]:
     return out
 
 
+def write_runs(src, root: Path):
+    """Run every config with the `pdeopt` under ``src`` into ``root / label``,
+    yielding (label, output directory) after each run."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    from pdeopt.cli import run
+    from pdeopt.config import ExperimentConfig
+
+    for label, sub, values in runs():
+        run(sub, ExperimentConfig(values=values), root / label)
+        yield label, root / label
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    sys.path.insert(0, str(Path(argv[0]).resolve()))
-    from pdeopt.cli import run
-    from pdeopt.config import ExperimentConfig
-
     with tempfile.TemporaryDirectory() as tmp:
-        for label, sub, values in runs():
-            out = Path(tmp) / label
-            run(sub, ExperimentConfig(values=values), out)
+        for label, out in write_runs(argv[0], Path(tmp)):
             hashes = [f"{p.name}={hashlib.sha256(p.read_bytes()).hexdigest()}"
                       for p in sorted(out.iterdir())
                       if p.is_file() and p.name != "manifest.json"]
