@@ -78,7 +78,11 @@ def adjoint_sweep(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
     space-time pairing sum_k dt <x_k, source_k> along an initial perturbation.
 
     It steps in the forward sweep's modal coordinates, where only the G_j^T
-    term makes a round trip per step.
+    term makes a round trip per step.  ``source`` comes already in those
+    coordinates, shape (nt+1, *basis.values.shape), and the sweep owns it:
+    it is scaled in place into the modal lam rows, which return to nodal
+    values over the same buffer (a new array on one-factor operators, whose
+    single GEMM cannot run in place).
     """
     if traj.time_grid != tg:
         raise ValueError("trajectory and requested time grids disagree")
@@ -90,7 +94,7 @@ def adjoint_sweep(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
     def term_t(j, comb):
         return basis.to_modal(jac_t(x[j], basis.from_modal(comb)))
 
-    coef = basis.to_modal(source)
+    coef = source
     coef *= dt
     coef[1:] /= den
     coef[nt - 1] += ratio * coef[nt]
@@ -102,7 +106,7 @@ def adjoint_sweep(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
             step += (gain if j else dt) * term_t(
                 j, (1.5 if j else 1.0) * coef[j + 1] - 0.5 * coef[j + 2])
         coef[j] += step
-    return basis.from_modal(coef)
+    return basis.from_modal(coef, overwrite=True)
 
 
 def linearized_forward(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
@@ -131,9 +135,12 @@ def solve_adjoint(model: ModelSpec, traj: Trajectory, weights: CostWeights,
 
     The terminal value is the exact transpose of the last Crank-Nicolson step
     against the trapezoid cost weight, which is O(dt) rather than literally
-    zero; it converges to the continuous condition p(tau) = 0.
+    zero; it converges to the continuous condition p(tau) = 0.  The source
+    2 q theta_k x_k is formed in modal coordinates, from one batched
+    transform of the states whose rows are then scaled in place.
     """
-    source = (2.0 * weights.q_scale) * tg.weights[:, None] * traj.states
+    source = model.linear_op.basis.to_modal(traj.states)
+    source *= ((2.0 * weights.q_scale) * tg.weights).reshape(-1, *[1] * (source.ndim - 1))
     lam = adjoint_sweep(model, traj, tg, source)
     lam *= 0.5
     return Trajectory(time_grid=tg, states=lam)

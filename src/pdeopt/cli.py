@@ -360,7 +360,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except BlowUpError as err:
-        print(f"trajectory blow-up at step {err.step}", file=sys.stderr)
+        print(f"trajectory blow-up: {err}", file=sys.stderr)
         return 3
     except PdeoptError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -308,7 +308,7 @@ def save_checkpoint(traj: Trajectory, path, grid) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        fh.write(np.ascontiguousarray(traj.states, dtype="<f8").tobytes())
+        np.ascontiguousarray(traj.states, dtype="<f8").tofile(fh)
 
 
 def load_checkpoint(path) -> tuple[Trajectory, object]:

@@ -112,6 +112,11 @@ class SpectralBasis:
     Both maps accept leading batch axes: ``to_modal`` takes x of shape
     (..., n) to coefficients of shape (..., *values.shape), and
     ``from_modal`` maps them back, so a whole trajectory moves in one call.
+    ``from_modal(c, overwrite=True)`` may reuse c's buffer, whose values
+    are then lost: the Kronecker path writes its second GEMM into c (only
+    the first GEMM reads it) and returns a view of c.  The one-factor map is
+    a single GEMM, which cannot write over its own input without a full
+    copy, so it returns a new array either way.
     """
 
     vectors: tuple
@@ -130,13 +135,14 @@ class SpectralBasis:
         xv = x.reshape(-1, len(vx)) @ vx  # one GEMM over every row of every state
         return vy.T @ xv.reshape(*lead, len(vy), len(vx))
 
-    def from_modal(self, c: np.ndarray) -> np.ndarray:
+    def from_modal(self, c: np.ndarray, overwrite: bool = False) -> np.ndarray:
         if len(self.vectors) == 1:
             return c @ self.vectors[0].T
         vy, vx = self.vectors
         lead = c.shape[:-2]
         cv = c.reshape(-1, len(vx)) @ vx.T
-        return (vy @ cv.reshape(*lead, len(vy), len(vx))).reshape(*lead, -1)
+        out = c if overwrite else None
+        return np.matmul(vy, cv.reshape(*lead, len(vy), len(vx)), out=out).reshape(*lead, -1)
 
 
 @dataclass(frozen=True)

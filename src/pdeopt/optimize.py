@@ -224,14 +224,14 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
             if pred <= 0:
                 break  # projection moved nowhere useful; stationary in the moving blocks
             try:
-                traj_trial = solve_forward(model, u_trial, d_trial, x0, tg)
+                cost_trial = evaluate_cost(solve_forward(model, u_trial, d_trial, x0, tg),
+                                           u_trial, weights, model.grid)
             except BlowUpError:
                 alpha *= config.backtrack
                 backtracked = True
                 continue
-            cost_trial = evaluate_cost(traj_trial, u_trial, weights, model.grid)
             if cost_trial <= bundle.cost - config.armijo_c1 * pred:
-                u, design, traj = u_trial, d_trial, traj_trial
+                u, design = u_trial, d_trial
                 accepted = True
                 break
             alpha *= config.backtrack
@@ -311,7 +311,7 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
 
     def ascend(x0_init: np.ndarray, label: str) -> dict:
         x0 = project_V_ball(x0_init, sets.r2, grid)
-        bundle, traj, p = compute_bundle(model, u_fixed, design_fixed, x0, weights, tg)
+        bundle = compute_bundle(model, u_fixed, design_fixed, x0, weights, tg)[0]
         alpha = config.step0
         for it in range(config.max_iters + 1):
             g_v = bundle.grad_x0  # H1 representer of dJ/dx0 (= 2 * riesz(p0))
@@ -335,11 +335,12 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
                 if pred <= 0:
                     break
                 try:
-                    traj_trial = solve_forward(model, u_fixed, design_fixed, x_trial, tg)
+                    cost_trial = evaluate_cost(
+                        solve_forward(model, u_fixed, design_fixed, x_trial, tg),
+                        u_fixed, weights, grid)
                 except BlowUpError:
                     alpha *= config.backtrack
                     continue
-                cost_trial = evaluate_cost(traj_trial, u_fixed, weights, grid)
                 if cost_trial >= bundle.cost + config.armijo_c1 * pred:
                     x0 = x_trial
                     accepted = True
@@ -348,7 +349,7 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
             if not accepted:
                 stop = "no acceptable ascent step"
                 break
-            bundle, traj, p = compute_bundle(model, u_fixed, design_fixed, x0, weights, tg)
+            bundle = compute_bundle(model, u_fixed, design_fixed, x0, weights, tg)[0]
         return {
             "label": label, "x0": x0, "cost": bundle.cost, "mu": mu,
             "kkt_residual": kkt, "x0_h1_norm": norm_x0, "active": active,

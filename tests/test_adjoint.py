@@ -18,7 +18,7 @@ def spacetime_identity_error(model, traj, tg, rng):
     g = rng.standard_normal(traj.states.shape)
     phi = rng.standard_normal(traj.states.shape)
     h = linearized_forward(model, traj, tg, g)
-    lam = adjoint_sweep(model, traj, tg, phi)
+    lam = adjoint_sweep(model, traj, tg, model.linear_op.basis.to_modal(phi))
     lhs = tg.dt * w * float(np.sum(h[1:] * phi[1:]))
     rhs = tg.dt * w * float(np.sum(g[:-1] * lam[1:]))
     return abs(lhs - rhs) / max(abs(lhs), 1e-300)
@@ -223,7 +223,7 @@ class TestDiscreteAdjointIdentity:
             d = rng.standard_normal(g.size)
             phi = rng.standard_normal(x.shape)
             h = cn_ab2_sweep(model.linear_op, tg, d, None, term)
-            lam = adjoint_sweep(model, traj, tg, phi)
+            lam = adjoint_sweep(model, traj, tg, model.linear_op.basis.to_modal(phi))
             lhs = tg.dt * float(np.sum(h * phi))
             assert abs(lhs - float(d @ lam[0])) / abs(lhs) < 1e-11
 
@@ -289,7 +289,8 @@ class TestAssembleGradients:
 
 class TestAllocation:
     """A gradient evaluation holds no trajectory-sized temporary beyond the
-    rank-one input's modal forcing: 32x32 cubic heat with u != 0."""
+    rank-one input's modal forcing, and the adjoint no more than its modal
+    source and one GEMM intermediate: 32x32 cubic heat with u != 0."""
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -312,6 +313,22 @@ class TestAllocation:
         model, u, design, _, weights, traj, p = case
         _, peak = traced_peak(lambda: assemble_gradients(model, traj, p, u, design, weights))
         assert peak < 0.5 * p.states.nbytes
+
+    def test_solve_adjoint_peak(self, case):
+        model, _, _, _, weights, traj, p = case
+        _, peak = traced_peak(lambda: solve_adjoint(model, traj, weights, traj.time_grid))
+        assert peak < 2.5 * p.states.nbytes
+
+    def test_minimize_joint_peak(self, case):
+        # an accepted step's compute_bundle holds the previous iterate's
+        # trajectory and adjoint next to the new ones; the returned report
+        # keeps one of each
+        model, _, _, x0, weights, traj, _ = case
+        sets = po.AdmissibleSets(family=model.actuator_family)
+        (_, _, report), peak = traced_peak(lambda: po.minimize_joint(
+            model, sets, weights, x0, traj.time_grid, po.OptimizerConfig()))
+        assert len(report.iterations) >= 2  # at least one accepted step
+        assert peak < 5.5 * traj.states.nbytes
 
 
 class TestGradientCheck:

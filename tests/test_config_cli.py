@@ -291,6 +291,19 @@ class TestCliEntry:
         assert code == 2
         assert "model.kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+    def test_exit_two_on_unreadable_config(self, tmp_path, capsys, case):
+        ini = tmp_path / "exp.ini"
+        if case == "directory":
+            ini.mkdir()
+        elif case == "not-utf8":
+            ini.write_bytes(b"[model]\nkind = ks\n# caf\xe9\n")
+        code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config field '(file)'" in err and str(ini) in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("section,key,raw", [
         ("optimizer", "backtrack", "2.0"),
         ("optimizer", "armijo_c1", "0.0"),
@@ -410,6 +423,14 @@ class TestCliEntry:
         code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "step" in capsys.readouterr().err
+
+    def test_exit_three_names_the_cause(self, tmp_path, capsys):
+        ini = tmp_path / "boom.ini"
+        ini.write_text("[model]\nkind = heat\n\n[grid]\nnx = 8\nny = 8\n\n"
+                       "[initial_condition]\namplitude = 1e110\n")
+        code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "nonlinearity overflowed" in capsys.readouterr().err
 
     def test_exit_one_when_riccati_sweep_fails(self, tmp_path, capsys):
         # linear KS at lambda = 60: the Riccati fixed point does not converge

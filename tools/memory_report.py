@@ -1,0 +1,129 @@
+"""Print the memory footprint of each benchmark workload's pipeline.
+
+    python3 tools/memory_report.py SRC [WORKLOAD]
+
+SRC is the `src` directory of a checkout; its `pdeopt` runs the benchmark
+workloads at seed 0 (taken from `perfbench/workloads.py` next to this
+script), or only WORKLOAD, through `pdeopt.cli.run`.  Each workload runs in
+a child process of its own, since the page faults of a run depend on what
+the heap holds from earlier runs in the same process, and prints one line
+with:
+
+- the tracemalloc peak of one run, in trajectories of (time.nt + 1) x n
+  float64 values, and the innermost `pdeopt` functions (up to three, inner
+  first) that were running when the traced memory reached that peak (a
+  profile hook reads the peak at every call and return);
+- the minor page faults (`ru_minflt`) of one untraced run, the median of
+  REPEATS runs after one warm-up run.  Fresh pages the heap maps, and
+  remaps after returning them to the system, show up here.
+
+BLAS runs on one thread, as in `perfbench/run.py`, unless the environment
+sets the thread counts.
+
+A run that raises ends the script with a traceback and a nonzero status.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 3
+DEPTH = 3
+
+
+def _faults_per_run(run) -> int:
+    run()  # warm-up: imports, first-use caches, the heap's first growth
+    counts = []
+    for _ in range(REPEATS):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run()
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return int(statistics.median(counts))
+
+
+def _traced_peak(run) -> tuple[int, str]:
+    """Peak traced bytes above those live at the start, and where it fell."""
+    peak, where = 0, "(outside pdeopt)"
+
+    def hook(frame, event, _arg):
+        nonlocal peak, where
+        now = tracemalloc.get_traced_memory()[1]
+        if now <= peak:
+            return
+        peak = now
+        # the peak grew while the caller of a new frame was running
+        f = frame.f_back if event == "call" else frame
+        chain = []
+        while f is not None and len(chain) < DEPTH:
+            module = f.f_globals.get("__name__", "")
+            if module.startswith("pdeopt."):
+                code = f.f_code
+                chain.append(f"{module}.{getattr(code, 'co_qualname', code.co_name)}")
+            f = f.f_back
+        where = " < ".join(chain) or "(outside pdeopt)"
+
+    tracemalloc.start()
+    try:
+        base = peak = tracemalloc.get_traced_memory()[0]
+        sys.setprofile(hook)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return peak - base, where
+    finally:
+        tracemalloc.stop()
+
+
+def _report(src: str, name: str) -> None:
+    sys.path.insert(0, str(Path(src).resolve()))
+    import workloads
+    from pdeopt.cli import run
+    from pdeopt.config import ExperimentConfig
+
+    subcommand, configs, _ = workloads.make_inputs(name, 0)
+    cfg = ExperimentConfig(values=configs[0])
+    trajectory = 8 * (cfg["time.nt"] + 1) * cfg.build_grid().size
+    with tempfile.TemporaryDirectory() as tmp:
+        def once():
+            run(subcommand, cfg, Path(tmp) / name)
+
+        faults = _faults_per_run(once)
+        peak, where = _traced_peak(once)
+    print(f"{name}: traced peak {peak / 2**20:.2f} MiB = "
+          f"{peak / trajectory:.2f} trajectories of {trajectory / 2**20:.2f} MiB "
+          f"in {where}; {faults} minor faults per run", flush=True)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 2):
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    if len(argv) == 2:
+        if argv[1] not in workloads.WORKLOADS:
+            print(f"unknown workload {argv[1]!r}; one of {', '.join(workloads.WORKLOADS)}",
+                  file=sys.stderr)
+            return 2
+        _report(*argv)
+        return 0
+    for name in workloads.WORKLOADS:
+        if subprocess.run([sys.executable, __file__, argv[0], name]).returncode:
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
