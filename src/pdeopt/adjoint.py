@@ -78,11 +78,11 @@ def adjoint_sweep(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
     space-time pairing sum_k dt <x_k, source_k> along an initial perturbation.
 
     It steps in the forward sweep's modal coordinates, where only the G_j^T
-    term makes a round trip per step.  ``source`` comes already in those
-    coordinates, shape (nt+1, *basis.values.shape), and the sweep owns it:
-    it is scaled in place into the modal lam rows, which return to nodal
-    values over the same buffer (a new array on one-factor operators, whose
-    single GEMM cannot run in place).
+    term makes a round trip per step, through buffers made once.
+    ``source`` comes already in those coordinates, shape
+    (nt+1, *basis.values.shape), and the sweep owns it: it is scaled in
+    place into the modal lam rows, which return to nodal values over the
+    same buffer.
     """
     if traj.time_grid != tg:
         raise ValueError("trajectory and requested time grids disagree")
@@ -91,22 +91,24 @@ def adjoint_sweep(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
     ratio, gain = num / den, dt / den
     jac_t, x = model.jacobian_adjoint_apply, traj.states
 
-    def term_t(j, comb):
-        return basis.to_modal(jac_t(x[j], basis.from_modal(comb)))
-
-    coef = source
-    coef *= dt
-    coef[1:] /= den
-    coef[nt - 1] += ratio * coef[nt]
-    if jac_t is not None:
-        coef[nt - 1] += gain * term_t(nt - 1, 1.5 * coef[nt])
-    for j in range(nt - 2, -1, -1):
-        step = (ratio if j else num) * coef[j + 1]
-        if jac_t is not None:
-            step += (gain if j else dt) * term_t(
-                j, (1.5 if j else 1.0) * coef[j + 1] - 0.5 * coef[j + 2])
-        coef[j] += step
-    return basis.from_modal(coef, overwrite=True)
+    lam = source
+    lam *= dt
+    lam[1:] /= den
+    step, comb, older = (np.empty_like(lam[0]) for _ in range(3))
+    nodal = np.empty_like(x[0])
+    for j in range(nt - 1, -1, -1):
+        np.multiply(ratio if j else num, lam[j + 1], out=step)
+        if jac_t is not None:  # comb = 3/2 lam_{j+1} - 1/2 lam_{j+2}, with 1 for 3/2 at j = 0
+            np.multiply(1.5 if j else 1.0, lam[j + 1], out=comb)
+            if j < nt - 1:
+                np.multiply(0.5, lam[j + 2], out=older)
+                comb -= older
+            basis.from_modal(comb, out=nodal)
+            basis.to_modal(jac_t(x[j], nodal), out=comb)
+            comb *= gain if j else dt
+            step += comb
+        lam[j] += step
+    return basis.from_modal(lam, out=lam)
 
 
 def linearized_forward(model: ModelSpec, traj: Trajectory, tg: TimeGrid,

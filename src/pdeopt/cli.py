@@ -147,7 +147,7 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
         "u_ball_active": res.u_active,
         "design_active": res.r_active.tolist(),
         "design": design.params.tolist(),
-        "margin": energy_margin(model, traj, u, design),
+        "margin": report.final["margin"],
     }
     if model.is_linear:
         chk = verify_feedback_consistency(model, sets, weights, x0,

@@ -143,9 +143,10 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
     c_{k+1} = (num/den) c_k + (dt/den) s_k with the right-hand side s_k in
     modal form.  The state-independent ``source`` comes already in modal
     coordinates, shape (nt, *basis.values.shape), and is scaled by dt/den in
-    place; only ``term`` makes a round trip per step (N_k in, x_{k+1} out).
-    Without a term the trajectory returns to nodal values in one batched
-    transform at the end.
+    place; only ``term`` makes a round trip per step (N_k in, x_{k+1} out),
+    one state at a time through buffers made once per sweep.  Without a term
+    the trajectory returns to nodal values in one batched transform at the
+    end, written over the modal rows.
 
     Raises BlowUpError(step) at the first non-finite state, found in one
     pass over the finished trajectory, and when ``term`` raises PdeoptError
@@ -164,34 +165,35 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
                 np.multiply(ratio, coef[k], out=coef[k + 1])
                 if source is not None:
                     coef[k + 1] += source[k]
-            states = basis.from_modal(coef)
+            states = basis.from_modal(coef, out=coef)
             _check_finite(states[1:])
             return states
 
+        # N_k and N_{k-1} swap buffers each step; the AB2 weights carry dt/den
         states = np.empty((nt + 1, x0.size))
         states[0] = x0
         coef = basis.to_modal(x0)
-        s_k = np.empty_like(coef)
-        n_prev = None
+        n_k, n_prev, s_k = (np.empty_like(coef) for _ in range(3))
+        w_new, w_old = 1.5 * gain, 0.5 * gain
         for k in range(nt):
             try:
-                n_k = basis.to_modal(term(k, states[k]))
+                basis.to_modal(term(k, states[k]), out=n_k)
             except PdeoptError as err:
                 _check_finite(states[1:k + 1])  # a non-finite state the term refused
                 raise BlowUpError(step=k + 1, message=f"step {k + 1}: {err}") from None
-            if k:  # s_k = 3/2 N_k - 1/2 N_{k-1}
-                n_prev *= 0.5
-                np.multiply(1.5, n_k, out=s_k)
-                s_k -= n_prev
-                s_k *= gain
+            coef *= ratio
+            if k:
+                np.multiply(w_new, n_k, out=s_k)
+                coef += s_k
+                np.multiply(w_old, n_prev, out=s_k)
+                coef -= s_k
             else:
                 np.multiply(gain, n_k, out=s_k)
-            coef *= ratio
-            coef += s_k
+                coef += s_k
             if source is not None:
                 coef += source[k]
-            states[k + 1] = basis.from_modal(coef)
-            n_prev = n_k
+            basis.from_modal(coef, out=states[k + 1])
+            n_k, n_prev = n_prev, n_k
         _check_finite(states[1:])
     return states
 

@@ -309,6 +309,16 @@ class TestAllocation:
         got, peak = traced_peak(lambda: po.solve_forward(model, u, design, x0, traj.time_grid))
         assert peak < 2.5 * got.states.nbytes
 
+    def test_solve_forward_peak_linear(self, case):
+        # the linear sweep holds the modal source, the modal trajectory and
+        # one GEMM intermediate; the nodal rows go back over the modal ones
+        model, u, design, x0, _, traj, _ = case
+        linear = po.make_heat_model(model.grid, f_scalar=None)
+        linear.linear_op.basis  # built outside the traced call
+        got, peak = traced_peak(lambda: po.solve_forward(linear, u, design, x0,
+                                                         traj.time_grid))
+        assert peak < 3.5 * got.states.nbytes
+
     def test_assemble_gradients_peak(self, case):
         model, u, design, _, weights, traj, p = case
         _, peak = traced_peak(lambda: assemble_gradients(model, traj, p, u, design, weights))
@@ -318,6 +328,19 @@ class TestAllocation:
         model, _, _, _, weights, traj, p = case
         _, peak = traced_peak(lambda: solve_adjoint(model, traj, weights, traj.time_grid))
         assert peak < 2.5 * p.states.nbytes
+
+    def test_solve_adjoint_peak_ks(self):
+        # the one-factor from_modal(lam, out=lam) runs by blocks of rows, so
+        # the modal source is the adjoint's only trajectory-sized array
+        g = po.build_grid_1d(128)
+        model = po.make_ks_model(g, lam=30.0)
+        tg = po.TimeGrid(tau=0.2, nt=400)
+        u = po.ControlSignal(tg, np.random.default_rng(0).standard_normal(tg.nt + 1))
+        weights = po.CostWeights()
+        traj = po.solve_forward(model, u, po.ActuatorDesign.of(0.3),
+                                smooth_clamped(g, 0.4), tg)  # builds the eigenbasis
+        p, peak = traced_peak(lambda: solve_adjoint(model, traj, weights, tg))
+        assert peak < 1.5 * p.states.nbytes
 
     def test_minimize_joint_peak(self, case):
         # an accepted step's compute_bundle holds the previous iterate's

@@ -6,6 +6,8 @@ is a Kronecker product applied through x.reshape(ny, nx), so these checks use
 nx != ny and lx != ly, where a transposed reshape would show.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,17 +138,56 @@ def test_batched_modal_transforms_match_rows(grid, batch, seed):
         assert rel_err(basis.from_modal(c), x) <= 1e-13
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(grid=rect_grids(), batch=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_modal_transforms_into_out_match_the_allocating_maps(grid, batch, seed):
+    # one state and a batch; the dense V checks the values, where a swapped
+    # factor or a transposed reshape in either path would show
+    rng = np.random.default_rng(seed)
+    for basis in (po.heat_operator(grid).basis,
+                  po.ks_operator(po.build_grid_1d(grid.size), 30.0).basis):
+        v = basis.matrix
+        for lead in ((), (batch,)):
+            x = rng.standard_normal((*lead, grid.size))
+            c = np.empty((*lead, *basis.values.shape))
+            assert np.shares_memory(basis.to_modal(x, out=c), c)
+            assert np.array_equal(c, basis.to_modal(x))
+            assert rel_err(c.reshape(x.shape), x @ v) <= 1e-13
+            back = np.empty_like(x)
+            assert np.shares_memory(basis.from_modal(c, out=back), back)
+            assert np.array_equal(back, basis.from_modal(c))
+            assert rel_err(back, c.reshape(x.shape) @ v.T) <= 1e-13
+
+
 @pytest.mark.parametrize("kind", ["heat", "ks"])
 def test_from_modal_overwrite_gives_the_same_rows(kind, rng):
-    # the Kronecker map writes its result over c; the one-factor map cannot
+    # out=c: the Kronecker map writes its second GEMM over c, and the
+    # one-factor map its single GEMM, a block of rows at a time
     grid = po.build_grid_2d(6, 5)
     basis = po.heat_operator(grid).basis if kind == "heat" \
         else po.ks_operator(po.build_grid_1d(grid.size), 30.0).basis
     c = rng.standard_normal((4, *basis.values.shape))
     want = basis.from_modal(c)
-    got = basis.from_modal(c, overwrite=True)
+    got = basis.from_modal(c, out=c)
     assert np.array_equal(got, want)
-    assert np.shares_memory(got, c) == (kind == "heat")
+    assert np.shares_memory(got, c)
+
+
+def test_one_factor_from_modal_over_c_holds_no_copy_of_c(rng):
+    # numpy copies all of an input that overlaps out; over more rows than one
+    # block, from_modal(c, out=c) holds a block's copy and no more
+    basis = po.ks_operator(po.build_grid_1d(64), 30.0).basis
+    c = rng.standard_normal((301, 64))
+    want = c @ basis.matrix.T
+    tracemalloc.start()
+    try:
+        got = basis.from_modal(c, out=c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(got, c)
+    assert rel_err(got, want) <= 1e-13
+    assert peak < 0.25 * c.nbytes
 
 
 def _forward_case(model, rng, tg, amplitude):

@@ -4,7 +4,10 @@ test suite, and not only in a traced benchmark run."""
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 import pdeopt
 import pdeopt.cli  # noqa: F401  (the tracer wraps the CLI pipelines)
@@ -50,3 +53,26 @@ def test_tracer_wraps_every_target_and_restores_it():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_each_step_calls_the_model_once_through_its_spec():
+    # A sweep that inlined the model's nonlinearity or Jacobian would read 0
+    # in the traced per-layer counts instead of one call per step.
+    tracing = _load_tracing()
+    grid = pdeopt.build_grid_2d(6, 5)
+    model = pdeopt.make_heat_model(grid)
+    tg = pdeopt.TimeGrid(tau=0.1, nt=12)
+    x0 = np.random.default_rng(3).standard_normal(grid.size)
+    tracer = tracing.Tracer(pdeopt)
+    try:
+        tracer.install()
+        traj = pdeopt.solve_forward(model, None, model.actuator_family.initial_design(),
+                                    x0, tg)
+        forward = Counter(s.name for s in tracer.spans)
+        del tracer.spans[:]
+        pdeopt.solve_adjoint(model, traj, pdeopt.CostWeights(), tg)
+        backward = Counter(s.name for s in tracer.spans)
+    finally:
+        tracer.uninstall()
+    assert (forward["models.nonlinearity"], forward["models.jacobian"]) == (tg.nt, 0)
+    assert (backward["models.nonlinearity"], backward["models.jacobian"]) == (0, tg.nt)
