@@ -122,10 +122,14 @@ def crank_nicolson_factors(a_op, dt: float) -> tuple:
     adjoint sweep's transposed solves are the same scalings, and it stays the
     exact transpose of the forward sweep to a few ulps even for the stiff
     biharmonic operator (an LU pairing loses ~kappa(M) digits there).  Raises
-    PdeoptError when M is nearly singular at this dt.
+    PdeoptError when the eigenvalues of M and P overflow, or M is nearly
+    singular, at this dt.
     """
     basis = a_op.basis
-    den = 1.0 - 0.5 * dt * basis.values
+    with np.errstate(over="ignore"):
+        den = 1.0 - 0.5 * dt * basis.values
+    if not np.isfinite(den).all():  # a finite den makes 1 + dt/2 A finite too
+        raise PdeoptError(f"Crank-Nicolson factors I -/+ dt/2 A overflow at dt={dt}")
     if np.min(np.abs(den)) < 1e-8:
         raise PdeoptError(f"Crank-Nicolson factor I - dt/2 A is nearly singular "
                           f"at dt={dt}")

@@ -3,9 +3,13 @@ and first-order optimality residuals.
 
 The projections are exact in the geometry each variable lives in: the input
 in the trapezoid L2(0,tau) norm, the design componentwise in its box, and the
-initial condition radially in the discrete H1 norm.  Armijo backtracking uses
-the projection-arc sufficient-decrease test, and a forward blow-up at a trial
-point is treated as a rejected step.
+initial condition radially in the discrete H1 norm.  One Armijo backtracking
+search, with the projection-arc sufficient-decrease test, serves both
+problems; the worst-initial-condition ascent is a descent on -J.  A forward
+blow-up at a trial point counts as a backtrack, and the search stops below a
+step of MIN_STEP = 1e-14.  The joint descent doubles its step (up to 1e6)
+after an acceptance that needed no backtrack; the ascent doubles its step
+(up to 1e8) before each search.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from .exceptions import BlowUpError
 from .forward import ControlSignal, TimeGrid, Trajectory, energy_margin, solve_forward
 from .grids import h1_norm, inner_product
 from .models import ActuatorDesign, ActuatorFamily, ModelSpec
+
+
+MIN_STEP = 1e-14  # the Armijo search gives up below this step
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,6 @@ class OptimizerConfig:
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
     step0: float = 1.0
-    min_step: float = 1e-14
     seed: int = 0
     multi_start: int = 5
 
@@ -55,6 +61,10 @@ class OptimizerConfig:
             raise ValueError("backtracking factor must lie in (0, 1)")
         if self.tol <= 0:
             raise ValueError("stopping tolerance must be positive")
+        if self.step0 <= 0:
+            raise ValueError("initial step must be positive")
+        if self.max_iters < 0:
+            raise ValueError("iteration cap must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -174,6 +184,28 @@ def optimality_residuals(bundle: GradientBundle, u: ControlSignal,
                      r_active=(lo_active | hi_active))
 
 
+def _armijo_search(trial, cost_at, cost: float, alpha: float, config: OptimizerConfig):
+    """Projection-arc Armijo backtracking from step ``alpha``.
+
+    ``trial(step)`` gives the projected trial point and its predicted
+    decrease, and ``cost_at(point)`` the cost there, to be decreased below
+    ``cost``.  A trial whose forward solve blows up is a rejected step.
+    Returns the accepted point, or None when the predicted decrease vanishes
+    or the step falls below MIN_STEP, and the step the search ended at.
+    """
+    while alpha >= MIN_STEP:
+        point, pred = trial(alpha)
+        if pred <= 0:
+            break  # the projection moved nowhere useful: stationary
+        try:
+            if cost_at(point) <= cost - config.armijo_c1 * pred:
+                return point, alpha
+        except BlowUpError:
+            pass
+        alpha *= config.backtrack
+    return None, alpha
+
+
 def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
                    x0: np.ndarray, tg: TimeGrid, config: OptimizerConfig,
                    optimize_design: bool = True,
@@ -213,34 +245,26 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
             report.stop_reason = "max iterations reached"
             break
 
-        accepted = False
-        backtracked = False
-        while alpha >= config.min_step:
-            u_trial = project_U(ControlSignal(tg, u.values - alpha * bundle.grad_u), sets)
-            d_trial = project_K(ActuatorDesign(design.params - alpha * bundle.grad_r), sets) \
+        def trial(step):
+            u_trial = project_U(ControlSignal(tg, u.values - step * bundle.grad_u), sets)
+            d_trial = project_K(ActuatorDesign(design.params - step * bundle.grad_r), sets) \
                 if optimize_design else design
             pred = tg.inner(bundle.grad_u, u.values - u_trial.values) \
                 + float(np.dot(bundle.grad_r, design.params - d_trial.params))
-            if pred <= 0:
-                break  # projection moved nowhere useful; stationary in the moving blocks
-            try:
-                cost_trial = evaluate_cost(solve_forward(model, u_trial, d_trial, x0, tg),
-                                           u_trial, weights, model.grid)
-            except BlowUpError:
-                alpha *= config.backtrack
-                backtracked = True
-                continue
-            if cost_trial <= bundle.cost - config.armijo_c1 * pred:
-                u, design = u_trial, d_trial
-                accepted = True
-                break
-            alpha *= config.backtrack
-            backtracked = True
-        if not accepted:
+            return (u_trial, d_trial), pred
+
+        def cost_at(point):
+            u_trial, d_trial = point
+            return evaluate_cost(solve_forward(model, u_trial, d_trial, x0, tg),
+                                 u_trial, weights, model.grid)
+
+        point, step = _armijo_search(trial, cost_at, bundle.cost, alpha, config)
+        if point is None:
             report.stop_reason = "no acceptable step (projection stationary or blow-up)"
             break
-        if not backtracked:
-            alpha = min(alpha * 2.0, 1e6)  # grow only after a clean acceptance
+        u, design = point
+        # grow only after a clean acceptance
+        alpha = min(step * 2.0, 1e6) if step == alpha else step
         bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
     report.traj, report.p, report.bundle, report.residuals = traj, p, bundle, res
     return u, design, report
@@ -327,28 +351,23 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
             if it == config.max_iters:
                 stop = "max iterations reached"
                 break
-            accepted = False
-            alpha = min(alpha * 2.0, 1e8)
-            while alpha >= config.min_step:
-                x_trial = project_V_ball(x0 + alpha * g_v, sets.r2, grid)
-                pred = inner_product(bundle.grad_x0_l2, x_trial - x0, grid)
-                if pred <= 0:
-                    break
-                try:
-                    cost_trial = evaluate_cost(
-                        solve_forward(model, u_fixed, design_fixed, x_trial, tg),
-                        u_fixed, weights, grid)
-                except BlowUpError:
-                    alpha *= config.backtrack
-                    continue
-                if cost_trial >= bundle.cost + config.armijo_c1 * pred:
-                    x0 = x_trial
-                    accepted = True
-                    break
-                alpha *= config.backtrack
-            if not accepted:
+
+            def trial(step):
+                x_trial = project_V_ball(x0 + step * g_v, sets.r2, grid)
+                return x_trial, inner_product(bundle.grad_x0_l2, x_trial - x0, grid)
+
+            def neg_cost_at(x_trial):
+                return -evaluate_cost(
+                    solve_forward(model, u_fixed, design_fixed, x_trial, tg),
+                    u_fixed, weights, grid)
+
+            # ascent of J is descent of -J: grow the step before each search
+            point, alpha = _armijo_search(trial, neg_cost_at, -bundle.cost,
+                                          min(alpha * 2.0, 1e8), config)
+            if point is None:
                 stop = "no acceptable ascent step"
                 break
+            x0 = point
             bundle = compute_bundle(model, u_fixed, design_fixed, x0, weights, tg)[0]
         return {
             "label": label, "x0": x0, "cost": bundle.cost, "mu": mu,

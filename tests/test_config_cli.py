@@ -432,6 +432,15 @@ class TestCliEntry:
         assert code == 3
         assert "nonlinearity overflowed" in capsys.readouterr().err
 
+    def test_exit_one_when_crank_nicolson_factors_overflow(self, tmp_path, capsys):
+        ini = tmp_path / "huge_dt.ini"
+        ini.write_text("[model]\nkind = ks\n\n[time]\ntau = 1e300\nnt = 2\n")
+        code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "dt=5e+299" in err
+
     def test_exit_one_when_riccati_sweep_fails(self, tmp_path, capsys):
         # linear KS at lambda = 60: the Riccati fixed point does not converge
         # at any step size tried, which must end in an error line, not a traceback

@@ -41,6 +41,21 @@ def blowups(monkeypatch):
     return steps
 
 
+@pytest.fixture
+def every_trial_blows_up(monkeypatch):
+    """The initial state of every trial solve, each of which raises
+    BlowUpError.  Gradient bundles still solve through the adjoint module's
+    own binding."""
+    trials = []
+
+    def blow_up(model, u, design, x0, tg):
+        trials.append(x0)
+        raise BlowUpError(1)
+
+    monkeypatch.setattr(optimize, "solve_forward", blow_up)
+    return trials
+
+
 class TestProjections:
     def test_project_u_inside_unchanged(self, ks_sets):
         tg = po.TimeGrid(tau=1.0, nt=20)
@@ -124,6 +139,12 @@ class TestOptimizerConfigValidation:
         with pytest.raises(ValueError):
             po.OptimizerConfig(armijo_c1=1.5)
 
+    @pytest.mark.parametrize("field, value", [("step0", 0.0), ("step0", -1.0),
+                                              ("max_iters", -1)])
+    def test_bad_step0_or_iteration_cap(self, field, value):
+        with pytest.raises(ValueError):
+            po.OptimizerConfig(**{field: value})
+
 
 class TestMinimizeJoint:
     def test_zero_initial_condition_trivial(self, ks_model_small, ks_sets):
@@ -191,6 +212,42 @@ class TestMinimizeJoint:
         costs = [row["cost"] for row in rep.iterations]
         assert blowups
         assert len(costs) == 4 and costs[-1] < costs[0]
+
+    @pytest.mark.parametrize("step0, trials", [(1.0, 47), (1e9, 77)])
+    def test_search_gives_up_below_the_minimum_step(self, heat_model_linear,
+                                                    every_trial_blows_up, step0, trials):
+        # every trial blows up, so the search halves the step from step0 until
+        # it falls below 1e-14: 2^-46 >= 1e-14 > 2^-47, and 1e9 2^-76 likewise
+        g = heat_model_linear.grid
+        sets = po.AdmissibleSets(family=heat_model_linear.actuator_family, r1=50.0)
+        tg = po.TimeGrid(tau=0.3, nt=30)
+        cfg = po.OptimizerConfig(step0=step0, max_iters=50)
+        u, _, rep = po.minimize_joint(heat_model_linear, sets, po.CostWeights(),
+                                      first_mode_2d(g, 0.5), tg, cfg)
+        assert rep.stop_reason == "no acceptable step (projection stationary or blow-up)"
+        assert not rep.converged
+        assert len(rep.iterations) == 1 and rep.final["step"] == step0
+        assert not np.any(u.values)
+        assert len(every_trial_blows_up) == trials
+
+    def test_step_doubles_after_a_clean_acceptance_or_halves(self, heat_model_linear):
+        g = heat_model_linear.grid
+        sets = po.AdmissibleSets(family=heat_model_linear.actuator_family, r1=50.0)
+        tg = po.TimeGrid(tau=0.3, nt=30)
+        cfg = po.OptimizerConfig(step0=30.0, tol=1e-5, max_iters=200)
+        _, _, rep = po.minimize_joint(heat_model_linear, sets, po.CostWeights(),
+                                      first_mode_2d(g, 0.5), tg, cfg)
+        assert rep.converged
+        steps = [row["step"] for row in rep.iterations]
+        assert steps[0] == cfg.step0
+        grew = halved = 0
+        for old, new in zip(steps, steps[1:]):
+            if new == min(2.0 * old, 1e6):
+                grew += 1
+            else:
+                assert any(new == old * 0.5**k for k in range(1, 60)), (old, new)
+                halved += 1
+        assert grew and halved
 
 
 class TestOptimalityResiduals:
@@ -282,6 +339,21 @@ class TestWorstInitialCondition:
             growth_model.actuator_family.initial_design(), sets, po.CostWeights(), tg, cfg)
         assert blowups
         assert rep.best["iterations"] == 4
+
+    def test_ascent_stops_when_every_trial_blows_up(self, heat_model_linear,
+                                                   every_trial_blows_up):
+        # the first search starts at 2 step0 = 2 and gives up below 1e-14, or
+        # earlier where x_trial - x0 rounds to zero and the predicted gain is 0
+        tg = po.TimeGrid(tau=0.3, nt=30)
+        sets = po.AdmissibleSets(family=heat_model_linear.actuator_family, r2=1.0)
+        cfg = po.OptimizerConfig(multi_start=1, max_iters=50)
+        _, _, rep = po.worst_initial_condition(
+            heat_model_linear, po.ControlSignal.zero(tg),
+            heat_model_linear.actuator_family.initial_design(), sets, po.CostWeights(),
+            tg, cfg)
+        assert rep.best["stop"] == "no acceptable ascent step"
+        assert rep.best["iterations"] == 1
+        assert 1 <= len(every_trial_blows_up) <= 48
 
     def test_ascent_reaches_sphere(self, heat_model_linear):
         g = heat_model_linear.grid

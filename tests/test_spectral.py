@@ -97,6 +97,14 @@ def test_singular_crank_nicolson_factor_names_dt():
         crank_nicolson_factors(op, 0.5)
 
 
+def test_overflowing_crank_nicolson_factors_name_dt():
+    # dt/2 times the stiff biharmonic eigenvalues overflows float64: an error
+    # naming dt, not overflow warnings followed by a blow-up at step 1
+    op = po.ks_operator(po.build_grid_1d(128), 30.0)
+    with pytest.raises(PdeoptError, match="dt=5e\\+299"):
+        crank_nicolson_factors(op, 5e299)
+
+
 def test_iss_margin_uses_own_poincare_constant():
     # Heat models built and dropped in a loop: a constant cached under the
     # id() of a dead operator would be handed to a later model of another size.

@@ -1,19 +1,27 @@
-"""Print how far the summary.json numbers of two checkouts drift apart.
+"""Compare the artifacts of a fixed set of pipeline runs on two checkouts.
 
     python3 tools/summary_drift.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are the `src` directories of two checkouts.  Each
-runs the thirteen configs of `tools/artifact_hashes.py` in a child process
-of its own (both packages are named `pdeopt`).  Then one line per run gives
-its label and the worst relative change of any number in its summary.json,
-with the key where it occurs.  A scalar is measured against the larger of
-its two magnitudes, and a list of numbers against its largest entry in
-magnitude, so a component that is zero up to rounding next to O(1) entries
-does not read as a large change.  Below the run, one indented line names
-each non-numeric difference (a string, flag, null or non-finite value, a
-key on one side only, a list of another length) and each changed integer,
-since integers here are counts.  A run that raises ends the script with a
-traceback and a nonzero status; drift alone never does.
+checkout runs thirteen configs through `pdeopt.cli.run`, once, in a child
+process of its own (both packages are named `pdeopt`): the three benchmark
+workloads at seed 0 (taken from `perfbench/workloads.py` next to this
+script), and `simulate`, `gradcheck`, `riccati-validate`, `optimize` and
+`worst-ic` on KS with n = 64, nt = 100 and on linear heat 8x8 with
+nt = riccati.nt = 100 (KS `riccati-validate` and `worst-ic` on the linear
+model).
+
+Then one line per run gives its label, the worst relative change of any
+number in its summary.json, with the key where it occurs, and the artifacts
+whose bytes differ (or "byte-identical"); `manifest.json` is left out, since
+its wall time differs on every run.  A scalar is measured against the
+larger of its two magnitudes, and a list of numbers against its largest
+entry in magnitude, so a component that is zero up to rounding next to O(1)
+entries does not read as a large change.  Below the run, one indented line
+names each non-numeric difference (a string, flag, null or non-finite
+value, a key on one side only, a list of another length) and each changed
+integer, since integers here are counts.  A run that raises ends the script
+with a traceback and a nonzero status; drift alone never does.
 """
 
 from __future__ import annotations
@@ -27,14 +35,45 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 
+_KS = {"model.kind": "ks", "grid.n": 64, "time.nt": 100}
+_HEAT = {"model.kind": "heat", "model.linear": True, "grid.nx": 8, "grid.ny": 8,
+         "time.nt": 100, "riccati.nt": 100}
+_PIPELINES = ("simulate", "gradcheck", "riccati-validate", "optimize", "worst-ic")
+
 _CHILD = """
 import sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
-from artifact_hashes import write_runs
-for _ in write_runs(sys.argv[2], Path(sys.argv[3])):
-    pass
+from summary_drift import write_runs
+write_runs(sys.argv[2], Path(sys.argv[3]))
 """
+
+
+def runs() -> list[tuple[str, str, dict]]:
+    """(label, subcommand, config values) of every run, in print order."""
+    sys.path.insert(0, str(TOOLS.parent / "perfbench"))
+    import workloads
+
+    out = []
+    for name in workloads.WORKLOADS:
+        subcommand, configs, _ = workloads.make_inputs(name, 0)
+        out.append((name, subcommand, configs[0]))
+    for sub in _PIPELINES:
+        linear = {"model.linear": True} if sub in ("riccati-validate", "worst-ic") else {}
+        out.append((f"ks-n64-{sub}", sub, {**_KS, **linear}))
+    for sub in _PIPELINES:
+        out.append((f"heat-8x8-{sub}", sub, dict(_HEAT)))
+    return out
+
+
+def write_runs(src, root: Path) -> None:
+    """Run every config with the `pdeopt` under ``src`` into ``root / label``."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    from pdeopt.cli import run
+    from pdeopt.config import ExperimentConfig
+
+    for label, sub, values in runs():
+        run(sub, ExperimentConfig(values=values), root / label)
 
 
 def _is_number(x) -> bool:
@@ -74,23 +113,35 @@ def drift(a, b, key: str, diffs: list) -> tuple[float, str]:
     return 0.0, key
 
 
+def changed_artifacts(base: Path, head: Path) -> list[str]:
+    """Names of the artifacts, `manifest.json` aside, whose bytes differ or
+    that exist on one side only."""
+    names = {p.name for d in (base, head) for p in d.iterdir()
+             if p.is_file() and p.name != "manifest.json"}
+    return [n for n in sorted(names)
+            if not ((base / n).is_file() and (head / n).is_file()
+                    and (base / n).read_bytes() == (head / n).read_bytes())]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    sys.path.insert(0, str(TOOLS))
-    from artifact_hashes import runs
-
     with tempfile.TemporaryDirectory() as tmp:
         roots = [Path(tmp) / side for side in ("base", "head")]
         for src, root in zip(argv, roots):
             subprocess.run([sys.executable, "-c", _CHILD, str(TOOLS), src, str(root)],
                            check=True)
         for label, _, _ in runs():
-            a, b = (json.loads((root / label / "summary.json").read_text()) for root in roots)
+            base, head = (root / label for root in roots)
+            a, b = (json.loads((d / "summary.json").read_text()) for d in (base, head))
             diffs: list[str] = []
             worst, key = drift(a, b, "", diffs)
-            print(f"{label}: worst relative change {worst:.1e}" + (f" at {key}" if worst else ""))
+            changed = changed_artifacts(base, head)
+            print(f"{label}: worst relative change {worst:.1e}"
+                  + (f" at {key}" if worst else "")
+                  + (f"; bytes differ: {' '.join(changed)}" if changed
+                     else "; byte-identical"))
             for line in diffs:
                 print(f"    {line}")
     return 0
