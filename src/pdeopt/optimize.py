@@ -7,9 +7,17 @@ initial condition radially in the discrete H1 norm.  One Armijo backtracking
 search, with the projection-arc sufficient-decrease test, serves both
 problems; the worst-initial-condition ascent is a descent on -J.  A forward
 blow-up at a trial point counts as a backtrack, and the search stops below a
-step of MIN_STEP = 1e-14.  The joint descent doubles its step (up to 1e6)
-after an acceptance that needed no backtrack; the ascent doubles its step
-(up to 1e8) before each search.
+step of MIN_STEP = 1e-14.  The joint descent starts at ``step0`` and doubles
+its step (up to 1e6) after an acceptance that needed no backtrack.  The
+ascent starts at its cap, MAX_ASCENT_STEP = 1e8, and each later search at
+twice the last accepted step, at most the cap.  With the input held fixed a
+linear model's cost is a convex quadratic in x0, so J(y) >= J(x) +
+<grad J, y - x>: every trial with a positive predicted gain passes the
+sufficient-increase test, and the first trial, projected, is the ball's
+boundary point along the H1 gradient (a power-iteration step toward the top
+eigenvector of Pi(0)).  On a nonconvex model the search pays its backtracks
+once per start and then adapts.  ``step0`` sets the joint descent's first
+step only.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from .models import ActuatorDesign, ActuatorFamily, ModelSpec
 
 
 MIN_STEP = 1e-14  # the Armijo search gives up below this step
+MAX_ASCENT_STEP = 1e8  # the worst-IC ascent's first and largest trial step
 
 
 @dataclass(frozen=True)
@@ -138,10 +147,18 @@ def project_K(design: ActuatorDesign, sets: AdmissibleSets) -> ActuatorDesign:
 
 
 def project_V_ball(x0: np.ndarray, r2: float, grid) -> np.ndarray:
-    """Radial projection onto the discrete H1 ball of radius r2."""
-    norm = h1_norm(x0, grid)
+    """Radial projection onto the discrete H1 ball of radius r2.
+
+    A point whose squared H1 norm overflows (a long ascent trial on a wide
+    ball) is first scaled by a power of two to a largest entry below 1.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = h1_norm(x0, grid)
     if norm <= r2:
         return x0
+    if not np.isfinite(norm):
+        x0 = np.ldexp(x0, -np.frexp(np.max(np.abs(x0)))[1])
+        norm = h1_norm(x0, grid)
     return x0 * (r2 / norm)
 
 
@@ -336,7 +353,7 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
     def ascend(x0_init: np.ndarray, label: str) -> dict:
         x0 = project_V_ball(x0_init, sets.r2, grid)
         bundle = compute_bundle(model, u_fixed, design_fixed, x0, weights, tg)[0]
-        alpha = config.step0
+        alpha = MAX_ASCENT_STEP
         for it in range(config.max_iters + 1):
             g_v = bundle.grad_x0  # H1 representer of dJ/dx0 (= 2 * riesz(p0))
             riesz_p0 = 0.5 * g_v
@@ -361,9 +378,10 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
                     solve_forward(model, u_fixed, design_fixed, x_trial, tg),
                     u_fixed, weights, grid)
 
-            # ascent of J is descent of -J: grow the step before each search
+            # ascent of J is descent of -J: each search starts at twice the
+            # last accepted step, at most MAX_ASCENT_STEP
             point, alpha = _armijo_search(trial, neg_cost_at, -bundle.cost,
-                                          min(alpha * 2.0, 1e8), config)
+                                          min(alpha * 2.0, MAX_ASCENT_STEP), config)
             if point is None:
                 stop = "no acceptable ascent step"
                 break

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,33 @@ class TestCliEntry:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert np.isfinite(summary["terminal_energy"])
+
+    # on 4x4 cells of the unit square w = 1/16 and K = I - Delta_h has
+    # eigenvalues up to k = 1 + 4/hx^2 + 4/hy^2 = 129, so <x, Kx> stays finite
+    # on the H1 ball while r2 <= sqrt(fmax w) / k**(1/4)
+    _R2_MAX = float(np.sqrt(np.finfo(np.float64).max / 16.0) / 129.0 ** 0.25)
+
+    @pytest.mark.parametrize("r2", [1e300, 1.3e154, 1.01 * _R2_MAX])
+    def test_exit_two_when_the_h1_ball_overflows(self, tmp_path, capsys, r2):
+        ini = tmp_path / "wide.ini"
+        ini.write_text("[model]\nkind = heat\nlinear = true\n\n[grid]\nnx = 4\nny = 4\n\n"
+                       f"[sets]\nr2 = {r2!r}\n")
+        code = main(["worst-ic", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sets.r2" in err and "Traceback" not in err
+
+    def test_worst_ic_just_inside_the_h1_bound_runs_without_warnings(self, tmp_path):
+        ini = tmp_path / "wide.ini"
+        ini.write_text("[model]\nkind = heat\nlinear = true\n\n[grid]\nnx = 4\nny = 4\n\n"
+                       f"[sets]\nr2 = {0.99 * self._R2_MAX!r}\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["worst-ic", "--config", str(ini), "--out", str(out)])
+        assert code == 0 and not caught
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"] and np.isfinite(summary["best_cost"])
 
     @pytest.mark.parametrize("subcommand", ["simulate", "optimize"])
     def test_ks_margin_null_where_discrete_operator_is_indefinite(self, tmp_path, subcommand):

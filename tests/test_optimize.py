@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +125,15 @@ class TestProjections:
         assert po.h1_norm(proj, grid1d_small) == pytest.approx(r2, rel=1e-13)
         # direction preserved
         assert proj == pytest.approx(0.5 * x, rel=1e-13)
+
+    def test_project_v_ball_when_the_squared_norm_overflows(self, grid1d_small, rng):
+        # ||x||^2 is about 1e320: the projection scales x by a power of two
+        # first, so it keeps the direction and raises no overflow warning
+        x = rng.standard_normal(32)
+        x = x * (1e160 / po.h1_norm(x, grid1d_small))
+        proj = po.project_V_ball(x, 1.0, grid1d_small)
+        assert po.h1_norm(proj, grid1d_small) == pytest.approx(1.0, rel=1e-13)
+        assert proj == pytest.approx(1e-160 * x, rel=1e-13)
 
     def test_project_v_ball_nonexpansive(self, grid1d_small, rng):
         for _ in range(50):
@@ -329,8 +340,8 @@ class TestOptimalityResiduals:
 
 class TestWorstInitialCondition:
     def test_blowup_rejects_the_ascent_trial(self, growth_model, blowups):
-        # on a wide H1 ball the doubled ascent step overflows the growth
-        # model; the ascent must backtrack instead of raising
+        # on a wide H1 ball the ascent's first step, at its cap, overflows the
+        # growth model; the ascent must backtrack instead of raising
         tg = po.TimeGrid(tau=0.2, nt=20)
         sets = po.AdmissibleSets(family=growth_model.actuator_family, r1=10.0, r2=1e4)
         cfg = po.OptimizerConfig(step0=1e6, max_iters=3, multi_start=1)
@@ -342,8 +353,9 @@ class TestWorstInitialCondition:
 
     def test_ascent_stops_when_every_trial_blows_up(self, heat_model_linear,
                                                    every_trial_blows_up):
-        # the first search starts at 2 step0 = 2 and gives up below 1e-14, or
-        # earlier where x_trial - x0 rounds to zero and the predicted gain is 0
+        # the first search halves the step from MAX_ASCENT_STEP until it falls
+        # below MIN_STEP, which takes floor(log2(cap / floor)) + 1 trials, or
+        # stops earlier where x_trial - x0 rounds to zero and the predicted gain is 0
         tg = po.TimeGrid(tau=0.3, nt=30)
         sets = po.AdmissibleSets(family=heat_model_linear.actuator_family, r2=1.0)
         cfg = po.OptimizerConfig(multi_start=1, max_iters=50)
@@ -353,7 +365,29 @@ class TestWorstInitialCondition:
             tg, cfg)
         assert rep.best["stop"] == "no acceptable ascent step"
         assert rep.best["iterations"] == 1
-        assert 1 <= len(every_trial_blows_up) <= 48
+        most = math.floor(math.log2(optimize.MAX_ASCENT_STEP / optimize.MIN_STEP)) + 1
+        assert 1 <= len(every_trial_blows_up) <= most
+
+    def test_first_ascent_step_is_the_boundary_point_along_the_gradient(
+            self, heat_model_linear):
+        # with u = 0 the linear model's cost is convex in x0, so the first trial,
+        # at step a = MAX_ASCENT_STEP from the projected smooth start x, passes
+        # the Armijo test.  Projected, it is r2 y / ||y|| with y = x + a g, and
+        # ||y / ||y|| - g / ||g|| || <= 2 ||x|| / (a ||g||) (all norms H1)
+        g2 = heat_model_linear.grid
+        tg = po.TimeGrid(tau=0.3, nt=30)
+        sets = po.AdmissibleSets(family=heat_model_linear.actuator_family, r2=1.0)
+        u0 = po.ControlSignal.zero(tg)
+        design = heat_model_linear.actuator_family.initial_design()
+        cfg = po.OptimizerConfig(multi_start=1, max_iters=1)
+        x0, _, _ = po.worst_initial_condition(heat_model_linear, u0, design, sets,
+                                              po.CostWeights(), tg, cfg)
+        start = po.project_V_ball(np.ones(g2.size), sets.r2, g2)
+        g = compute_bundle(heat_model_linear, u0, design, start, po.CostWeights(),
+                           tg)[0].grad_x0
+        norm_g = po.h1_norm(g, g2)
+        bound = 2.0 * po.h1_norm(start, g2) / (optimize.MAX_ASCENT_STEP * norm_g)
+        assert po.h1_norm(x0 - sets.r2 * g / norm_g, g2) <= bound * sets.r2
 
     def test_ascent_reaches_sphere(self, heat_model_linear):
         g = heat_model_linear.grid

@@ -12,10 +12,10 @@ nt = riccati.nt = 100 (KS `riccati-validate` and `worst-ic` on the linear
 model).
 
 Then one line per run gives its label, the worst relative change of any
-number in its summary.json, with the key where it occurs, and the artifacts
+float in its summary.json, with the key where it occurs, and the artifacts
 whose bytes differ (or "byte-identical"); `manifest.json` is left out, since
 its wall time differs on every run.  A scalar is measured against the
-larger of its two magnitudes, and a list of numbers against its largest
+larger of its two magnitudes, and a list of floats against its largest
 entry in magnitude, so a component that is zero up to rounding next to O(1)
 entries does not read as a large change.  Below the run, one indented line
 names each non-numeric difference (a string, flag, null or non-finite
@@ -76,8 +76,8 @@ def write_runs(src, root: Path) -> None:
         run(sub, ExperimentConfig(values=values), root / label)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+def _is_float(x) -> bool:
+    return isinstance(x, float) and math.isfinite(x)
 
 
 def _rel(a: list, b: list) -> float:
@@ -86,11 +86,10 @@ def _rel(a: list, b: list) -> float:
 
 
 def drift(a, b, key: str, diffs: list) -> tuple[float, str]:
-    """(worst relative change, its key) between two JSON values; every
-    non-numeric difference and changed integer is appended to ``diffs``."""
-    if _is_number(a) and _is_number(b):
-        if isinstance(a, int) and isinstance(b, int) and a != b:
-            diffs.append(f"{key}: {a} -> {b}")
+    """(worst relative change of a finite float, its key) between two JSON
+    values; every other difference, a changed integer among them, is
+    appended to ``diffs``."""
+    if _is_float(a) and _is_float(b):
         return _rel([a], [b]), key
     if isinstance(a, dict) and isinstance(b, dict):
         worst = (0.0, key)
@@ -102,7 +101,7 @@ def drift(a, b, key: str, diffs: list) -> tuple[float, str]:
                 worst = max(worst, drift(a[k], b[k], sub, diffs), key=lambda t: t[0])
         return worst
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        if a and all(_is_number(x) for x in a + b):
+        if a and all(_is_float(x) for x in a + b):
             return _rel(a, b), key
         worst = (0.0, key)
         for i, (x, y) in enumerate(zip(a, b)):
