@@ -218,14 +218,15 @@ class ExperimentConfig:
                               "4/hx^2 + 4/hy^2 overflow float64")
         # an x0 on the H1 ball has <x, Kx> = r2^2 / w (quadrature weight w), and
         # K = I - Delta_h has eigenvalues in [1, k] with k = 1 + sum 4/h^2, so
-        # every partial sum of that dot product is at most sqrt(k) r2^2 / w
+        # every partial sum of that dot product is at most sqrt(k) r2^2 / w,
+        # finite while r2 <= sqrt(max / sqrt(k) * w)
         if v["model.kind"] == "heat":
             w = v["grid.lx"] / v["grid.nx"] * (v["grid.ly"] / v["grid.ny"])
             k = 1.0 + bounds["grid.lx"] + bounds["grid.ly"]
         else:
             w = 1.0 / (v["grid.n"] + 1)
             k = 1.0 + 4.0 / w**2
-        r2_max = np.sqrt(np.finfo(np.float64).max) * np.sqrt(w) / k**0.25
+        r2_max = np.sqrt(np.finfo(np.float64).max) * np.sqrt(w / np.sqrt(k))
         if v["sets.r2"] > r2_max:
             raise ConfigError("sets.r2", f"{v['sets.r2']} is above {r2_max:.4g}, where "
                               "the grid's H1 norm <x, Kx> can overflow float64")
