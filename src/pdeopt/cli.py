@@ -168,8 +168,15 @@ def run_worst_ic(cfg: ExperimentConfig, out: Path) -> dict:
     opt_cfg = cfg.build_optimizer()
     design = cfg.build_design(model)
     u0 = ControlSignal.zero(tg)
-    x0_star, mu, report = worst_initial_condition(model, u0, design, sets, weights,
-                                                  tg, opt_cfg)
+    # a ball on which the cost or its gradient leaves float64 (a numpy overflow,
+    # or GradientBundle's finiteness check, a ValueError) is refused by radius
+    try:
+        with np.errstate(over="raise"):
+            x0_star, mu, report = worst_initial_condition(model, u0, design, sets, weights,
+                                                          tg, opt_cfg)
+    except (FloatingPointError, ValueError) as err:
+        raise ConfigError("sets.r2", f"{sets.r2!r} makes the worst-IC cost, which grows "
+                          f"with sets.r2 squared, overflow float64 ({err})") from None
     _state_csv(out / "worst_x0.csv", x0_star, "x0")
     best = report.best
     summary = {
@@ -195,7 +202,7 @@ def run_worst_ic(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_riccati_validate(cfg: ExperimentConfig, out: Path) -> dict:
-    lin_cfg = cfg if cfg["model.linear"] else cfg.with_value("model.linear", True)
+    lin_cfg = cfg if cfg.is_linear else cfg.with_value("model.linear", True)
     grid = lin_cfg.build_grid()
     model = lin_cfg.build_model(grid)
     _check_riccati_grid(model)

@@ -85,8 +85,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "optimizer": {
         "max_iters": (int, 2000, _at_least(1)),
         "tol": (float, 1e-5, _POSITIVE),
-        "armijo_c1": (float, 1e-4, _UNIT),
-        "backtrack": (float, 0.5, _UNIT),
         "step0": (float, 1.0, _POSITIVE),
         "seed": (int, 0, _at_least(0)),
         "multi_start": (int, 5, _at_least(1)),
@@ -295,6 +293,10 @@ class ExperimentConfig:
     def is_ks(self) -> bool:
         return self.values["model.kind"] == "ks"
 
+    @property
+    def is_linear(self) -> bool:
+        return self.values["model.linear"] or self.values["model.nonlinearity"] == "none"
+
     def build_grid(self):
         if self.is_ks:
             return build_grid_1d(self["grid.n"])
@@ -308,12 +310,11 @@ class ExperimentConfig:
                                      bounds=(self["actuator.kad_low"],
                                              self["actuator.kad_high"]))
             return make_ks_model(grid, lam=self["model.lambda"], actuator=fam,
-                                 linear=self["model.linear"])
+                                 linear=self.is_linear)
         fam = HeatShapeActuator(basis_per_axis=self["actuator.basis_per_axis"],
                                 lx=self["grid.lx"], ly=self["grid.ly"])
-        nl = None if (self["model.linear"] or self["model.nonlinearity"] == "none") \
-            else CUBIC_SINK
-        return make_heat_model(grid, f_scalar=nl, actuator=fam)
+        return make_heat_model(grid, f_scalar=None if self.is_linear else CUBIC_SINK,
+                               actuator=fam)
 
     def build_design(self, model: ModelSpec) -> ActuatorDesign:
         r_init = self["actuator.r_init"]
@@ -372,8 +373,6 @@ class ExperimentConfig:
     def build_optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(max_iters=self["optimizer.max_iters"],
                                tol=self["optimizer.tol"],
-                               armijo_c1=self["optimizer.armijo_c1"],
-                               backtrack=self["optimizer.backtrack"],
                                step0=self["optimizer.step0"],
                                seed=self["optimizer.seed"],
                                multi_start=self["optimizer.multi_start"])

@@ -98,9 +98,15 @@ class ActuatorDesign:
 
 
 class ActuatorFamily:
-    """Common interface of the two actuator parametrizations."""
+    """Common interface of the two actuator parametrizations, whose design
+    set is the box ``lower <= params <= upper``."""
 
-    design_dim: int
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def design_dim(self) -> int:
+        return self.lower.size
 
     def evaluate(self, design: ActuatorDesign, grid) -> np.ndarray:
         raise NotImplementedError
@@ -110,7 +116,7 @@ class ActuatorFamily:
         raise NotImplementedError
 
     def project(self, params: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return np.clip(params, self.lower, self.upper)
 
     def contains(self, params: np.ndarray, tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(self.project(params) - params) <= tol))
@@ -133,8 +139,6 @@ class KsGaussianActuator(ActuatorFamily):
     b * (xi - r)/omega^2.
     """
 
-    design_dim = 1
-
     def __init__(self, omega: float = 0.05, bounds: tuple[float, float] = (0.1, 0.9)):
         if omega <= 0:
             raise ValueError("bump width omega must be positive")
@@ -145,7 +149,7 @@ class KsGaussianActuator(ActuatorFamily):
         # a bump too wide to square is the constant b = 1
         with np.errstate(over="ignore"):
             self._omega_sq = float(np.float64(omega)**2)
-        self.bounds = (float(a), float(b))
+        self.lower, self.upper = np.array([a], dtype=float), np.array([b], dtype=float)
 
     def evaluate(self, design: ActuatorDesign, grid: Grid1D) -> np.ndarray:
         self.check(design)
@@ -153,16 +157,11 @@ class KsGaussianActuator(ActuatorFamily):
         return np.exp(-((grid.nodes - r) ** 2) / (2.0 * self._omega_sq))
 
     def param_derivative(self, design: ActuatorDesign, grid: Grid1D) -> np.ndarray:
-        self.check(design)
-        r = design.params[0]
-        b = np.exp(-((grid.nodes - r) ** 2) / (2.0 * self._omega_sq))
-        return (b * (grid.nodes - r) / self._omega_sq)[None, :]
-
-    def project(self, params: np.ndarray) -> np.ndarray:
-        return np.clip(params, self.bounds[0], self.bounds[1])
+        b = self.evaluate(design, grid)
+        return (b * (grid.nodes - design.params[0]) / self._omega_sq)[None, :]
 
     def initial_design(self) -> ActuatorDesign:
-        return ActuatorDesign.of(0.5 * (self.bounds[0] + self.bounds[1]))
+        return ActuatorDesign(params=0.5 * (self.lower + self.upper))
 
 
 class HeatShapeActuator(ActuatorFamily):
@@ -179,10 +178,10 @@ class HeatShapeActuator(ActuatorFamily):
             raise ValueError("need at least one basis function per axis")
         self.lx, self.ly = float(lx), float(ly)
         self.modes = [(j, k) for k in range(basis_per_axis) for j in range(basis_per_axis)]
-        self.design_dim = len(self.modes)
         gammas = np.array([1.0 + np.pi * np.hypot(j / self.lx, k / self.ly)
                            for j, k in self.modes])
-        self.coef_bounds = 1.0 / (self.design_dim * gammas)
+        self.upper = 1.0 / (len(self.modes) * gammas)
+        self.lower = -self.upper
         self._sampled: tuple = (None, None)  # (grid, basis matrix on it)
 
     def _basis_matrix(self, grid: Grid2D) -> np.ndarray:
@@ -207,12 +206,9 @@ class HeatShapeActuator(ActuatorFamily):
         # the family is linear in its coefficients
         return self._basis_matrix(grid)
 
-    def project(self, params: np.ndarray) -> np.ndarray:
-        return np.clip(params, -self.coef_bounds, self.coef_bounds)
-
     def initial_design(self) -> ActuatorDesign:
         c = np.zeros(self.design_dim)
-        c[0] = 0.5 * self.coef_bounds[0]
+        c[0] = 0.5 * self.upper[0]
         return ActuatorDesign(params=c)
 
 

@@ -4,8 +4,9 @@ and first-order optimality residuals.
 The projections are exact in the geometry each variable lives in: the input
 in the trapezoid L2(0,tau) norm, the design componentwise in its box, and the
 initial condition radially in the discrete H1 norm.  One Armijo backtracking
-search, with the projection-arc sufficient-decrease test, serves both
-problems; the worst-initial-condition ascent is a descent on -J.  A forward
+search serves both problems, with the projection-arc sufficient-decrease
+test at ARMIJO_C1 = 1e-4 and a step halved (BACKTRACK = 0.5) on each
+rejection; the worst-initial-condition ascent is a descent on -J.  A forward
 blow-up at a trial point counts as a backtrack, and the search stops below a
 step of MIN_STEP = 1e-14.  The joint descent starts at ``step0`` and doubles
 its step (up to 1e6) after an acceptance that needed no backtrack.  The
@@ -17,7 +18,9 @@ sufficient-increase test, and the first trial, projected, is the ball's
 boundary point along the H1 gradient (a power-iteration step toward the top
 eigenvector of Pi(0)).  On a nonconvex model the search pays its backtracks
 once per start and then adapts.  ``step0`` sets the joint descent's first
-step only.
+step only.  ``tol`` stops both problems: the joint descent when its absolute
+residuals res_u and res_r are below it, the ascent when its KKT residual is,
+relative to ||riesz p(0)||_H1.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from .grids import h1_norm, inner_product
 from .models import ActuatorDesign, ActuatorFamily, ModelSpec
 
 
+ARMIJO_C1 = 1e-4  # sufficient-decrease share of the predicted change
+BACKTRACK = 0.5  # step factor after a rejected trial
 MIN_STEP = 1e-14  # the Armijo search gives up below this step
 MAX_ASCENT_STEP = 1e8  # the worst-IC ascent's first and largest trial step
 
@@ -57,17 +62,11 @@ class AdmissibleSets:
 class OptimizerConfig:
     max_iters: int = 500
     tol: float = 1e-5
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
     step0: float = 1.0
     seed: int = 0
     multi_start: int = 5
 
     def __post_init__(self):
-        if not (0.0 < self.armijo_c1 < 1.0):
-            raise ValueError("Armijo constant must lie in (0, 1)")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtracking factor must lie in (0, 1)")
         if self.tol <= 0:
             raise ValueError("stopping tolerance must be positive")
         if self.step0 <= 0:
@@ -189,11 +188,9 @@ def optimality_residuals(bundle: GradientBundle, u: ControlSignal,
 
     # design residual, componentwise box cone
     d_r = -0.5 * bundle.grad_r
-    params = design.params
-    shifted = sets.family.project(params + 1.0)
-    lowered = sets.family.project(params - 1.0)
-    hi_active = np.abs(params - shifted) <= active_tol * np.maximum(1.0, np.abs(shifted))
-    lo_active = np.abs(params - lowered) <= active_tol * np.maximum(1.0, np.abs(lowered))
+    params, lower, upper = design.params, sets.family.lower, sets.family.upper
+    hi_active = np.abs(params - upper) <= active_tol * np.maximum(1.0, np.abs(upper))
+    lo_active = np.abs(params - lower) <= active_tol * np.maximum(1.0, np.abs(lower))
     d_r[hi_active & (d_r > 0)] = 0.0
     d_r[lo_active & (d_r < 0)] = 0.0
     res_r = float(np.linalg.norm(d_r))
@@ -201,7 +198,7 @@ def optimality_residuals(bundle: GradientBundle, u: ControlSignal,
                      r_active=(lo_active | hi_active))
 
 
-def _armijo_search(trial, cost_at, cost: float, alpha: float, config: OptimizerConfig):
+def _armijo_search(trial, cost_at, cost: float, alpha: float):
     """Projection-arc Armijo backtracking from step ``alpha``.
 
     ``trial(step)`` gives the projected trial point and its predicted
@@ -215,11 +212,11 @@ def _armijo_search(trial, cost_at, cost: float, alpha: float, config: OptimizerC
         if pred <= 0:
             break  # the projection moved nowhere useful: stationary
         try:
-            if cost_at(point) <= cost - config.armijo_c1 * pred:
+            if cost_at(point) <= cost - ARMIJO_C1 * pred:
                 return point, alpha
         except BlowUpError:
             pass
-        alpha *= config.backtrack
+        alpha *= BACKTRACK
     return None, alpha
 
 
@@ -275,7 +272,7 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
             return evaluate_cost(solve_forward(model, u_trial, d_trial, x0, tg),
                                  u_trial, weights, model.grid)
 
-        point, step = _armijo_search(trial, cost_at, bundle.cost, alpha, config)
+        point, step = _armijo_search(trial, cost_at, bundle.cost, alpha)
         if point is None:
             report.stop_reason = "no acceptable step (projection stationary or blow-up)"
             break
@@ -292,9 +289,9 @@ def golden_section_r(model: ModelSpec, sets: AdmissibleSets, weights: CostWeight
                      tol: float = 1e-3) -> tuple[float, float]:
     """Derivative-free cross-check for the scalar KS location: golden-section
     on r with an inner input-only solve.  Returns (r, cost)."""
-    if model.actuator_family.design_dim != 1 or not hasattr(model.actuator_family,
-                                                            "bounds"):
-        raise ValueError("golden-section fallback applies to scalar interval designs")
+    family = model.actuator_family
+    if family.design_dim != 1:
+        raise ValueError("golden-section fallback applies to scalar designs")
 
     def inner_cost_at(r: float) -> float:
         _, _, rep = minimize_joint(model, sets, weights, x0, tg, config,
@@ -302,9 +299,8 @@ def golden_section_r(model: ModelSpec, sets: AdmissibleSets, weights: CostWeight
                                    initial_design=ActuatorDesign.of(r))
         return rep.final["cost"]
 
-    lo, hi = model.actuator_family.bounds
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = float(family.lower[0]), float(family.upper[0])
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = inner_cost_at(c), inner_cost_at(d)
     while b - a > tol:
@@ -362,7 +358,7 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
             active = norm_x0 >= sets.r2 * (1 - 1e-9)
             mu = norm_p0 / sets.r2 if active else 0.0
             kkt = h1_norm(riesz_p0 - mu * x0, grid)
-            if kkt <= 1e-5 * max(norm_p0, 1e-300):
+            if kkt <= config.tol * max(norm_p0, 1e-300):
                 stop = "kkt residual below tolerance"
                 break
             if it == config.max_iters:
@@ -381,7 +377,7 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
             # ascent of J is descent of -J: each search starts at twice the
             # last accepted step, at most MAX_ASCENT_STEP
             point, alpha = _armijo_search(trial, neg_cost_at, -bundle.cost,
-                                          min(alpha * 2.0, MAX_ASCENT_STEP), config)
+                                          min(alpha * 2.0, MAX_ASCENT_STEP))
             if point is None:
                 stop = "no acceptable ascent step"
                 break

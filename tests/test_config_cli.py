@@ -103,6 +103,12 @@ class TestExperimentConfig:
                 cfg.with_value(name, value)
             assert err.value.field == name
 
+    @pytest.mark.parametrize("kind", ["ks", "heat"])
+    def test_nonlinearity_none_builds_the_linear_model(self, kind):
+        cfg = ExperimentConfig(values={"model.kind": kind, "model.nonlinearity": "none"})
+        assert cfg.is_linear and not cfg["model.linear"]
+        assert cfg.build_model().is_linear
+
     def test_builders_produce_consistent_objects(self):
         cfg = ExperimentConfig(values=dict(SMALL_HEAT_LIN))
         grid = cfg.build_grid()
@@ -306,8 +312,6 @@ class TestCliEntry:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("section,key,raw", [
-        ("optimizer", "backtrack", "2.0"),
-        ("optimizer", "armijo_c1", "0.0"),
         ("optimizer", "step0", "-1.0"),
         ("optimizer", "multi_start", "0"),
         ("riccati", "nt", "1"),
@@ -365,6 +369,16 @@ class TestCliEntry:
         assert code == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,raw", [("armijo_c1", "1e-4"), ("backtrack", "0.5")])
+    def test_exit_two_names_removed_optimizer_key(self, tmp_path, capsys, key, raw):
+        # the Armijo constants are fixed in pdeopt.optimize; even their old
+        # defaults are refused, like the removed optimizer.mode
+        ini = tmp_path / "old.ini"
+        ini.write_text(f"[optimizer]\n{key} = {raw}\n")
+        code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config field 'optimizer.{key}': unknown field" in capsys.readouterr().err
+
     def test_exit_two_on_negative_seed_override(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
         ExperimentConfig(values=dict(SMALL_HEAT_LIN)).to_ini(ini)
@@ -420,6 +434,24 @@ class TestCliEntry:
         assert code == 2
         err = capsys.readouterr().err
         assert "sets.r2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [
+        "[cost]\nq_scale = 1e10\n\n[sets]\nr2 = 9e152\n",  # the cost overflows
+        "[time]\ntau = 1e6\n\n[sets]\nr2 = 1e150\n",  # the norm of its gradient overflows
+    ], ids=["q_scale", "tau"])
+    def test_exit_two_when_the_worst_ic_cost_overflows(self, tmp_path, capsys, extra):
+        # both radii are inside the grid's H1 bound; the cost, which grows with
+        # r2 squared, leaves float64 on the ball
+        ini = tmp_path / "wide.ini"
+        ini.write_text("[model]\nkind = heat\nlinear = true\n\n[grid]\nnx = 4\nny = 4\n\n"
+                       + extra)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["worst-ic", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "config field 'sets.r2'" in err
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_worst_ic_just_inside_the_h1_bound_runs_without_warnings(self, tmp_path):
         ini = tmp_path / "wide.ini"

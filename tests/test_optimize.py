@@ -146,10 +146,6 @@ class TestProjections:
 
 
 class TestOptimizerConfigValidation:
-    def test_bad_armijo(self):
-        with pytest.raises(ValueError):
-            po.OptimizerConfig(armijo_c1=1.5)
-
     @pytest.mark.parametrize("field, value", [("step0", 0.0), ("step0", -1.0),
                                               ("max_iters", -1)])
     def test_bad_step0_or_iteration_cap(self, field, value):
@@ -405,6 +401,25 @@ class TestWorstInitialCondition:
         assert mu > 0
         assert best["kkt_residual"] <= 1e-4 * mu * sets.r2
         assert rep.converged
+
+    def test_tolerance_stops_the_ascent(self, heat_model_linear):
+        # optimizer.tol bounds the relative KKT residual, so a looser tolerance
+        # stops every start no later, and here sooner
+        tg = po.TimeGrid(tau=0.5, nt=60)
+        sets = po.AdmissibleSets(family=heat_model_linear.actuator_family, r2=1.0)
+        u0 = po.ControlSignal.zero(tg)
+        d = heat_model_linear.actuator_family.initial_design()
+        iterations = {}
+        for tol in (1e-2, 1e-5):
+            cfg = po.OptimizerConfig(tol=tol, multi_start=2, max_iters=200)
+            _, _, rep = po.worst_initial_condition(heat_model_linear, u0, d, sets,
+                                                   po.CostWeights(), tg, cfg)
+            assert rep.converged
+            for s in rep.starts:
+                assert s["kkt_residual"] <= tol * s["mu"] * sets.r2
+            iterations[tol] = [s["iterations"] for s in rep.starts]
+        assert all(a <= b for a, b in zip(iterations[1e-2], iterations[1e-5]))
+        assert sum(iterations[1e-2]) < sum(iterations[1e-5])
 
     def test_deterministic_given_seed(self, heat_model_linear):
         g = heat_model_linear.grid

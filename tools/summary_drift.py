@@ -19,9 +19,11 @@ larger of its two magnitudes, and a list of floats against its largest
 entry in magnitude, so a component that is zero up to rounding next to O(1)
 entries does not read as a large change.  Below the run, one indented line
 names each non-numeric difference (a string, flag, null or non-finite
-value, a key on one side only, a list of another length) and each changed
-integer, since integers here are counts.  A run that raises ends the script
-with a traceback and a nonzero status; drift alone never does.
+value, a key on one side only, a list of another length), each changed
+integer, since integers here are counts, and each changed stopping residual
+(`res_u`, `res_r`, `kkt_residual`), which only has to stay below its
+tolerance and moves with the optimizer's path.  A run that raises ends the
+script with a traceback and a nonzero status; drift alone never does.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ _KS = {"model.kind": "ks", "grid.n": 64, "time.nt": 100}
 _HEAT = {"model.kind": "heat", "model.linear": True, "grid.nx": 8, "grid.ny": 8,
          "time.nt": 100, "riccati.nt": 100}
 _PIPELINES = ("simulate", "gradcheck", "riccati-validate", "optimize", "worst-ic")
+_RESIDUALS = ("res_u", "res_r", "kkt_residual")
 
 _CHILD = """
 import sys
@@ -87,9 +90,9 @@ def _rel(a: list, b: list) -> float:
 
 def drift(a, b, key: str, diffs: list) -> tuple[float, str]:
     """(worst relative change of a finite float, its key) between two JSON
-    values; every other difference, a changed integer among them, is
-    appended to ``diffs``."""
-    if _is_float(a) and _is_float(b):
+    values; every other difference, a changed integer or stopping residual
+    among them, is appended to ``diffs``."""
+    if _is_float(a) and _is_float(b) and key not in _RESIDUALS:
         return _rel([a], [b]), key
     if isinstance(a, dict) and isinstance(b, dict):
         worst = (0.0, key)
