@@ -18,7 +18,7 @@ from .forward import (ControlSignal, TimeGrid, Trajectory, energy_margin, energy
                       verify_heat_iss_bound, verify_ks_bound)
 from .grids import (Grid1D, Grid2D, LinearOperator, build_grid_1d, build_grid_2d,
                     h1_inner, h1_norm, h1_operator, h1_riesz_map, heat_operator,
-                    inner_product, ks_operator, l2_norm, smallest_eigenvalue)
+                    inner_product, ks_operator, smallest_eigenvalue)
 from .models import (CUBIC_SINK, ActuatorDesign, ActuatorFamily, HeatShapeActuator,
                      KsGaussianActuator, ModelSpec, ScalarNonlinearity,
                      actuator_design_derivative_adjoint, heat_jacobian_adjoint_apply,

@@ -7,27 +7,29 @@ truncation + roundoff.  The continuous adjoint PDE is recovered as dt -> 0 and
 only serves as a consistency oracle in the tests.
 
 Conventions.  With cost J = int q<x,x> + rho u^2 dt (trapezoid in time), the
-reported adjoint p solves the final-value problem with source Q x (the
-textbook normalization, under which p = Pi x holds on linear models with the
-Riccati solution of riccati.py), while the true costate of J is 2p.  The
-GradientBundle therefore carries the honest derivatives of J:
+adjoint p solves the final-value problem with source Q x (the textbook
+normalization, under which p = Pi x holds on linear models with the Riccati
+solution of riccati.py), while the true costate of J is 2p.  The
+GradientBundle therefore carries the honest derivatives of J, each the L2
+representer of its variable:
 
     grad_u = 2 (rho u + B* p),   grad_r = 2 int (B'_r u)* p dt,
-    grad_x0 = Riesz_{H1}(2 p(0)),
+    grad_x0 = 2 p(0),
 
 and the optimality residuals of optimize.py use the unscaled quantities
-rho u + B* p and int (B'_r u)* p dt, whose zero sets are the same.
+rho u + B* p and int (B'_r u)* p dt, whose zero sets are the same.  Only the
+worst-initial-condition ascent works in H1; it maps grad_x0 there itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .forward import ControlSignal, TimeGrid, Trajectory, cn_ab2_sweep, \
     crank_nicolson_factors, solve_forward
-from .grids import h1_riesz_map, inner_product
+from .grids import inner_product
 from .models import ActuatorDesign, ModelSpec, actuator_design_derivative_adjoint
 
 
@@ -138,14 +140,12 @@ def solve_adjoint(model: ModelSpec, traj: Trajectory, weights: CostWeights,
     The terminal value is the exact transpose of the last Crank-Nicolson step
     against the trapezoid cost weight, which is O(dt) rather than literally
     zero; it converges to the continuous condition p(tau) = 0.  The source
-    2 q theta_k x_k is formed in modal coordinates, from one batched
+    q theta_k x_k is formed in modal coordinates, from one batched
     transform of the states whose rows are then scaled in place.
     """
     source = model.linear_op.basis.to_modal(traj.states)
-    source *= ((2.0 * weights.q_scale) * tg.weights).reshape(-1, *[1] * (source.ndim - 1))
-    lam = adjoint_sweep(model, traj, tg, source)
-    lam *= 0.5
-    return Trajectory(time_grid=tg, states=lam)
+    source *= (weights.q_scale * tg.weights).reshape(-1, *[1] * (source.ndim - 1))
+    return Trajectory(time_grid=tg, states=adjoint_sweep(model, traj, tg, source))
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,6 @@ class GradientBundle:
     grad_r: np.ndarray
     grad_x0: np.ndarray
     cost: float
-    grad_x0_l2: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         for name in ("grad_u", "grad_r", "grad_x0"):
@@ -169,7 +168,7 @@ class GradientBundle:
 def assemble_gradients(model: ModelSpec, traj: Trajectory, p: Trajectory,
                        u: ControlSignal, design: ActuatorDesign,
                        weights: CostWeights) -> GradientBundle:
-    """Gradients with respect to u (L2 representer), r, and x0 (H1 representer).
+    """Gradients with respect to u, r and x0, each its L2 representer.
 
     The AB2 stepper pairs u_j with pi_j = (3/2) p_{j+1} - (1/2) p_{j+2}
     (pi_0 = p_1 - p_2 / 2, pi_{nt-1} = 3/2 p_nt, pi_nt = 0).  The input is
@@ -194,11 +193,8 @@ def assemble_gradients(model: ModelSpec, traj: Trajectory, p: Trajectory,
     grad_r = actuator_design_derivative_adjoint(model.actuator_family, design,
                                                 1.0, 2.0 * tg.dt * s, grid)
 
-    grad_x0_l2 = 2.0 * p.states[0]
-    grad_x0 = h1_riesz_map(grad_x0_l2, grid)
     cost = evaluate_cost(traj, u, weights, grid)
-    return GradientBundle(grad_u=grad_u, grad_r=grad_r, grad_x0=grad_x0, cost=cost,
-                          grad_x0_l2=grad_x0_l2)
+    return GradientBundle(grad_u=grad_u, grad_r=grad_r, grad_x0=2.0 * p.states[0], cost=cost)
 
 
 def compute_bundle(model: ModelSpec, u: ControlSignal, design: ActuatorDesign,
@@ -270,7 +266,7 @@ def gradient_check(model: ModelSpec, u: ControlSignal, design: ActuatorDesign,
 
     adj_u = tg.inner(bundle.grad_u, du)
     adj_r = float(np.dot(bundle.grad_r, dr))
-    adj_x = inner_product(bundle.grad_x0_l2, dx, grid)
+    adj_x = inner_product(bundle.grad_x0, dx, grid)
 
     rows = []
     for eps in epsilon_list:

@@ -19,6 +19,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,18 @@ def _check_riccati_grid(model) -> None:
                           f"the {RICCATI_MAX_NODES} nodes of a dense Riccati sweep")
 
 
+# an optimizer run whose cost or gradient leaves float64 (a numpy overflow, or
+# GradientBundle's finiteness check, a ValueError) is refused by the input named
+@contextmanager
+def _overflow_names(field: str, value, grows: str):
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, ValueError) as err:
+        raise ConfigError(field, f"{value!r} makes the cost, which grows {grows}, "
+                          f"overflow float64 ({err})") from None
+
+
 def run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     grid = cfg.build_grid()
     model = cfg.build_model(grid)
@@ -125,9 +138,11 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     opt_cfg = cfg.build_optimizer()
     x0 = cfg.build_x0(grid)
 
-    u, design, report = minimize_joint(model, sets, weights, x0, tg, opt_cfg,
-                                       optimize_design=cfg["optimizer.optimize_design"],
-                                       initial_design=cfg.build_design(model))
+    with _overflow_names("initial_condition.amplitude", cfg["initial_condition.amplitude"],
+                         "with its square and with cost.q_scale"):
+        u, design, report = minimize_joint(model, sets, weights, x0, tg, opt_cfg,
+                                           optimize_design=cfg["optimizer.optimize_design"],
+                                           initial_design=cfg.build_design(model))
     report.to_csv(out / "iterations.csv")
     traj = report.traj
     save_checkpoint(traj, out / "trajectory.bin", grid)
@@ -168,15 +183,9 @@ def run_worst_ic(cfg: ExperimentConfig, out: Path) -> dict:
     opt_cfg = cfg.build_optimizer()
     design = cfg.build_design(model)
     u0 = ControlSignal.zero(tg)
-    # a ball on which the cost or its gradient leaves float64 (a numpy overflow,
-    # or GradientBundle's finiteness check, a ValueError) is refused by radius
-    try:
-        with np.errstate(over="raise"):
-            x0_star, mu, report = worst_initial_condition(model, u0, design, sets, weights,
-                                                          tg, opt_cfg)
-    except (FloatingPointError, ValueError) as err:
-        raise ConfigError("sets.r2", f"{sets.r2!r} makes the worst-IC cost, which grows "
-                          f"with sets.r2 squared, overflow float64 ({err})") from None
+    with _overflow_names("sets.r2", sets.r2, "with its square"):
+        x0_star, mu, report = worst_initial_condition(model, u0, design, sets, weights,
+                                                      tg, opt_cfg)
     _state_csv(out / "worst_x0.csv", x0_star, "x0")
     best = report.best
     summary = {

@@ -85,7 +85,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "optimizer": {
         "max_iters": (int, 2000, _at_least(1)),
         "tol": (float, 1e-5, _POSITIVE),
-        "step0": (float, 1.0, _POSITIVE),
         "seed": (int, 0, _at_least(0)),
         "multi_start": (int, 5, _at_least(1)),
         "optimize_design": (bool, True, None),
@@ -373,6 +372,5 @@ class ExperimentConfig:
     def build_optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(max_iters=self["optimizer.max_iters"],
                                tol=self["optimizer.tol"],
-                               step0=self["optimizer.step0"],
                                seed=self["optimizer.seed"],
                                multi_start=self["optimizer.multi_start"])

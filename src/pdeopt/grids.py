@@ -295,10 +295,6 @@ def inner_product(f: np.ndarray, g: np.ndarray, grid) -> float:
     return grid.weight * float(np.dot(f, g))
 
 
-def l2_norm(f: np.ndarray, grid) -> float:
-    return float(np.sqrt(max(inner_product(f, f, grid), 0.0)))
-
-
 def h1_operator(grid) -> LinearOperator:
     """K = -Delta_h + I with the grid's Dirichlet structure.
 

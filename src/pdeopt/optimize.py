@@ -8,19 +8,20 @@ search serves both problems, with the projection-arc sufficient-decrease
 test at ARMIJO_C1 = 1e-4 and a step halved (BACKTRACK = 0.5) on each
 rejection; the worst-initial-condition ascent is a descent on -J.  A forward
 blow-up at a trial point counts as a backtrack, and the search stops below a
-step of MIN_STEP = 1e-14.  The joint descent starts at ``step0`` and doubles
-its step (up to 1e6) after an acceptance that needed no backtrack.  The
-ascent starts at its cap, MAX_ASCENT_STEP = 1e8, and each later search at
-twice the last accepted step, at most the cap.  With the input held fixed a
-linear model's cost is a convex quadratic in x0, so J(y) >= J(x) +
+step of MIN_STEP = 1e-14.  The joint descent starts at STEP0 = 1.0 and
+doubles its step (up to 1e6) after an acceptance that needed no backtrack.
+The ascent starts at its cap, MAX_ASCENT_STEP = 1e8, and each later search
+at twice the last accepted step, at most the cap.  With the input held fixed
+a linear model's cost is a convex quadratic in x0, so J(y) >= J(x) +
 <grad J, y - x>: every trial with a positive predicted gain passes the
 sufficient-increase test, and the first trial, projected, is the ball's
 boundary point along the H1 gradient (a power-iteration step toward the top
-eigenvector of Pi(0)).  On a nonconvex model the search pays its backtracks
-once per start and then adapts.  ``step0`` sets the joint descent's first
-step only.  ``tol`` stops both problems: the joint descent when its absolute
-residuals res_u and res_r are below it, the ascent when its KKT residual is,
-relative to ||riesz p(0)||_H1.
+eigenvector of Pi(0)).  The ascent forms that gradient itself, by the H1
+Riesz map of the bundle's L2 gradient 2 p(0).  On a nonconvex model the
+search pays its backtracks once per start and then adapts.  ``tol`` stops
+both problems: the joint descent when its absolute residuals res_u and res_r
+are below it, the ascent when its KKT residual is, relative to
+||riesz p(0)||_H1.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ import numpy as np
 from .adjoint import CostWeights, GradientBundle, compute_bundle, evaluate_cost
 from .exceptions import BlowUpError
 from .forward import ControlSignal, TimeGrid, Trajectory, energy_margin, solve_forward
-from .grids import h1_norm, inner_product
+from .grids import h1_norm, h1_riesz_map, inner_product
 from .models import ActuatorDesign, ActuatorFamily, ModelSpec
 
 
 ARMIJO_C1 = 1e-4  # sufficient-decrease share of the predicted change
 BACKTRACK = 0.5  # step factor after a rejected trial
+STEP0 = 1.0  # the joint descent's first trial step
 MIN_STEP = 1e-14  # the Armijo search gives up below this step
 MAX_ASCENT_STEP = 1e8  # the worst-IC ascent's first and largest trial step
 
@@ -62,15 +64,12 @@ class AdmissibleSets:
 class OptimizerConfig:
     max_iters: int = 500
     tol: float = 1e-5
-    step0: float = 1.0
     seed: int = 0
     multi_start: int = 5
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("stopping tolerance must be positive")
-        if self.step0 <= 0:
-            raise ValueError("initial step must be positive")
         if self.max_iters < 0:
             raise ValueError("iteration cap must be nonnegative")
 
@@ -89,9 +88,9 @@ class Residuals:
 class CostReport:
     """Per-iteration diagnostics; accepted-step costs must not increase.
 
-    ``traj``, ``p``, ``bundle`` and ``residuals`` are the forward and adjoint
-    solutions, the gradients and the optimality residuals at the returned
-    iterate (not written by ``to_csv``).
+    ``traj``, ``p`` and ``residuals`` are the forward and adjoint solutions
+    and the optimality residuals at the returned iterate (not written by
+    ``to_csv``).
     """
 
     iterations: list = field(default_factory=list)
@@ -99,7 +98,6 @@ class CostReport:
     stop_reason: str = ""
     traj: Trajectory | None = field(default=None, repr=False)
     p: Trajectory | None = field(default=None, repr=False)
-    bundle: GradientBundle | None = field(default=None, repr=False)
     residuals: Residuals | None = field(default=None, repr=False)
 
     _FIELDS = ("iter", "cost", "grad_u_norm", "grad_r_norm", "step",
@@ -242,7 +240,7 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
     report = CostReport()
 
     bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
-    alpha = config.step0
+    alpha = STEP0
     for it in range(config.max_iters + 1):
         res = optimality_residuals(bundle, u, design, sets)
         report.append(iter=it, cost=bundle.cost,
@@ -280,7 +278,7 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
         # grow only after a clean acceptance
         alpha = min(step * 2.0, 1e6) if step == alpha else step
         bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
-    report.traj, report.p, report.bundle, report.residuals = traj, p, bundle, res
+    report.traj, report.p, report.residuals = traj, p, res
     return u, design, report
 
 
@@ -351,7 +349,7 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
         bundle = compute_bundle(model, u_fixed, design_fixed, x0, weights, tg)[0]
         alpha = MAX_ASCENT_STEP
         for it in range(config.max_iters + 1):
-            g_v = bundle.grad_x0  # H1 representer of dJ/dx0 (= 2 * riesz(p0))
+            g_v = h1_riesz_map(bundle.grad_x0, grid)  # H1 representer of dJ/dx0
             riesz_p0 = 0.5 * g_v
             norm_x0 = h1_norm(x0, grid)
             norm_p0 = h1_norm(riesz_p0, grid)
@@ -367,7 +365,7 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
 
             def trial(step):
                 x_trial = project_V_ball(x0 + step * g_v, sets.r2, grid)
-                return x_trial, inner_product(bundle.grad_x0_l2, x_trial - x0, grid)
+                return x_trial, inner_product(bundle.grad_x0, x_trial - x0, grid)
 
             def neg_cost_at(x_trial):
                 return -evaluate_cost(

@@ -34,6 +34,11 @@ def heat_model_linear(grid2d_small):
     return po.make_heat_model(grid2d_small, f_scalar=None)
 
 
+def l2_norm(f, grid):
+    """Discrete L2 norm sqrt(sum_i w_i f_i^2)."""
+    return float(np.sqrt(max(po.inner_product(f, f, grid), 0.0)))
+
+
 def smooth_clamped(grid, amplitude=1.0):
     """Clamped-conforming 1-D profile (value and slope vanish at both ends)."""
     return amplitude * 0.5 * (1.0 - np.cos(2 * np.pi * grid.nodes))

@@ -14,7 +14,7 @@ from pdeopt.config import ExperimentConfig
 from pdeopt.riccati import solve_differential_riccati, verify_feedback_consistency, \
     worst_ic_eigen_check
 
-from conftest import first_mode_2d, smooth_clamped
+from conftest import first_mode_2d, l2_norm, smooth_clamped
 
 
 def _report(num: int, name: str, ok: bool, detail: str, t0: float) -> None:
@@ -248,7 +248,7 @@ def test_criterion_8_convergence_orders():
         w = 0.5 * (1 - np.cos(2 * np.pi * g.nodes))
         w4 = -(2 * np.pi) ** 4 * np.cos(2 * np.pi * g.nodes) / 2
         w2 = (2 * np.pi) ** 2 * np.cos(2 * np.pi * g.nodes) / 2
-        spat_ks.append(po.l2_norm(po.ks_operator(g, lam).apply(w) - (-w4 - lam * w2), g))
+        spat_ks.append(l2_norm(po.ks_operator(g, lam).apply(w) - (-w4 - lam * w2), g))
     order_ks = min(np.log2(spat_ks[i] / spat_ks[i + 1]) for i in range(2))
 
     spat_h = []
@@ -256,7 +256,7 @@ def test_criterion_8_convergence_orders():
         g = po.build_grid_2d(n, n)
         xx, yy = g.meshgrid()
         w = (np.sin(np.pi * xx) * np.sin(np.pi * yy)).ravel()
-        spat_h.append(po.l2_norm(po.heat_operator(g).apply(w) + 2 * np.pi**2 * w, g))
+        spat_h.append(l2_norm(po.heat_operator(g).apply(w) + 2 * np.pi**2 * w, g))
     order_h = min(np.log2(spat_h[i] / spat_h[i + 1]) for i in range(2))
 
     g = po.build_grid_1d(64)
@@ -268,8 +268,8 @@ def test_criterion_8_convergence_orders():
         u = po.ControlSignal(tg, np.sin(2 * np.pi * tg.times / 0.2))
         sols.append(po.solve_forward(model, u, po.ActuatorDesign.of(0.4), x0,
                                      tg).terminal)
-    order_t_ks = np.log2(po.l2_norm(sols[0] - sols[1], g)
-                         / po.l2_norm(sols[1] - sols[2], g))
+    order_t_ks = np.log2(l2_norm(sols[0] - sols[1], g)
+                         / l2_norm(sols[1] - sols[2], g))
 
     g2 = po.build_grid_2d(16, 16)
     model2 = po.make_heat_model(g2)
@@ -280,8 +280,8 @@ def test_criterion_8_convergence_orders():
         tg = po.TimeGrid(tau=0.5, nt=nt)
         u = po.ControlSignal(tg, np.cos(2 * np.pi * tg.times))
         sols2.append(po.solve_forward(model2, u, d2, x02, tg).terminal)
-    order_t_h = np.log2(po.l2_norm(sols2[0] - sols2[1], g2)
-                        / po.l2_norm(sols2[1] - sols2[2], g2))
+    order_t_h = np.log2(l2_norm(sols2[0] - sols2[1], g2)
+                        / l2_norm(sols2[1] - sols2[2], g2))
 
     orders = {"ks-op": order_ks, "heat-op": order_h,
               "ks-time": order_t_ks, "heat-time": order_t_h}

@@ -9,7 +9,7 @@ from pdeopt.adjoint import adjoint_sweep, assemble_gradients, compute_bundle, \
 from pdeopt.forward import cn_ab2_sweep
 from pdeopt.models import actuator_design_derivative_adjoint
 
-from conftest import first_mode_2d, smooth_clamped
+from conftest import first_mode_2d, l2_norm, smooth_clamped
 
 
 def spacetime_identity_error(model, traj, tg, rng):
@@ -172,7 +172,7 @@ class TestSolveAdjoint:
                                     heat_model_linear.actuator_family.initial_design(),
                                     x0, tg)
             p = po.solve_adjoint(heat_model_linear, traj, po.CostWeights(), tg)
-            norms.append(po.l2_norm(p.states[-1], g))
+            norms.append(l2_norm(p.states[-1], g))
         # p(tau) = O(dt): halves when dt halves
         assert norms[1] < 0.6 * norms[0]
 

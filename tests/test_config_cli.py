@@ -312,7 +312,6 @@ class TestCliEntry:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("section,key,raw", [
-        ("optimizer", "step0", "-1.0"),
         ("optimizer", "multi_start", "0"),
         ("riccati", "nt", "1"),
         ("riccati", "check_every", "0"),
@@ -369,10 +368,11 @@ class TestCliEntry:
         assert code == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,raw", [("armijo_c1", "1e-4"), ("backtrack", "0.5")])
+    @pytest.mark.parametrize("key,raw", [("armijo_c1", "1e-4"), ("backtrack", "0.5"),
+                                         ("step0", "1.0")])
     def test_exit_two_names_removed_optimizer_key(self, tmp_path, capsys, key, raw):
-        # the Armijo constants are fixed in pdeopt.optimize; even their old
-        # defaults are refused, like the removed optimizer.mode
+        # the Armijo constants and the first step are fixed in pdeopt.optimize;
+        # even their old defaults are refused, like the removed optimizer.mode
         ini = tmp_path / "old.ini"
         ini.write_text(f"[optimizer]\n{key} = {raw}\n")
         code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
@@ -451,6 +451,19 @@ class TestCliEntry:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "config field 'sets.r2'" in err
+        assert "Traceback" not in err and "Warning" not in err
+
+    def test_exit_two_when_the_optimize_cost_overflows(self, tmp_path, capsys):
+        # the cost grows with the initial amplitude squared and with q_scale;
+        # the suite turns a RuntimeWarning into an error, so none may escape
+        ini = tmp_path / "loud.ini"
+        ini.write_text("[model]\nkind = heat\nlinear = true\n\n[grid]\nnx = 4\nny = 4\n\n"
+                       "[cost]\nq_scale = 1e300\n\n[initial_condition]\namplitude = 1e10\n")
+        code = main(["optimize", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "config field 'initial_condition.amplitude'" in err
+        assert "square" in err and "cost.q_scale" in err
         assert "Traceback" not in err and "Warning" not in err
 
     def test_worst_ic_just_inside_the_h1_bound_runs_without_warnings(self, tmp_path):

@@ -5,6 +5,8 @@ import pdeopt as po
 from pdeopt.exceptions import InvalidBoundaryError, InvalidGridError
 from pdeopt.grids import LinearOperator
 
+from conftest import l2_norm
+
 
 class TestGrid1D:
     def test_too_small_rejected(self):
@@ -62,7 +64,7 @@ class TestKsOperator:
             w4 = -(2 * np.pi) ** 4 * np.cos(2 * np.pi * xi) / 2
             w2 = (2 * np.pi) ** 2 * np.cos(2 * np.pi * xi) / 2
             exact = -w4 - lam * w2
-            errs.append(po.l2_norm(po.ks_operator(g, lam).apply(w) - exact, g))
+            errs.append(l2_norm(po.ks_operator(g, lam).apply(w) - exact, g))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 1.8
 

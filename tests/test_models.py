@@ -5,6 +5,8 @@ import pdeopt as po
 from pdeopt.exceptions import ConstraintViolationError, PdeoptError
 from pdeopt.models import ScalarNonlinearity
 
+from conftest import l2_norm
+
 
 class TestKsNonlinearity:
     def test_zero(self, grid1d_small):
@@ -65,7 +67,7 @@ class TestKsJacobian:
         errs = []
         for eps in epss:
             diff = (po.ks_nonlinearity(w + eps * f, g) - po.ks_nonlinearity(w, g)) / eps
-            errs.append(po.l2_norm(diff - jac, g))
+            errs.append(l2_norm(diff - jac, g))
         slope = np.polyfit(np.log(epss), np.log(errs), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.1)
 
@@ -109,7 +111,7 @@ class TestKsJacobianAdjoint:
             w = np.sin(np.pi * xi)
             h = np.sin(2 * np.pi * xi)
             expect = w * 2 * np.pi * np.cos(2 * np.pi * xi)
-            errs.append(po.l2_norm(po.ks_jacobian_adjoint_apply(w, h, g) - expect, g))
+            errs.append(l2_norm(po.ks_jacobian_adjoint_apply(w, h, g) - expect, g))
         assert np.log2(errs[0] / errs[1]) > 1.8
 
 
@@ -171,7 +173,7 @@ class TestKsActuator:
         prev = np.inf
         for delta in (1e-2, 1e-3, 1e-4):
             bd = fam.evaluate(po.ActuatorDesign.of(0.4 + delta), g)
-            gap = po.l2_norm(bd - b0, g)
+            gap = l2_norm(bd - b0, g)
             assert gap < prev
             prev = gap
 

@@ -146,8 +146,7 @@ class TestProjections:
 
 
 class TestOptimizerConfigValidation:
-    @pytest.mark.parametrize("field, value", [("step0", 0.0), ("step0", -1.0),
-                                              ("max_iters", -1)])
+    @pytest.mark.parametrize("field, value", [("max_iters", -1)])
     def test_bad_step0_or_iteration_cap(self, field, value):
         with pytest.raises(ValueError):
             po.OptimizerConfig(**{field: value})
@@ -207,13 +206,15 @@ class TestMinimizeJoint:
         assert lines[0] == "iter,cost,grad_u_norm,grad_r_norm,step,res_u,res_r,margin"
         assert len(lines) == len(rep.iterations) + 1
 
-    def test_blowup_rejects_the_trial_and_backtracks(self, growth_model, blowups):
+    def test_blowup_rejects_the_trial_and_backtracks(self, growth_model, blowups,
+                                                     monkeypatch):
         # a huge first step drives the growth model to overflow; the line
         # search must shrink the step and still accept descent steps
+        monkeypatch.setattr(optimize, "STEP0", 1e8)
         g = growth_model.grid
         sets = po.AdmissibleSets(family=growth_model.actuator_family, r1=1e8, r2=1.0)
         tg = po.TimeGrid(tau=0.2, nt=20)
-        cfg = po.OptimizerConfig(step0=1e8, max_iters=3, tol=1e-12)
+        cfg = po.OptimizerConfig(max_iters=3, tol=1e-12)
         _, _, rep = po.minimize_joint(growth_model, sets, po.CostWeights(),
                                       first_mode_2d(g, 0.5), tg, cfg)
         costs = [row["cost"] for row in rep.iterations]
@@ -222,13 +223,15 @@ class TestMinimizeJoint:
 
     @pytest.mark.parametrize("step0, trials", [(1.0, 47), (1e9, 77)])
     def test_search_gives_up_below_the_minimum_step(self, heat_model_linear,
-                                                    every_trial_blows_up, step0, trials):
+                                                    every_trial_blows_up, step0, trials,
+                                                    monkeypatch):
         # every trial blows up, so the search halves the step from step0 until
         # it falls below 1e-14: 2^-46 >= 1e-14 > 2^-47, and 1e9 2^-76 likewise
+        monkeypatch.setattr(optimize, "STEP0", step0)
         g = heat_model_linear.grid
         sets = po.AdmissibleSets(family=heat_model_linear.actuator_family, r1=50.0)
         tg = po.TimeGrid(tau=0.3, nt=30)
-        cfg = po.OptimizerConfig(step0=step0, max_iters=50)
+        cfg = po.OptimizerConfig(max_iters=50)
         u, _, rep = po.minimize_joint(heat_model_linear, sets, po.CostWeights(),
                                       first_mode_2d(g, 0.5), tg, cfg)
         assert rep.stop_reason == "no acceptable step (projection stationary or blow-up)"
@@ -237,16 +240,18 @@ class TestMinimizeJoint:
         assert not np.any(u.values)
         assert len(every_trial_blows_up) == trials
 
-    def test_step_doubles_after_a_clean_acceptance_or_halves(self, heat_model_linear):
+    def test_step_doubles_after_a_clean_acceptance_or_halves(self, heat_model_linear,
+                                                             monkeypatch):
+        monkeypatch.setattr(optimize, "STEP0", 30.0)
         g = heat_model_linear.grid
         sets = po.AdmissibleSets(family=heat_model_linear.actuator_family, r1=50.0)
         tg = po.TimeGrid(tau=0.3, nt=30)
-        cfg = po.OptimizerConfig(step0=30.0, tol=1e-5, max_iters=200)
+        cfg = po.OptimizerConfig(tol=1e-5, max_iters=200)
         _, _, rep = po.minimize_joint(heat_model_linear, sets, po.CostWeights(),
                                       first_mode_2d(g, 0.5), tg, cfg)
         assert rep.converged
         steps = [row["step"] for row in rep.iterations]
-        assert steps[0] == cfg.step0
+        assert steps[0] == optimize.STEP0
         grew = halved = 0
         for old, new in zip(steps, steps[1:]):
             if new == min(2.0 * old, 1e6):
@@ -267,7 +272,7 @@ class TestOptimalityResiduals:
         u = po.ControlSignal(tg, np.array([1.0, 1.0, -1.0, -1.0, 0.5]))
         grad_u = np.array([-2.0, 2.0, 2.0, -2.0, 2.0])
         bundle = po.GradientBundle(grad_u=grad_u, grad_r=np.zeros(1),
-                                   grad_x0=np.zeros(4), cost=1.0, grad_x0_l2=np.zeros(4))
+                                   grad_x0=np.zeros(4), cost=1.0)
         res = po.optimality_residuals(bundle, u, fam.initial_design(), sets)
         assert res.res_u == pytest.approx(tg.norm(np.array([0.0, -1.0, 0.0, 1.0, -1.0])),
                                           rel=1e-15)
@@ -340,7 +345,7 @@ class TestWorstInitialCondition:
         # growth model; the ascent must backtrack instead of raising
         tg = po.TimeGrid(tau=0.2, nt=20)
         sets = po.AdmissibleSets(family=growth_model.actuator_family, r1=10.0, r2=1e4)
-        cfg = po.OptimizerConfig(step0=1e6, max_iters=3, multi_start=1)
+        cfg = po.OptimizerConfig(max_iters=3, multi_start=1)
         _, _, rep = po.worst_initial_condition(
             growth_model, po.ControlSignal.zero(tg),
             growth_model.actuator_family.initial_design(), sets, po.CostWeights(), tg, cfg)
@@ -379,8 +384,8 @@ class TestWorstInitialCondition:
         x0, _, _ = po.worst_initial_condition(heat_model_linear, u0, design, sets,
                                               po.CostWeights(), tg, cfg)
         start = po.project_V_ball(np.ones(g2.size), sets.r2, g2)
-        g = compute_bundle(heat_model_linear, u0, design, start, po.CostWeights(),
-                           tg)[0].grad_x0
+        g = po.h1_riesz_map(compute_bundle(heat_model_linear, u0, design, start,
+                                           po.CostWeights(), tg)[0].grad_x0, g2)
         norm_g = po.h1_norm(g, g2)
         bound = 2.0 * po.h1_norm(start, g2) / (optimize.MAX_ASCENT_STEP * norm_g)
         assert po.h1_norm(x0 - sets.r2 * g / norm_g, g2) <= bound * sets.r2
