@@ -84,9 +84,10 @@ def _state_csv(path: Path, vec: np.ndarray, label: str) -> None:
 
 # --- pipelines ---------------------------------------------------------
 
-# The dense Riccati sweep and its checks hold about 7 n x n doubles, so this
-# cap keeps riccati-validate, and optimize or worst-ic on a linear model,
-# under 1 GiB (about 0.55 GiB at 3072 nodes).
+# The dense Riccati sweep holds four n x n arrays, six during a PSD test (a
+# Cholesky factor and LAPACK's copy of it), and riccati-validate peaks at
+# about 7 n x n doubles, so this cap keeps riccati-validate, and optimize or
+# worst-ic on a linear model, under 1 GiB (about 0.57 GiB at 3072 nodes).
 RICCATI_MAX_NODES = 3072
 
 
@@ -227,8 +228,10 @@ def run_riccati_validate(cfg: ExperimentConfig, out: Path) -> dict:
     sets = lin_cfg.build_sets(model)
     design = lin_cfg.build_design(model)
     x0 = lin_cfg.build_x0(grid)
-    chk = verify_feedback_consistency(model, sets, weights, x0, tg, design,
-                                      check_every=lin_cfg["riccati.check_every"])
+    with _overflow_names("cost.q_scale", lin_cfg["cost.q_scale"],
+                         "with it and with the square of initial_condition.amplitude"):
+        chk = verify_feedback_consistency(model, sets, weights, x0, tg, design,
+                                          check_every=lin_cfg["riccati.check_every"])
     chk.riccati.pi0_to_csv(out / "pi0.csv")
     return {
         "pipeline": "riccati-validate",

@@ -8,10 +8,12 @@ is integrated with an implicit trapezoid rule in the orthonormal eigenbasis of
 the (symmetric) discrete A, where the stiff Lyapunov part becomes an
 elementwise solve.  The rank-one quadratic term depends on Pi only through
 the n-vector Pi b, so the implicit step is a short fixed point on that vector
-(one matrix-vector product per iteration), and Pi is formed once per step.
-Every term of the step is exactly symmetric, so no re-symmetrization is
-needed.  Positive semidefiniteness is checked every few steps (the
-eigenvalues are basis-invariant, so the check runs modally).
+(one matrix-vector product per iteration), and the sweep carries one n x n
+matrix from which Pi follows by a rank-one correction; Pi itself is formed
+only where it is tested or returned.  Every term of the step is exactly
+symmetric, so no re-symmetrization is needed.  Positive semidefiniteness is
+checked every few steps by a shifted Cholesky factorization (definiteness is
+basis-invariant, so the check runs modally).
 
 Adjoint pairing uses the uniform quadrature weight w of the grid, so with
 scalar input the matrix form of B R^{-1} B* is (w/rho) b b^T, and the feedback
@@ -20,6 +22,7 @@ law reads u(t) = -(w/rho) b^T Pi(t) x(t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,9 +71,9 @@ def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: fl
     R = (1 + c(lam_i + lam_j)) W elementwise, one step from Pi_k (modal, with
     y = Pi_k b) reads
 
-        Pi_{k+1} = M - c s (z z^T) o W,   M = R o Pi_k + 2cq diag(W) - c s (y y^T) o W,
+        Pi_{k+1} = M_k - c s (z z^T) o W,   M_k = R o Pi_k + 2cq diag(W) - c s (y y^T) o W,
 
-    where z = Pi_{k+1} b is the fixed point of z = M b - c s z o (W (z o b)),
+    where z = Pi_{k+1} b is the fixed point of z = M_k b - c s z o (W (z o b)),
     iterated from the lagged z = y.  Each iteration is one matrix-vector
     product.  The Pi_{k+1} formed from two successive iterates z_{j-1}, z_j
     differ by c s (z_j z_j^T - z_{j-1} z_{j-1}^T) o W, whose Frobenius norm
@@ -79,7 +82,24 @@ def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: fl
     bound is at most 1e-13 max(1, |Pi_{k+1} b| / |b|); as
     |Pi_{k+1} b| / |b| <= ||Pi_{k+1}||_F, it never stops before the rule
     ||dPi_{k+1}||_F <= 1e-13 max(1, ||Pi_{k+1}||_F) on the matrix iterates.
-    Every term is exactly symmetric, so Pi_{k+1} is too.
+
+    The sweep carries M alone.  M_{k+1} needs y = Pi_{k+1} b, for which the
+    last iterate z stands in (the stopping rule bounds the difference), so
+    the two rank-one terms merge and, as R + 1 = 2W,
+
+        M_{k+1} = R o M_k - 2 c s (z z^T) o W^2 + 2cq diag(W),
+
+    four passes over n x n arrays per step.  The matrix-vector products
+    with c s W are (c s / 2)(R v + sum(v)), so no third n x n weight is
+    kept.  Pi_{k+1} itself is formed only where the PSD test runs (every
+    ``check_every`` steps) and at the last step; the rows Pi_{k+1} a are
+    M_k a - z o (c s W (z o a)).  Every term is exactly symmetric, so M and
+    Pi are too.
+
+    Pi_{k+1} is PSD up to the tolerance if the Cholesky factorization of
+    Pi_{k+1} + delta I succeeds, delta = 1e-8 max_i (Pi_{k+1})_ii: it
+    succeeds only if lambda_min > -delta >= -1e-8 lambda_max (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 10.1).
 
     Returns Pi-tilde(0) and, at the nt + 1 coarse times t_k (every
     ``refine``-th step), the rows Pi-tilde(t_k) b_modal and
@@ -88,7 +108,7 @@ def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: fl
     a non-finite iterate, or a PSD violation beyond tolerance (caller retries
     with a finer step).
     """
-    n = lam.size
+    n, steps = lam.size, nt * refine
     c = 0.5 * dt
     shift = c * np.add.outer(lam, lam)
     ratio = 1.0 + shift
@@ -98,51 +118,76 @@ def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: fl
     np.divide(1.0, weight, out=weight)
     ratio *= weight
     source = (2.0 * c * q) * np.diagonal(weight)
-    weight *= c * s_scale  # from here on c s W, the weight of the quadratic term
-    weight_max = float(np.max(np.abs(weight)))
+    half_cs = 0.5 * c * s_scale
+    weight_max = 2.0 * half_cs * float(np.max(np.abs(weight)))  # max |c s W|
+    quad = np.multiply(weight, weight, out=weight)
+    quad *= 4.0 * half_cs  # 2 c s W^2, the weight of the merged rank-one term
     b_norm = max(float(np.linalg.norm(b_modal)), 1e-300)
+
+    def csw_apply(v):  # (c s W) v
+        return half_cs * (np.dot(ratio, v) + v.sum())
 
     pib = np.zeros((nt + 1, n))  # Pi(tau) = 0 leaves row nt zero
     pix = None if along_modal is None else np.zeros((nt + 1, n))
-    x, m_part = np.zeros((n, n)), np.empty((n, n))
+    m_part, x = np.zeros((n, n)), np.empty((n, n))
+    m_diag = m_part.reshape(-1)[::n + 1]  # a view of the diagonal
+    m_diag += source
     y = np.zeros(n)
-    for m in range(nt * refine):
-        np.multiply(ratio, x, out=m_part)
-        np.einsum("i,j->ij", y, y, out=x)
-        x *= weight
-        m_part -= x
-        m_part.flat[::n + 1] += source
-        beta = m_part @ b_modal
-        z_prev, z = y, beta - y * (weight @ (y * b_modal))
-        for _ in range(20):
-            z_next = beta - z * (weight @ (z * b_modal))  # Pi_{k+1} b for this z
-            u, v = z - z_prev, z + z_prev
-            change = weight_max * np.sqrt(0.5 * ((u @ u) * (v @ v) + (u @ v) ** 2))
-            z_norm = float(np.linalg.norm(z_next))
-            if not np.isfinite(change + z_norm):
-                raise PdeoptError("Riccati iterate is not finite")
-            if change <= 1e-13 * max(1.0, z_norm / b_norm):
-                break
-            z_prev, z = z, z_next
-        else:
-            raise PdeoptError("Riccati fixed point did not converge in 20 iterations")
-        np.einsum("i,j->ij", z, z, out=x)
-        x *= weight
-        np.subtract(m_part, x, out=x)
-        y = z_next
-        if (m + 1) % check_every == 0 or m == nt * refine - 1:
-            if not np.all(np.isfinite(x)):
-                raise PdeoptError("Riccati iterate is not finite")
-            evs = np.linalg.eigvalsh(x)
-            scale = max(abs(evs[0]), abs(evs[-1]), 1e-300)
-            if evs[0] < -1e-8 * scale:
-                raise PdeoptError(f"Pi lost positive semidefiniteness (min eig {evs[0]:.2e})")
-        k, rest = divmod(nt * refine - m - 1, refine)
-        if rest == 0:
-            pib[k] = y
-            if pix is not None:
-                pix[k] = x @ along_modal[k]
+    # the loop tests its iterates for non-finite values, so an overflow
+    # inside it is reported there, once, rather than as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(steps):
+            beta = m_part @ b_modal
+            z_prev, z = y, beta - y * csw_apply(y * b_modal)
+            for _ in range(20):
+                z_next = beta - z * csw_apply(z * b_modal)  # Pi_{k+1} b for this z
+                u, v = z - z_prev, z + z_prev
+                uv = float(u @ v)
+                change = weight_max * math.sqrt(0.5 * (float(u @ u) * float(v @ v) + uv * uv))
+                z_norm = math.sqrt(float(z_next @ z_next))
+                if not math.isfinite(change + z_norm):
+                    raise PdeoptError("Riccati iterate is not finite")
+                if change <= 1e-13 * max(1.0, z_norm / b_norm):
+                    break
+                z_prev, z = z, z_next
+            else:
+                raise PdeoptError("Riccati fixed point did not converge in 20 iterations")
+            y = z_next
+            k, rest = divmod(steps - m - 1, refine)
+            if rest == 0:
+                pib[k] = y
+                if pix is not None:
+                    pix[k] = m_part @ along_modal[k] - z * csw_apply(z * along_modal[k])
+            if (m + 1) % check_every == 0 or m == steps - 1:
+                np.einsum("i,j->ij", z, z, out=x)
+                x *= ratio + 1.0
+                x *= half_cs
+                np.subtract(m_part, x, out=x)  # Pi_{k+1}
+                _check_psd(x)
+            if m < steps - 1:
+                m_part *= ratio
+                np.einsum("i,j->ij", z, z, out=x)
+                x *= quad
+                m_part -= x
+                m_diag += source
     return x, pib, pix
+
+
+def _check_psd(pi: np.ndarray) -> None:
+    """Raise PdeoptError unless pi is finite and PSD up to the sweep's
+    tolerance (see ``_integrate_modal``); pi is left as it was."""
+    if not np.all(np.isfinite(pi)):
+        raise PdeoptError("Riccati iterate is not finite")
+    pi_diag = pi.reshape(-1)[::pi.shape[0] + 1]  # a view of the diagonal
+    saved = pi_diag.copy()
+    pi_diag += max(1e-8 * float(saved.max()), 1e-300)
+    try:
+        np.linalg.cholesky(pi)
+    except np.linalg.LinAlgError:
+        pi_diag[:] = saved
+        evs = np.linalg.eigvalsh(pi)
+        raise PdeoptError(f"Pi lost positive semidefiniteness (min eig {evs[0]:.2e})") from None
+    pi_diag[:] = saved
 
 
 def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
@@ -159,10 +204,11 @@ def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
     PSD failure or a singular implicit factor the sweep retries at dt/2 and
     dt/4 (keeping the requested output sampling) before aborting.
     """
-    lam, v = a_op.basis.values.ravel(), a_op.basis.matrix
-    b_modal = v.T @ b_vec
+    basis = a_op.basis
+    lam, n = basis.values.ravel(), b_vec.size
+    b_modal = basis.to_modal(b_vec).reshape(n)
     s_scale = state_weight / weights.r_scale
-    along_modal = None if along is None else along @ v
+    along_modal = None if along is None else basis.to_modal(along).reshape(along.shape)
 
     last_err: PdeoptError | None = None
     for refine in (1, 2, 4):
@@ -173,9 +219,14 @@ def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
         except PdeoptError as err:
             last_err = err
             continue
-        return RiccatiSolution(basis=v, modal=[pi0], b_vec=b_vec,
-                               gains=s_scale * (pib @ v.T),
-                               along=None if pix is None else pix @ v.T)
+
+        def nodal(rows):
+            return basis.from_modal(rows.reshape((-1,) + basis.values.shape)).reshape(rows.shape)
+
+        # the dense V is formed only now, so the sweep runs without it
+        return RiccatiSolution(basis=basis.matrix, modal=[pi0], b_vec=b_vec,
+                               gains=s_scale * nodal(pib),
+                               along=None if pix is None else nodal(pix))
     raise PdeoptError(f"Riccati sweep failed after dt refinements: {last_err}")
 
 
@@ -289,15 +340,19 @@ def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
     equation Pi(0) x0 = -mu x0 with mu >= 0 would force Pi(0) x0 = 0 for a
     PSD Pi(0), so eigen-alignment plus the signed quotient is what is tested.
     """
-    pi0 = ric.pi0
-    # whiten with K = V diag(k) V^T: W = V diag(k^-1/2) has W^T K W = I, so
-    # Pi(0) v = theta K v becomes the standard problem (W^T Pi(0) W) y = theta y
+    # whiten with K = V_K diag(k) V_K^T: W = V_K diag(k^-1/2) has W^T K W = I, so
+    # Pi(0) v = theta K v becomes (W^T Pi(0) W) y = theta y, and with
+    # Pi(0) = V Pi-tilde(0) V^T that matrix is T^T Pi-tilde(0) T, T = V^T W
     k_basis = grid.h1.basis
-    w = k_basis.matrix / np.sqrt(k_basis.values.ravel())
-    _, y = np.linalg.eigh(w.T @ pi0 @ w)
-    extremal = w @ y[:, -1]
+    k_isqrt = 1.0 / np.sqrt(k_basis.values.ravel())
+    t = k_basis.to_modal(ric.basis.T).reshape(grid.size, grid.size)  # V^T V_K
+    t *= k_isqrt
+    pi0_modal = ric.modal[0]
+    _, y = np.linalg.eigh(t.T @ (pi0_modal @ t))
+    extremal = k_basis.from_modal((k_isqrt * y[:, -1]).reshape(k_basis.values.shape))
     denom = h1_norm(x0_star, grid) * h1_norm(extremal, grid)
     cosine = abs(h1_inner(x0_star, extremal, grid)) / max(denom, 1e-300)
-    rayleigh = inner_product(x0_star, pi0 @ x0_star, grid) / \
+    xi = ric.basis.T @ x0_star  # <x0, Pi(0) x0> = <xi, Pi-tilde(0) xi>
+    rayleigh = inner_product(xi, pi0_modal @ xi, grid) / \
         max(h1_inner(x0_star, x0_star, grid), 1e-300)
     return float(cosine), float(rayleigh)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,18 @@ def smooth_clamped(grid, amplitude=1.0):
 def first_mode_2d(grid, amplitude=1.0):
     xx, yy = grid.meshgrid()
     return amplitude * (np.sin(np.pi * xx / grid.lx) * np.sin(np.pi * yy / grid.ly)).ravel()
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes traced while it ran, above those live before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,7 @@ from pdeopt.adjoint import adjoint_sweep, assemble_gradients, compute_bundle, \
 from pdeopt.forward import cn_ab2_sweep
 from pdeopt.models import actuator_design_derivative_adjoint
 
-from conftest import first_mode_2d, l2_norm, smooth_clamped
+from conftest import first_mode_2d, l2_norm, smooth_clamped, traced_peak
 
 
 def spacetime_identity_error(model, traj, tg, rng):
@@ -50,21 +48,6 @@ def reference_gradients(model, p, u, design, weights):
                                                     2.0 * tg.dt * pi_j, grid)
                  for u_j, pi_j in zip(u.values, pi))
     return grad_u, grad_r
-
-
-def traced_peak(fn):
-    """fn() and the peak bytes traced while it ran, above those live before."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
 
 
 class TestCostWeights:

@@ -466,6 +466,19 @@ class TestCliEntry:
         assert "square" in err and "cost.q_scale" in err
         assert "Traceback" not in err and "Warning" not in err
 
+    def test_exit_two_when_the_riccati_validate_cost_overflows(self, tmp_path, capsys):
+        # the input-only solve's cost grows with q_scale and with the initial
+        # amplitude squared; no RuntimeWarning may escape either
+        ini = tmp_path / "loud.ini"
+        ini.write_text("[model]\nkind = heat\nlinear = true\n\n[grid]\nnx = 4\nny = 4\n\n"
+                       "[cost]\nq_scale = 1e290\n\n[initial_condition]\namplitude = 1e3\n")
+        code = main(["riccati-validate", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "config field 'cost.q_scale'" in err
+        assert "initial_condition.amplitude" in err
+        assert "Traceback" not in err and "Warning" not in err
+
     def test_worst_ic_just_inside_the_h1_bound_runs_without_warnings(self, tmp_path):
         ini = tmp_path / "wide.ini"
         ini.write_text("[model]\nkind = heat\nlinear = true\n\n[grid]\nnx = 4\nny = 4\n\n"

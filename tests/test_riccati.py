@@ -12,7 +12,7 @@ from pdeopt.grids import LinearOperator
 from pdeopt.riccati import closed_loop_simulate, solve_differential_riccati, \
     verify_feedback_consistency, worst_ic_eigen_check
 
-from conftest import first_mode_2d, smooth_clamped
+from conftest import first_mode_2d, smooth_clamped, traced_peak
 
 
 def scalar_op(a=0.0):
@@ -166,6 +166,13 @@ class TestStepRefinement:
                                        po.TimeGrid(tau=0.5, nt=100),
                                        state_weight=g.weight, check_every=1)
 
+    def test_unstable_operator_refused_as_indefinite(self):
+        # a = 30 > 0 with dt = 0.2: 1 - (dt/2)(a + a) < 0 at dt, dt/2 and dt/4,
+        # so Pi turns negative after one step at every refinement
+        with pytest.raises(po.PdeoptError, match="lost positive semidefiniteness"):
+            solve_differential_riccati(scalar_op(30.0), np.ones(1), po.CostWeights(1, 1),
+                                       po.TimeGrid(1.0, 5), check_every=1)
+
 
 class TestDiagonalSystem:
     def test_per_mode_scalar_oracle(self):
@@ -262,6 +269,39 @@ class TestStorage:
                 tracemalloc.stop()
 
         assert peak(1600) - peak(100) < 4 * 2**20
+
+    @staticmethod
+    def _heat_16x16():
+        g = po.build_grid_2d(16, 16)
+        model = po.make_heat_model(g, f_scalar=None)
+        b = model.actuator_family.evaluate(model.actuator_family.initial_design(), g)
+        model.linear_op.basis, g.h1.basis  # built once, outside the measured calls
+        return g, model, b
+
+    def test_sweep_peak_counts_its_arrays(self, rng):
+        # n x n: the carried M, the scratch that holds Pi at a PSD test, R,
+        # 2 c s W^2, and one more at a test (R + 1, then the Cholesky factor);
+        # the dense V is formed after the sweep.  (nt + 1) x n: along in modal
+        # coordinates and the rows Pi b and Pi along.  Plus 32 n-vectors of
+        # slack; unit: n^2 doubles.
+        g, model, b = self._heat_16x16()
+        n, tg = g.size, po.TimeGrid(tau=1.0, nt=40)
+        xs = rng.standard_normal((tg.nt + 1, n))
+        _, peak = traced_peak(lambda: solve_differential_riccati(
+            model.linear_op, b, po.CostWeights(), tg, state_weight=g.weight,
+            check_every=1, along=xs))
+        assert peak / (8 * n * n) <= 5 + (3 * (tg.nt + 1) + 32) / n
+
+    def test_eigen_check_peak_counts_its_arrays(self, rng):
+        # T = V^T V_K diag(k^-1/2), Pi-tilde(0) T and T^T Pi-tilde(0) T, whose
+        # eigenvectors take the place of the product: three n x n arrays plus
+        # 32 n-vectors of slack, and neither the nodal Pi(0) nor V_K diag(k^-1/2)
+        g, model, b = self._heat_16x16()
+        ric = solve_differential_riccati(model.linear_op, b, po.CostWeights(),
+                                         po.TimeGrid(tau=1.0, nt=40), state_weight=g.weight)
+        n = g.size
+        _, peak = traced_peak(lambda: worst_ic_eigen_check(ric, rng.standard_normal(n), g))
+        assert peak / (8 * n * n) <= 3 + 32 / n
 
     @pytest.mark.parametrize("kind", ["heat", "ks"])
     def test_along_matches_pi0_of_the_remaining_horizon(self, kind, rng):

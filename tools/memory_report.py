@@ -15,7 +15,10 @@ with:
   profile hook reads the peak at every call and return);
 - the minor page faults (`ru_minflt`) of one untraced run, the median of
   REPEATS runs after one warm-up run.  Fresh pages the heap maps, and
-  remaps after returning them to the system, show up here.
+  remaps after returning them to the system, show up here;
+- the child's peak RSS (`ru_maxrss`) in MiB over those untraced runs, read
+  before the traced one: what the benchmark's `peak_rss_mb` measures in a
+  fresh process that runs the pipeline once.
 
 BLAS runs on one thread, as in `perfbench/run.py`, unless the environment
 sets the thread counts.
@@ -97,10 +100,12 @@ def _report(src: str, name: str) -> None:
             run(subcommand, cfg, Path(tmp) / name)
 
         faults = _faults_per_run(once)
+        max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         peak, where = _traced_peak(once)
     print(f"{name}: traced peak {peak / 2**20:.2f} MiB = "
           f"{peak / trajectory:.2f} trajectories of {trajectory / 2**20:.2f} MiB "
-          f"in {where}; {faults} minor faults per run", flush=True)
+          f"in {where}; peak RSS {max_rss:.2f} MiB; {faults} minor faults per run",
+          flush=True)
 
 
 def main(argv: list[str]) -> int:
