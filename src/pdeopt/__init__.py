@@ -12,7 +12,7 @@ from .adjoint import (CostWeights, GradientBundle, GradientCheckReport,
                       gradient_check, solve_adjoint)
 from .exceptions import (BlowUpError, ConfigError, ConstraintViolationError,
                          InvalidBoundaryError, InvalidGridError, NotApplicableError,
-                         PdeoptError)
+                         PdeoptError, StepSizeError)
 from .forward import (ControlSignal, TimeGrid, Trajectory, energy_margin, energy_trace,
                       load_checkpoint, save_checkpoint, solve_forward, trajectory_to_csv,
                       verify_heat_iss_bound, verify_ks_bound)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .adjoint import CostWeights, gradient_check
 from .config import ExperimentConfig
-from .exceptions import BlowUpError, ConfigError, PdeoptError
+from .exceptions import BlowUpError, ConfigError, PdeoptError, StepSizeError
 from .forward import (ControlSignal, TimeGrid, energy_margin, energy_trace,
                       save_checkpoint, solve_forward, trajectory_to_csv)
 from .grids import LinearOperator
@@ -84,17 +84,28 @@ def _state_csv(path: Path, vec: np.ndarray, label: str) -> None:
 
 # --- pipelines ---------------------------------------------------------
 
-# The dense Riccati sweep holds four n x n arrays, six during a PSD test (a
-# Cholesky factor and LAPACK's copy of it), and riccati-validate peaks at
-# about 7 n x n doubles, so this cap keeps riccati-validate, and optimize or
-# worst-ic on a linear model, under 1 GiB (about 0.57 GiB at 3072 nodes).
+# The low-rank Riccati sweep holds O(n r), but Pi(0) is n x n: riccati-validate
+# holds V, Pi-tilde(0) and the nodal Pi(0) for pi0.csv, and worst-ic's eigen
+# check two n x n products more, so this cap keeps riccati-validate, and
+# optimize or worst-ic on a linear model, under 1 GiB (at 3072 nodes
+# riccati-validate peaks at 406 MiB and worst-ic at 595 MiB).
 RICCATI_MAX_NODES = 3072
 
 
 def _check_riccati_grid(model) -> None:
     if model.is_linear and model.grid.size > RICCATI_MAX_NODES:
         raise ConfigError("grid.nx", f"grid.nx * grid.ny = {model.grid.size} exceeds "
-                          f"the {RICCATI_MAX_NODES} nodes of a dense Riccati sweep")
+                          f"the {RICCATI_MAX_NODES} nodes of the n x n Riccati arrays")
+
+
+# a Riccati step too coarse for the splitting's accuracy bound is refused by
+# the field that sets the step
+@contextmanager
+def _step_names(field: str):
+    try:
+        yield
+    except StepSizeError as err:
+        raise ConfigError(field, str(err)) from None
 
 
 # an optimizer run whose cost or gradient leaves float64 (a numpy overflow, or
@@ -166,9 +177,10 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
         "margin": report.final["margin"],
     }
     if model.is_linear:
-        chk = verify_feedback_consistency(model, sets, weights, x0,
-                                          TimeGrid(tau=tg.tau, nt=cfg["riccati.nt"]),
-                                          design, check_every=cfg["riccati.check_every"])
+        with _step_names("riccati.nt"):
+            chk = verify_feedback_consistency(model, sets, weights, x0,
+                                              TimeGrid(tau=tg.tau, nt=cfg["riccati.nt"]),
+                                              design, check_every=cfg["riccati.check_every"])
         summary["riccati_discrepancy"] = None if chk.inconclusive else chk.discrepancy
         summary["riccati_inconclusive"] = chk.inconclusive
     return summary
@@ -202,9 +214,10 @@ def run_worst_ic(cfg: ExperimentConfig, out: Path) -> dict:
     }
     if model.is_linear:
         b = model.actuator_family.evaluate(design, grid)
-        ric = solve_differential_riccati(model.linear_op, b, weights, tg,
-                                         state_weight=grid.weight,
-                                         check_every=cfg["riccati.check_every"])
+        with _step_names("time.nt"):
+            ric = solve_differential_riccati(model.linear_op, b, weights, tg,
+                                             state_weight=grid.weight,
+                                             check_every=cfg["riccati.check_every"])
         cosine, rayleigh = worst_ic_eigen_check(ric, x0_star, grid)
         summary["eigen_cosine"] = cosine
         summary["rayleigh_mu"] = rayleigh
@@ -228,8 +241,9 @@ def run_riccati_validate(cfg: ExperimentConfig, out: Path) -> dict:
     sets = lin_cfg.build_sets(model)
     design = lin_cfg.build_design(model)
     x0 = lin_cfg.build_x0(grid)
-    with _overflow_names("cost.q_scale", lin_cfg["cost.q_scale"],
-                         "with it and with the square of initial_condition.amplitude"):
+    with _step_names("riccati.nt"), \
+            _overflow_names("cost.q_scale", lin_cfg["cost.q_scale"],
+                            "with it and with the square of initial_condition.amplitude"):
         chk = verify_feedback_consistency(model, sets, weights, x0, tg, design,
                                           check_every=lin_cfg["riccati.check_every"])
     chk.riccati.pi0_to_csv(out / "pi0.csv")

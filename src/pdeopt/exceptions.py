@@ -21,6 +21,10 @@ class NotApplicableError(PdeoptError):
     """A verification bound was requested outside its hypotheses."""
 
 
+class StepSizeError(PdeoptError):
+    """A time step is too coarse for the accuracy bound of the scheme."""
+
+
 class BlowUpError(PdeoptError):
     """Time integration produced a non-finite state.
 

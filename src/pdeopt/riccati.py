@@ -4,16 +4,25 @@ The matrix Riccati equation (backward, terminal value zero)
 
     dPi/dt = -Pi A - A* Pi - Q + Pi B R^{-1} B* Pi,   Pi(tau) = 0,
 
-is integrated with an implicit trapezoid rule in the orthonormal eigenbasis of
-the (symmetric) discrete A, where the stiff Lyapunov part becomes an
-elementwise solve.  The rank-one quadratic term depends on Pi only through
-the n-vector Pi b, so the implicit step is a short fixed point on that vector
-(one matrix-vector product per iteration), and the sweep carries one n x n
-matrix from which Pi follows by a rank-one correction; Pi itself is formed
-only where it is tested or returned.  Every term of the step is exactly
-symmetric, so no re-symmetrization is needed.  Positive semidefiniteness is
-checked every few steps by a shifted Cholesky factorization (definiteness is
-basis-invariant, so the check runs modally).
+is integrated by Strang splitting with each part solved exactly (Hansen &
+Stillfjord, SIAM J. Numer. Anal. 52 (2014) 3128-3139), in the orthonormal
+eigenbasis of the (symmetric) discrete A.  There the Lyapunov part
+Pi A + A* Pi + Q is elementwise, and the quadratic part, rank one for a
+scalar input, has a closed form.  Both maps take PSD matrices to PSD
+matrices, and a step needs no inner iteration.  The splitting error grows
+with a = h s b^T Pi b (h the step, s = w/rho), so a step with a > 1 is
+refused (StepSizeError).  A non-finite value raises, and Pi must pass a PSD
+test every few steps.
+
+For a stable A the Lyapunov flow from Pi(tau) = 0 keeps a diagonal D and
+maps each rank-one term to a rank-one term, so Pi = D - Z Z^T holds exactly:
+Z gains one column per step and is compressed every COMPRESS_EVERY steps
+through the eigendecomposition of its Gram matrix (Stillfjord, IEEE Trans.
+Automat. Control 60 (2015) 2791-2796), and a step costs O(n r) for rank r.
+For an unstable A, D grows like e^{2 lambda_max t} and D - Z Z^T cancels
+(on linear KS at lambda = 60, 800 steps, it is 7.6e-8 off the dense Pi
+after 100 steps and indefinite by step 150), so Pi is kept as a dense
+matrix there.  Either way Pi is formed as an n x n matrix only at t = 0.
 
 Adjoint pairing uses the uniform quadrature weight w of the grid, so with
 scalar input the matrix form of B R^{-1} B* is (w/rho) b b^T, and the feedback
@@ -28,11 +37,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import CostWeights
-from .exceptions import PdeoptError
+from .exceptions import PdeoptError, StepSizeError
 from .forward import TimeGrid, Trajectory, cn_ab2_sweep
-from .grids import LinearOperator, h1_inner, h1_norm, inner_product
+from .grids import LinearOperator, SpectralBasis, h1_inner, h1_norm, inner_product
 from .models import ActuatorDesign, ModelSpec
 from .optimize import AdmissibleSets, OptimizerConfig, minimize_joint
+
+COMPRESS_EVERY = 10  # steps between compressions of the low-rank factor
+RANK_TOL = 1e-16  # Gram eigenvalues below this share of the largest are dropped
+PSD_TOL = 1e-8  # Pi + delta I must be positive definite, delta = PSD_TOL max_i Pi_ii
 
 
 @dataclass(frozen=True)
@@ -43,7 +56,9 @@ class RiccatiSolution:
     ``modal`` lists the n x n matrices kept, in the eigenbasis ``basis`` of
     A: only Pi-tilde(0).  ``gains[k]`` is g_k = (w/rho) Pi(t_k) b, so the
     feedback law reads u_k = -<g_k, x_k>.  ``along[k]`` is Pi(t_k) X[k] for
-    the trajectory X passed as ``along=`` (None without one).
+    the trajectory X passed as ``along=`` (None without one).  ``spectral``
+    is A's ``SpectralBasis``, whose 1-D factors give ``basis`` as their
+    Kronecker product; None stands for the one factor ``basis``.
     """
 
     basis: np.ndarray = field(repr=False)
@@ -51,6 +66,7 @@ class RiccatiSolution:
     b_vec: np.ndarray = field(repr=False)
     gains: np.ndarray = field(repr=False)
     along: np.ndarray | None = field(default=None, repr=False)
+    spectral: SpectralBasis | None = field(default=None, repr=False)
 
     @property
     def pi0(self) -> np.ndarray:
@@ -61,133 +77,179 @@ class RiccatiSolution:
         np.savetxt(path, self.pi0, fmt="%.16e", delimiter=",", comments="")
 
 
-def _integrate_modal(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: float,
-                     nt: int, refine: int, dt: float, check_every: int,
-                     along_modal: np.ndarray | None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Backward trapezoid sweep in the eigenbasis over nt * refine steps of dt.
+def _not_finite() -> PdeoptError:
+    return PdeoptError("Riccati iterate is not finite")
 
-    With c = dt/2, s = s_scale, W = 1 / (1 - c(lam_i + lam_j)) and
-    R = (1 + c(lam_i + lam_j)) W elementwise, one step from Pi_k (modal, with
-    y = Pi_k b) reads
 
-        Pi_{k+1} = M_k - c s (z z^T) o W,   M_k = R o Pi_k + 2cq diag(W) - c s (y y^T) o W,
+def _indefinite(pi: np.ndarray) -> PdeoptError:
+    return PdeoptError("Pi lost positive semidefiniteness "
+                       f"(min eig {np.linalg.eigvalsh(pi)[0]:.2e})")
 
-    where z = Pi_{k+1} b is the fixed point of z = M_k b - c s z o (W (z o b)),
-    iterated from the lagged z = y.  Each iteration is one matrix-vector
-    product.  The Pi_{k+1} formed from two successive iterates z_{j-1}, z_j
-    differ by c s (z_j z_j^T - z_{j-1} z_{j-1}^T) o W, whose Frobenius norm
-    is at most c s max|W| sqrt(2 (|u|^2 |v|^2 + (u.v)^2)) / 2 with
-    u = z_j - z_{j-1}, v = z_j + z_{j-1}.  The iteration stops once this
-    bound is at most 1e-13 max(1, |Pi_{k+1} b| / |b|); as
-    |Pi_{k+1} b| / |b| <= ||Pi_{k+1}||_F, it never stops before the rule
-    ||dPi_{k+1}||_F <= 1e-13 max(1, ||Pi_{k+1}||_F) on the matrix iterates.
 
-    The sweep carries M alone.  M_{k+1} needs y = Pi_{k+1} b, for which the
-    last iterate z stands in (the stopping rule bounds the difference), so
-    the two rank-one terms merge and, as R + 1 = 2W,
+class _LowRankPi:
+    """Modal Pi = diag(d) - Z Z^T for a stable A.  Z^T is kept row by row in
+    a buffer that doubles when full; ``grow`` and ``source`` are the half
+    Lyapunov step's factor e^{lambda h/2} and diagonal source."""
 
-        M_{k+1} = R o M_k - 2 c s (z z^T) o W^2 + 2cq diag(W),
+    def __init__(self, grow: np.ndarray, source: np.ndarray):
+        n = grow.size
+        self.grow, self.grow_sq, self.source = grow, grow * grow, source
+        self.d = np.zeros(n)
+        self.zt = np.empty((2 * COMPRESS_EVERY, n))
+        self.rank = 0
 
-    four passes over n x n arrays per step.  The matrix-vector products
-    with c s W are (c s / 2)(R v + sum(v)), so no third n x n weight is
-    kept.  Pi_{k+1} itself is formed only where the PSD test runs (every
-    ``check_every`` steps) and at the last step; the rows Pi_{k+1} a are
-    M_k a - z o (c s W (z o a)).  Every term is exactly symmetric, so M and
-    Pi are too.
+    def half_lyapunov(self) -> None:
+        self.d *= self.grow_sq
+        self.d += self.source
+        self.zt[:self.rank] *= self.grow
 
-    Pi_{k+1} is PSD up to the tolerance if the Cholesky factorization of
-    Pi_{k+1} + delta I succeeds, delta = 1e-8 max_i (Pi_{k+1})_ii: it
-    succeeds only if lambda_min > -delta >= -1e-8 lambda_max (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 10.1).
+    def times(self, v: np.ndarray) -> np.ndarray:
+        zt = self.zt[:self.rank]
+        return self.d * v - (zt @ v) @ zt
 
-    Returns Pi-tilde(0) and, at the nt + 1 coarse times t_k (every
-    ``refine``-th step), the rows Pi-tilde(t_k) b_modal and
-    Pi-tilde(t_k) along_modal[k].  Raises PdeoptError on a near-singular
-    implicit factor, a fixed point that does not converge in 20 iterations,
-    a non-finite iterate, or a PSD violation beyond tolerance (caller retries
-    with a finer step).
+    def downdate(self, beta: float, y: np.ndarray) -> None:
+        """Pi <- Pi - beta y y^T: one more column sqrt(beta) y of Z."""
+        if self.rank == len(self.zt):
+            self.zt = np.concatenate((self.zt, np.empty_like(self.zt)))
+        np.multiply(y, math.sqrt(beta), out=self.zt[self.rank])
+        self.rank += 1
+
+    def compress(self) -> None:
+        """Z <- Z U over the eigenvectors U of the Gram matrix Z^T Z whose
+        eigenvalues are at least RANK_TOL times the largest: Z U U^T Z^T
+        keeps all of Z Z^T but a share RANK_TOL of its norm."""
+        zt = self.zt[:self.rank]
+        evs, u = np.linalg.eigh(zt @ zt.T)
+        kept = u[:, evs > RANK_TOL * evs[-1]]
+        self.rank = kept.shape[1]
+        self.zt[:self.rank] = kept.T @ zt
+
+    def check_psd(self) -> None:
+        """PSD test of ``_DensePi.check_psd`` on r x r: with D_delta =
+        D + delta I > 0, Pi + delta I = D_delta - Z Z^T is positive definite
+        exactly when I - Z^T D_delta^{-1} Z is (a Schur complement).  As
+        delta >= 1e-300, D_delta > 0 also where D is zero or subnormal;
+        scaling Z by D_delta^{-1/2} keeps the r x r matrix exactly
+        symmetric."""
+        zt = self.zt[:self.rank]
+        if not (np.all(np.isfinite(self.d)) and np.all(np.isfinite(zt))):
+            raise _not_finite()
+        diag = self.d - np.einsum("ij,ij->j", zt, zt)
+        delta = max(PSD_TOL * float(diag.max()), 1e-300)
+        w = zt / np.sqrt(self.d + delta)
+        try:
+            np.linalg.cholesky(np.eye(self.rank) - w @ w.T)
+        except np.linalg.LinAlgError:
+            raise _indefinite(self.modal()) from None
+
+    def modal(self) -> np.ndarray:
+        """The n x n Pi-tilde, formed in one array."""
+        zt = self.zt[:self.rank]
+        pi = np.matmul(zt.T, zt)  # exactly symmetric (a rank-r update)
+        np.negative(pi, out=pi)
+        pi.reshape(-1)[::pi.shape[0] + 1] += self.d
+        return pi
+
+
+class _DensePi:
+    """Modal Pi as an n x n matrix, for an A with a positive eigenvalue;
+    the same maps as ``_LowRankPi``."""
+
+    def __init__(self, grow: np.ndarray, source: np.ndarray):
+        n = grow.size
+        self.grow, self.source = grow, source
+        self.pi, self.scratch = np.zeros((n, n)), np.empty((n, n))
+        self.diag = self.pi.reshape(-1)[::n + 1]  # a view of the diagonal
+
+    def half_lyapunov(self) -> None:
+        self.pi *= self.grow[:, None]
+        self.pi *= self.grow
+        self.diag += self.source
+
+    def times(self, v: np.ndarray) -> np.ndarray:
+        return self.pi @ v
+
+    def downdate(self, beta: float, y: np.ndarray) -> None:
+        u = math.sqrt(beta) * y  # u_i u_j = u_j u_i, so Pi stays exactly symmetric
+        self.pi -= np.multiply.outer(u, u, out=self.scratch)
+
+    def compress(self) -> None:
+        pass
+
+    def check_psd(self) -> None:
+        """Pi is PSD up to the tolerance if the Cholesky factorization of
+        Pi + delta I succeeds, delta = PSD_TOL max_i Pi_ii: it succeeds only
+        if lambda_min > -delta >= -PSD_TOL lambda_max (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2nd ed., sec. 10.1)."""
+        if not np.all(np.isfinite(self.pi)):
+            raise _not_finite()
+        saved = self.diag.copy()
+        self.diag += max(PSD_TOL * float(saved.max()), 1e-300)
+        try:
+            np.linalg.cholesky(self.pi)
+        except np.linalg.LinAlgError:
+            self.diag[:] = saved
+            raise _indefinite(self.pi) from None
+        self.diag[:] = saved
+
+    def modal(self) -> np.ndarray:
+        return self.pi
+
+
+def _split_sweep(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: float,
+                 nt: int, dt: float, check_every: int, along_modal: np.ndarray | None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Backward Strang-split sweep in the eigenbasis over nt steps of h = dt.
+
+    One step from Pi_{k+1} to Pi_k is a half Lyapunov step, the exact
+    rank-one step, and a second half Lyapunov step:
+
+    - half Lyapunov: Pi_ij <- e^{(lam_i + lam_j) h/2} Pi_ij, plus
+      q expm1(lam_i h) / (2 lam_i) on the diagonal (q h/2 where lam_i = 0),
+      the exact flow of dPi/ds = Lam Pi + Pi Lam + q I over h/2;
+    - rank one: Pi <- Pi - beta y y^T with y = Pi b, a = h s b^T y and
+      beta = h s / (1 + a), the exact flow of dPi/ds = -s Pi b b^T Pi
+      over h (Sherman-Morrison).
+
+    The splitting error grows with a, so a step with a > 1 raises
+    StepSizeError.  A non-finite y raises PdeoptError, and so does a Pi
+    that fails the PSD test, which runs every ``check_every`` steps and at
+    the last; the low-rank storage is compressed every COMPRESS_EVERY steps.
+
+    Returns Pi-tilde(0) and, at the nt + 1 times t_k, the rows
+    Pi-tilde(t_k) b_modal and Pi-tilde(t_k) along_modal[k].
     """
-    n, steps = lam.size, nt * refine
-    c = 0.5 * dt
-    shift = c * np.add.outer(lam, lam)
-    ratio = 1.0 + shift
-    weight = np.subtract(1.0, shift, out=shift)
-    if np.min(np.abs(weight)) < 1e-10 * max(1.0, c * float(np.max(np.abs(lam)))):
-        raise PdeoptError("implicit Riccati factor nearly singular at this step size")
-    np.divide(1.0, weight, out=weight)
-    ratio *= weight
-    source = (2.0 * c * q) * np.diagonal(weight)
-    half_cs = 0.5 * c * s_scale
-    weight_max = 2.0 * half_cs * float(np.max(np.abs(weight)))  # max |c s W|
-    quad = np.multiply(weight, weight, out=weight)
-    quad *= 4.0 * half_cs  # 2 c s W^2, the weight of the merged rank-one term
-    b_norm = max(float(np.linalg.norm(b_modal)), 1e-300)
-
-    def csw_apply(v):  # (c s W) v
-        return half_cs * (np.dot(ratio, v) + v.sum())
-
+    n, h_s = lam.size, dt * s_scale
     pib = np.zeros((nt + 1, n))  # Pi(tau) = 0 leaves row nt zero
     pix = None if along_modal is None else np.zeros((nt + 1, n))
-    m_part, x = np.zeros((n, n)), np.empty((n, n))
-    m_diag = m_part.reshape(-1)[::n + 1]  # a view of the diagonal
-    m_diag += source
-    y = np.zeros(n)
-    # the loop tests its iterates for non-finite values, so an overflow
-    # inside it is reported there, once, rather than as a warning
+    # non-finite values are tested for and reported once, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(steps):
-            beta = m_part @ b_modal
-            z_prev, z = y, beta - y * csw_apply(y * b_modal)
-            for _ in range(20):
-                z_next = beta - z * csw_apply(z * b_modal)  # Pi_{k+1} b for this z
-                u, v = z - z_prev, z + z_prev
-                uv = float(u @ v)
-                change = weight_max * math.sqrt(0.5 * (float(u @ u) * float(v @ v) + uv * uv))
-                z_norm = math.sqrt(float(z_next @ z_next))
-                if not math.isfinite(change + z_norm):
-                    raise PdeoptError("Riccati iterate is not finite")
-                if change <= 1e-13 * max(1.0, z_norm / b_norm):
-                    break
-                z_prev, z = z, z_next
-            else:
-                raise PdeoptError("Riccati fixed point did not converge in 20 iterations")
-            y = z_next
-            k, rest = divmod(steps - m - 1, refine)
-            if rest == 0:
-                pib[k] = y
-                if pix is not None:
-                    pix[k] = m_part @ along_modal[k] - z * csw_apply(z * along_modal[k])
-            if (m + 1) % check_every == 0 or m == steps - 1:
-                np.einsum("i,j->ij", z, z, out=x)
-                x *= ratio + 1.0
-                x *= half_cs
-                np.subtract(m_part, x, out=x)  # Pi_{k+1}
-                _check_psd(x)
-            if m < steps - 1:
-                m_part *= ratio
-                np.einsum("i,j->ij", z, z, out=x)
-                x *= quad
-                m_part -= x
-                m_diag += source
-    return x, pib, pix
-
-
-def _check_psd(pi: np.ndarray) -> None:
-    """Raise PdeoptError unless pi is finite and PSD up to the sweep's
-    tolerance (see ``_integrate_modal``); pi is left as it was."""
-    if not np.all(np.isfinite(pi)):
-        raise PdeoptError("Riccati iterate is not finite")
-    pi_diag = pi.reshape(-1)[::pi.shape[0] + 1]  # a view of the diagonal
-    saved = pi_diag.copy()
-    pi_diag += max(1e-8 * float(saved.max()), 1e-300)
-    try:
-        np.linalg.cholesky(pi)
-    except np.linalg.LinAlgError:
-        pi_diag[:] = saved
-        evs = np.linalg.eigvalsh(pi)
-        raise PdeoptError(f"Pi lost positive semidefiniteness (min eig {evs[0]:.2e})") from None
-    pi_diag[:] = saved
+        grow = np.exp(0.5 * dt * lam)
+        source = np.full(n, 0.5 * dt)
+        moving = lam != 0.0
+        source[moving] = np.expm1(dt * lam[moving]) / (2.0 * lam[moving])
+        source *= q
+        pi = (_LowRankPi if float(lam.max()) <= 0.0 else _DensePi)(grow, source)
+        for m in range(nt):
+            k = nt - m - 1
+            pi.half_lyapunov()
+            y = pi.times(b_modal)
+            a = h_s * float(b_modal @ y)
+            if not math.isfinite(a):
+                raise _not_finite()
+            if a > 1.0:
+                raise StepSizeError(f"a Riccati step has h s b^T Pi b = {a:.3g} > 1, where "
+                                    "the splitting error grows; take more time steps")
+            pi.downdate(h_s / (1.0 + a), y)
+            pi.half_lyapunov()
+            pib[k] = pi.times(b_modal)
+            if pix is not None:
+                pix[k] = pi.times(along_modal[k])
+            if (m + 1) % check_every == 0 or k == 0:
+                pi.check_psd()
+            if (m + 1) % COMPRESS_EVERY == 0:
+                pi.compress()
+    return pi.modal(), pib, pix
 
 
 def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
@@ -195,39 +257,30 @@ def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
                                state_weight: float = 1.0,
                                check_every: int = 1,
                                along: np.ndarray | None = None) -> RiccatiSolution:
-    """Backward implicit-trapezoid solve of the differential Riccati equation.
+    """Backward Strang-split solve of the differential Riccati equation
+    (see ``_split_sweep``).
 
     ``state_weight`` is the uniform quadrature weight of the grid carrying
     b_vec (1.0 for a plain ODE system).  ``along`` is an optional
     (nt+1) x n trajectory X; the solution then carries Pi(t_k) X[k].  Only
-    Pi(0) and n-vectors per step are kept, so memory is O(n^2 + nt n).  On
-    PSD failure or a singular implicit factor the sweep retries at dt/2 and
-    dt/4 (keeping the requested output sampling) before aborting.
+    Pi(0) and n-vectors per step are kept.  A step too coarse for the
+    splitting raises StepSizeError; the caller names the field that sets it.
     """
     basis = a_op.basis
     lam, n = basis.values.ravel(), b_vec.size
     b_modal = basis.to_modal(b_vec).reshape(n)
     s_scale = state_weight / weights.r_scale
     along_modal = None if along is None else basis.to_modal(along).reshape(along.shape)
+    pi0, pib, pix = _split_sweep(lam, b_modal, weights.q_scale, s_scale, tg.nt, tg.dt,
+                                 check_every, along_modal)
 
-    last_err: PdeoptError | None = None
-    for refine in (1, 2, 4):
-        try:
-            pi0, pib, pix = _integrate_modal(lam, b_modal, weights.q_scale, s_scale,
-                                             tg.nt, refine, tg.dt / refine,
-                                             check_every, along_modal)
-        except PdeoptError as err:
-            last_err = err
-            continue
+    def nodal(rows):
+        return basis.from_modal(rows.reshape((-1,) + basis.values.shape)).reshape(rows.shape)
 
-        def nodal(rows):
-            return basis.from_modal(rows.reshape((-1,) + basis.values.shape)).reshape(rows.shape)
-
-        # the dense V is formed only now, so the sweep runs without it
-        return RiccatiSolution(basis=basis.matrix, modal=[pi0], b_vec=b_vec,
-                               gains=s_scale * nodal(pib),
-                               along=None if pix is None else nodal(pix))
-    raise PdeoptError(f"Riccati sweep failed after dt refinements: {last_err}")
+    # the dense V is formed only now, so the sweep runs without it
+    return RiccatiSolution(basis=basis.matrix, modal=[pi0], b_vec=b_vec,
+                           gains=s_scale * nodal(pib),
+                           along=None if pix is None else nodal(pix), spectral=basis)
 
 
 def closed_loop_simulate(model: ModelSpec, ric: RiccatiSolution, x0: np.ndarray,
@@ -342,17 +395,35 @@ def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
     """
     # whiten with K = V_K diag(k) V_K^T: W = V_K diag(k^-1/2) has W^T K W = I, so
     # Pi(0) v = theta K v becomes (W^T Pi(0) W) y = theta y, and with
-    # Pi(0) = V Pi-tilde(0) V^T that matrix is T^T Pi-tilde(0) T, T = V^T W
-    k_basis = grid.h1.basis
-    k_isqrt = 1.0 / np.sqrt(k_basis.values.ravel())
-    t = k_basis.to_modal(ric.basis.T).reshape(grid.size, grid.size)  # V^T V_K
-    t *= k_isqrt
+    # Pi(0) = V Pi-tilde(0) V^T and Q = V^T V_K that matrix is
+    # diag(k^-1/2) Q^T Pi-tilde(0) Q diag(k^-1/2)
+    n, k_basis = grid.size, grid.h1.basis
+    spectral = ric.spectral or SpectralBasis(vectors=(ric.basis,), values=np.zeros(n))
+    pairs = list(zip(spectral.vectors, k_basis.vectors))
+    if len(spectral.vectors) != len(k_basis.vectors):
+        pairs = [(ric.basis, k_basis.matrix)]
+    blocks = [v.T @ v_k for v, v_k in pairs]
     pi0_modal = ric.modal[0]
-    _, y = np.linalg.eigh(t.T @ (pi0_modal @ t))
+    if len(blocks) == 1:
+        pi_k = blocks[0].T @ (pi0_modal @ blocks[0])
+    else:
+        # Q = Qy (x) Qx, applied one 1-D factor at a time to the column
+        # index (x, then y) and then to the row index, so Q is never formed
+        # and at most two n x n products are live
+        q_y, q_x = blocks
+        ny, nx = len(q_y), len(q_x)
+        pi_k = pi0_modal.reshape(-1, nx) @ q_x
+        pi_k = np.matmul(q_y.T, pi_k.reshape(n, ny, nx))  # Pi-tilde(0) Q
+        pi_k = np.matmul(q_x.T, pi_k.reshape(ny, nx, n))
+        pi_k = (q_y.T @ pi_k.reshape(ny, nx * n)).reshape(n, n)
+    k_isqrt = 1.0 / np.sqrt(k_basis.values.ravel())
+    pi_k *= k_isqrt
+    pi_k *= k_isqrt[:, None]
+    _, y = np.linalg.eigh(pi_k)
     extremal = k_basis.from_modal((k_isqrt * y[:, -1]).reshape(k_basis.values.shape))
     denom = h1_norm(x0_star, grid) * h1_norm(extremal, grid)
     cosine = abs(h1_inner(x0_star, extremal, grid)) / max(denom, 1e-300)
-    xi = ric.basis.T @ x0_star  # <x0, Pi(0) x0> = <xi, Pi-tilde(0) xi>
+    xi = spectral.to_modal(x0_star).reshape(n)  # <x0, Pi(0) x0> = <xi, Pi-tilde(0) xi>
     rayleigh = inner_product(xi, pi0_modal @ xi, grid) / \
         max(h1_inner(x0_star, x0_star, grid), 1e-300)
     return float(cosine), float(rayleigh)

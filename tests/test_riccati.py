@@ -1,14 +1,15 @@
+import math
 import tracemalloc
-from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigvalsh, sqrtm
+from scipy.linalg import eigvalsh, expm, sqrtm
 
 import pdeopt as po
-from pdeopt.grids import LinearOperator
+from pdeopt import riccati
+from pdeopt.grids import LinearOperator, SpectralBasis
 from pdeopt.riccati import closed_loop_simulate, solve_differential_riccati, \
     verify_feedback_consistency, worst_ic_eigen_check
 
@@ -19,43 +20,34 @@ def scalar_op(a=0.0):
     return LinearOperator(factors=(np.array([[a]]),))
 
 
-def reference_riccati(a_op, b_vec, weights, tg, state_weight, along):
-    """The sweep with the fixed point on the full n x n matrix: each iterate is
-    Pi_{k+1} = (E o Pi_k + 2cq I - c s (y y^T + z z^T)) / D, with
-    E, D = 1 +- c (lam_i + lam_j), y = Pi_k b and z the previous iterate
-    times b, stopped at ||dPi||_F <= 1e-13 max(1, ||Pi_{k+1}||_F) and then
-    re-symmetrized.  No dt refinement and no PSD check: callers draw stable
-    operators.  Returns the nodal Pi(0), the gains and Pi(t_k) along[k].
+def reference_split_riccati(a_op, b_vec, weights, tg, state_weight, along):
+    """The Strang-split sweep on dense nodal matrices, with no eigenbasis: the
+    half Lyapunov step is Pi <- E Pi E + q G with E = expm(A h/2) and
+    G = int_0^{h/2} e^{2 A s} ds, both read off Van Loan's block exponential
+    expm([[-A, I], [0, A]] h/2) = [[., F], [0, E]] as E and E^T F; the
+    rank-one step is Pi <- Pi - (h s / (1 + h s b^T y)) y y^T with y = Pi b
+    (Sherman-Morrison).  No step bound and no PSD check.  Returns the nodal
+    Pi(0), the gains and Pi(t_k) along[k].
     """
-    lam, v = a_op.basis.values.ravel(), reduce(np.kron, a_op.basis.vectors)
-    n, b = lam.size, v.T @ b_vec
-    s, q, c = state_weight / weights.r_scale, weights.q_scale, 0.5 * tg.dt
-    shift = c * (lam[:, None] + lam[None, :])
-    denom, explicit = 1.0 - shift, 1.0 + shift
+    a, n = a_op.toarray(), b_vec.size
+    h, s, q = tg.dt, state_weight / weights.r_scale, weights.q_scale
+    block = expm(np.block([[-a, np.eye(n)], [np.zeros((n, n)), a]]) * (0.5 * h))
+    e = block[n:, n:]
+    g = e.T @ block[:n, n:]
+    g = 0.5 * q * (g + g.T)
 
-    def quad(x):
-        xb = x @ b
-        return np.outer((c * s) * xb, xb)
+    def half_lyapunov(p):
+        return e @ p @ e.T + g
 
     gains, pix = np.zeros((tg.nt + 1, n)), np.zeros((tg.nt + 1, n))
-    x = np.zeros((n, n))
+    p = np.zeros((n, n))
     for k in range(tg.nt - 1, -1, -1):
-        lagged = quad(x)
-        base = x * explicit - lagged
-        base.flat[::n + 1] += 2.0 * c * q
-        x_new = (base - lagged) / denom
-        for _ in range(20):
-            x_next = (base - quad(x_new)) / denom
-            done = np.linalg.norm(x_next - x_new) <= 1e-13 * max(1.0, np.linalg.norm(x_next))
-            x_new = x_next
-            if done:
-                break
-        else:
-            raise AssertionError("reference fixed point did not converge")
-        x = 0.5 * (x_new + x_new.T)
-        gains[k] = s * (v @ (x @ b))
-        pix[k] = v @ (x @ (v.T @ along[k]))
-    return v @ x @ v.T, gains, pix
+        p = half_lyapunov(p)
+        y = p @ b_vec
+        p = half_lyapunov(p - (h * s / (1.0 + h * s * (b_vec @ y))) * np.outer(y, y))
+        gains[k] = s * (p @ b_vec)
+        pix[k] = p @ along[k]
+    return p, gains, pix
 
 
 def assert_rel_close(got, want, rel):
@@ -84,10 +76,17 @@ def stable_problem(n, seed, b_norm, q_scale, r_scale, tau, nt, state_weight, che
 
 @st.composite
 def stable_problems(draw):
-    """stable_problem with n <= 6 and drawn weights, horizon and intervals."""
+    """stable_problem over the ranges it means to cover: n <= 6 modes with
+    eigenvalues in [-50, -0.1], b_norm in [0.1, 1], q_scale 0 or in
+    [1e-290, 2] (so that Pi, the gains and along are zero or normal floats),
+    r_scale in [1, 10], tau in [0.1, 1], 10 to 60 steps (so the low-rank
+    factor is compressed at least once), state_weight in [0.1, 1] and a PSD
+    check every 1 to 20 steps.  There h s b^T Pi b <= 0.2, so no step is
+    refused."""
     return stable_problem(
         n=draw(st.integers(1, 6)), seed=draw(st.integers(0, 2**16)),
-        b_norm=draw(st.floats(0.1, 1.0)), q_scale=draw(st.floats(0.0, 2.0)),
+        b_norm=draw(st.floats(0.1, 1.0)),
+        q_scale=draw(st.one_of(st.just(0.0), st.floats(1e-290, 2.0))),
         r_scale=draw(st.floats(1.0, 10.0)), tau=draw(st.floats(0.1, 1.0)),
         nt=draw(st.integers(10, 60)), state_weight=draw(st.floats(0.1, 1.0)),
         check_every=draw(st.integers(1, 20)))
@@ -118,60 +117,231 @@ class TestScalarOracles:
         assert np.all(ric.along[tg.nt] == 0.0)
 
 
-class TestAgainstMatrixFixedPoint:
+class TestAgainstDenseSplitReference:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(problem=stable_problems())
-    # a subnormal q_scale: Pi, the gains and along are subnormal too, and the
-    # sweep and the reference have differed there by one unit (5e-324)
-    @example(problem=stable_problem(n=2, seed=4, b_norm=0.75, q_scale=2.225073858507203e-309,
-                                    r_scale=8.0, tau=0.3, nt=10, state_weight=0.1328125,
-                                    check_every=1))
+    # the edges of stable_problems: one mode and q_scale = 0 (Pi stays zero);
+    # six modes at the strongest quadratic term, the longest step and the
+    # sparsest PSD checks; six modes at the smallest nonzero q_scale and the
+    # most steps
+    @example(problem=stable_problem(n=1, seed=0, b_norm=0.1, q_scale=0.0, r_scale=10.0,
+                                    tau=0.1, nt=10, state_weight=0.1, check_every=1))
+    @example(problem=stable_problem(n=6, seed=2**16, b_norm=1.0, q_scale=2.0, r_scale=1.0,
+                                    tau=1.0, nt=10, state_weight=1.0, check_every=20))
+    @example(problem=stable_problem(n=6, seed=7, b_norm=1.0, q_scale=1e-290, r_scale=1.0,
+                                    tau=0.1, nt=60, state_weight=1.0, check_every=1))
     def test_matches_reference_sweep(self, problem):
         a_op, b, weights, tg, state_weight, check_every, xs = problem
         ric = solve_differential_riccati(a_op, b, weights, tg, state_weight=state_weight,
                                          check_every=check_every, along=xs)
-        pi0, gains, along = reference_riccati(a_op, b, weights, tg, state_weight, xs)
+        pi0, gains, along = reference_split_riccati(a_op, b, weights, tg, state_weight, xs)
         assert_rel_close(ric.pi0, pi0, 1e-12)
         assert_rel_close(ric.gains, gains, 1e-12)
         assert_rel_close(ric.along, along, 1e-12)
 
 
-class TestStepRefinement:
-    def test_singular_factor_retries_at_half_step(self):
-        # a = nt / tau makes I - (dt/2)(a + a) exactly zero, so the sweep must
-        # run at dt/2 and sample every second step: that is the plain sweep
-        # on the grid with 2 nt steps, read at the even indices
-        tau, nt, a = 1.0, 2, 2.0
-        weights = po.CostWeights(0.1, 10.0)
-        xs = np.array([[1.0], [-2.0], [0.5]])
-        ric = solve_differential_riccati(scalar_op(a), np.ones(1), weights,
-                                         po.TimeGrid(tau, nt), along=xs)
-        fine = solve_differential_riccati(scalar_op(a), np.ones(1), weights,
-                                          po.TimeGrid(tau, 2 * nt),
-                                          along=np.repeat(xs, 2, axis=0)[:2 * nt + 1])
-        np.testing.assert_array_equal(ric.pi0, fine.pi0)
-        np.testing.assert_array_equal(ric.gains, fine.gains[::2])
-        np.testing.assert_array_equal(ric.along, fine.along[::2])
-        assert ric.pi0[0, 0] > 0
+class TestSecondOrder:
+    @pytest.mark.parametrize("kind", ["heat", "ks"])
+    def test_order_against_sixteen_times_finer_run(self, kind):
+        # the gains at the coarse times, against a run on a 16x finer step:
+        # Strang splitting with exact sub-flows is second order, so each of
+        # three halvings of the step must cut the error by 2^1.8 or more
+        if kind == "heat":
+            g = po.build_grid_2d(8, 8)
+            model = po.make_heat_model(g, f_scalar=None)
+            design, tau, nt = model.actuator_family.initial_design(), 0.2, 10
+        else:
+            g = po.build_grid_1d(48)
+            model = po.make_ks_model(g, lam=30.0, linear=True)
+            design, tau, nt = po.ActuatorDesign.of(0.5), 0.2, 40
+        b = model.actuator_family.evaluate(design, g)
+        weights = po.CostWeights(1.0, 1e-2)
 
-    def test_unconverged_fixed_point_raises(self):
-        # linear KS at lambda = 60: the fixed point of the quadratic term does
-        # not converge in 20 iterations at dt, dt/2 or dt/4, and the sweep
-        # must say so rather than keep an unconverged iterate
+        def gains(steps):
+            return solve_differential_riccati(model.linear_op, b, weights,
+                                              po.TimeGrid(tau, steps),
+                                              state_weight=g.weight).gains
+
+        fine = gains(16 * nt)
+        errors = []
+        for steps in (nt, 2 * nt, 4 * nt, 8 * nt):
+            want = fine[::16 * nt // steps]
+            errors.append(np.max(np.abs(gains(steps) - want)) / np.max(np.abs(want)))
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders >= 1.8), (errors, orders)
+
+
+class TestUnstableOperators:
+    @pytest.mark.parametrize("nt", [1000, 2000])
+    def test_scalar_matches_closed_form(self, nt):
+        # a = 30 > 0, q = s = 1: pi(t) = q sinh(g r) / (g cosh(g r) - a sinh(g r))
+        # with g = sqrt(a^2 + q s) and r = tau - t, the solution of
+        # pi' = -2 a pi - q + s pi^2, pi(tau) = 0.  The split sweep's error is
+        # second order: (a h)^2 / 6 of max pi to three digits at nt 1000 to
+        # 4000, and the bound allows 10 % over that
+        a, tau = 30.0, 1.0
+        tg = po.TimeGrid(tau, nt)
+        ric = solve_differential_riccati(scalar_op(a), np.ones(1), po.CostWeights(1.0, 1.0),
+                                         tg, check_every=1, along=np.ones((nt + 1, 1)))
+        gam, rest = math.sqrt(a * a + 1.0), tau - tg.times
+        want = np.sinh(gam * rest) / (gam * np.cosh(gam * rest) - a * np.sinh(gam * rest))
+        bound = 1.1 * (a * tg.dt) ** 2 / 6 * np.max(want)
+        assert np.max(np.abs(ric.along[:, 0] - want)) <= bound
+        np.testing.assert_array_equal(ric.gains, ric.along)
+
+    def test_linear_ks_takes_dense_storage_and_stays_psd(self, monkeypatch):
+        # linear KS at lambda = 60 has eigenvalues up to 278, where D - Z Z^T
+        # would cancel: the sweep must keep Pi dense and still return a
+        # finite PSD Pi(0)
+        def no_low_rank(*args):
+            raise AssertionError("an unstable operator took the low-rank storage")
+
+        monkeypatch.setattr(riccati, "_LowRankPi", no_low_rank)
         g = po.build_grid_1d(64)
         model = po.make_ks_model(g, lam=60.0, linear=True)
+        assert model.linear_op.basis.values.max() > 0
         b = model.actuator_family.evaluate(model.actuator_family.initial_design(), g)
-        with pytest.raises(po.PdeoptError, match="failed after dt refinements"):
-            solve_differential_riccati(model.linear_op, b, po.CostWeights(),
-                                       po.TimeGrid(tau=0.5, nt=100),
-                                       state_weight=g.weight, check_every=1)
+        pi0 = solve_differential_riccati(model.linear_op, b, po.CostWeights(),
+                                         po.TimeGrid(tau=0.5, nt=800),
+                                         state_weight=g.weight, check_every=1).pi0
+        assert np.all(np.isfinite(pi0))
+        evs = eigvalsh(pi0)
+        assert evs[0] >= -1e-8 * evs[-1]
 
-    def test_unstable_operator_refused_as_indefinite(self):
-        # a = 30 > 0 with dt = 0.2: 1 - (dt/2)(a + a) < 0 at dt, dt/2 and dt/4,
-        # so Pi turns negative after one step at every refinement
-        with pytest.raises(po.PdeoptError, match="lost positive semidefiniteness"):
-            solve_differential_riccati(scalar_op(30.0), np.ones(1), po.CostWeights(1, 1),
-                                       po.TimeGrid(1.0, 5), check_every=1)
+
+class TestStepBound:
+    @staticmethod
+    def _heat_4x4():
+        g = po.build_grid_2d(4, 4)
+        model = po.make_heat_model(g, f_scalar=None)
+        return g, model, model.actuator_family.evaluate(
+            model.actuator_family.initial_design(), g)
+
+    def test_refused_above_one_accepted_below(self):
+        # 4x4 linear heat at nt = 400: the largest h s b^T Pi b is 0.46 at
+        # q_scale 1e7 and 2.4 at 1e8
+        g, model, b = self._heat_4x4()
+        tg = po.TimeGrid(tau=1.0, nt=400)
+        pi0 = solve_differential_riccati(model.linear_op, b, po.CostWeights(1e7, 1.0), tg,
+                                         state_weight=g.weight).pi0
+        assert np.all(np.isfinite(pi0))
+        with pytest.raises(po.StepSizeError, match="> 1"):
+            solve_differential_riccati(model.linear_op, b, po.CostWeights(1e8, 1.0), tg,
+                                       state_weight=g.weight)
+
+    def test_bound_follows_the_step(self):
+        # a = 2.2 at r_scale 1e-8 on 16x16 heat at nt = 400, so nt = 400
+        # is refused and nt = 2000 is not
+        g = po.build_grid_2d(16, 16)
+        model = po.make_heat_model(g, f_scalar=None)
+        b = model.actuator_family.evaluate(model.actuator_family.initial_design(), g)
+        weights = po.CostWeights(1.0, 1e-8)
+        with pytest.raises(po.StepSizeError):
+            solve_differential_riccati(model.linear_op, b, weights,
+                                       po.TimeGrid(tau=1.0, nt=400), state_weight=g.weight)
+        pi0 = solve_differential_riccati(model.linear_op, b, weights,
+                                         po.TimeGrid(tau=1.0, nt=2000),
+                                         state_weight=g.weight, check_every=100).pi0
+        assert np.all(np.isfinite(pi0))
+
+
+class TestNonFinite:
+    # q_scale = 1e308 overflows Pi_00, which b = e_1 does not see, so y = Pi b
+    # picks up 0 * inf = nan; r_scale = 1e308 keeps h s b^T Pi b under 1
+    @pytest.mark.parametrize("lam0", [-0.1, 1.0], ids=["low-rank", "dense"])
+    def test_overflow_raises(self, lam0):
+        a_op = LinearOperator(factors=(np.diag([lam0, -1.0]),))
+        with pytest.raises(po.PdeoptError, match="not finite"):
+            solve_differential_riccati(a_op, np.array([0.0, 1.0]), po.CostWeights(1e308, 1e308),
+                                       po.TimeGrid(20.0, 10), check_every=1000)
+
+
+class TestLowRankStorage:
+    @staticmethod
+    def _dense_twin(monkeypatch):
+        """Make every sweep keep the dense storage, whatever the operator."""
+        monkeypatch.setattr(riccati, "_LowRankPi", riccati._DensePi)
+
+    @pytest.mark.parametrize("r_scale", [1.0, 1e-6])
+    def test_compression_matches_dense_split(self, r_scale, rng, monkeypatch):
+        # the same split steps on D - Z Z^T (compressed every COMPRESS_EVERY
+        # steps) and on a dense Pi agree to 1e-12, while the rank stays far
+        # below n
+        g = po.build_grid_2d(16, 16)
+        model = po.make_heat_model(g, f_scalar=None)
+        b = model.actuator_family.evaluate(model.actuator_family.initial_design(), g)
+        tg = po.TimeGrid(tau=1.0, nt=200)
+        xs = rng.standard_normal((tg.nt + 1, g.size))
+        ranks = []
+
+        class Recorded(riccati._LowRankPi):
+            def compress(self):
+                super().compress()
+                ranks.append(self.rank)
+
+        monkeypatch.setattr(riccati, "_LowRankPi", Recorded)
+
+        def solve():
+            return solve_differential_riccati(model.linear_op, b, po.CostWeights(1.0, r_scale),
+                                              tg, state_weight=g.weight, check_every=10,
+                                              along=xs)
+
+        low = solve()
+        self._dense_twin(monkeypatch)
+        dense = solve()
+        assert len(ranks) == tg.nt // riccati.COMPRESS_EVERY
+        assert max(ranks) < g.size // 4
+        assert_rel_close(low.modal[0], dense.modal[0], 1e-12)
+        assert_rel_close(low.gains, dense.gains, 1e-12)
+        assert_rel_close(low.along, dense.along, 1e-12)
+
+    def test_stable_operator_takes_low_rank_storage(self, monkeypatch):
+        def no_dense(*args):
+            raise AssertionError("a stable operator took the dense storage")
+
+        monkeypatch.setattr(riccati, "_DensePi", no_dense)
+        g = po.build_grid_1d(48)
+        model = po.make_ks_model(g, lam=30.0, linear=True)
+        assert model.linear_op.basis.values.max() < 0
+        b = model.actuator_family.evaluate(po.ActuatorDesign.of(0.5), g)
+        solve_differential_riccati(model.linear_op, b, po.CostWeights(),
+                                   po.TimeGrid(tau=0.2, nt=50), state_weight=g.weight)
+
+    # q_scale 0 leaves D = 0 and Z = 0, and the subnormal q_scale leaves D
+    # and Z subnormal; the r x r PSD test, run at every step, must pass both
+    @pytest.mark.parametrize("q_scale", [0.0, 2.225073858507203e-309])
+    def test_psd_test_at_zero_and_subnormal_d(self, q_scale, monkeypatch):
+        a_op, b, weights, tg, state_weight, _, xs = stable_problem(
+            n=2, seed=4, b_norm=0.75, q_scale=q_scale, r_scale=8.0, tau=0.3, nt=10,
+            state_weight=0.1328125, check_every=1)
+        low = solve_differential_riccati(a_op, b, weights, tg, state_weight=state_weight,
+                                         check_every=1, along=xs)
+        self._dense_twin(monkeypatch)
+        dense = solve_differential_riccati(a_op, b, weights, tg, state_weight=state_weight,
+                                           check_every=1, along=xs)
+        assert np.all(np.diag(low.modal[0]) >= 0)
+        assert_rel_close(low.modal[0], dense.modal[0], 1e-12)
+        assert_rel_close(low.gains, dense.gains, 1e-12)
+        assert_rel_close(low.along, dense.along, 1e-12)
+
+    # Pi = d I - z z^T with z = z0 e_0, and delta = 1e-8 max_i Pi_ii (at
+    # least 1e-300): Pi + delta I is positive definite iff z0^2 < d + delta
+    @pytest.mark.parametrize("d, z0, refused", [
+        (1.0, math.sqrt(1.0 + 0.5e-8), False), (1.0, math.sqrt(1.0 + 1e-6), True),
+        (0.0, 0.0, False), (0.0, 1e-140, True),
+        (2.225073858507203e-309, 1e-155, False), (2.225073858507203e-309, 1e-140, True)],
+        ids=["d1-inside", "d1-beyond", "d0-z0", "d0-beyond", "subnormal-inside",
+             "subnormal-beyond"])
+    def test_psd_test_decides_as_the_dense_test(self, d, z0, refused):
+        for storage in (riccati._LowRankPi, riccati._DensePi):
+            pi = storage(np.ones(3), np.full(3, d))
+            pi.half_lyapunov()  # Pi = d I
+            pi.downdate(1.0, np.array([z0, 0.0, 0.0]))
+            if refused:
+                with pytest.raises(po.PdeoptError, match="semidefiniteness"):
+                    pi.check_psd()
+            else:
+                pi.check_psd()
 
 
 class TestDiagonalSystem:
@@ -419,6 +589,25 @@ class TestWorstIcEigenCheck:
         oracle_cos = abs(po.h1_inner(x, oracle_vec, g)) / (
             po.h1_norm(x, g) * po.h1_norm(oracle_vec, g))
         assert cos_x == pytest.approx(oracle_cos, rel=1e-9)
+
+    def test_matches_generalized_eigensolve_on_a_non_square_grid(self, rng):
+        # random orthonormal 1-D factors Vy (5x5) and Vx (7x7) for A on a 7x5
+        # grid: Q = V^T V_K is then no permutation (on heat it is the index
+        # reversal, whatever axis a factor is applied to), so applying a
+        # factor of Q to the wrong axis shows here
+        import scipy.linalg as sla
+        g = po.build_grid_2d(7, 5, dirichlet_sides=("left", "bottom"))
+        v_y, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        v_x, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+        m = rng.standard_normal((g.size, g.size))
+        ric = po.RiccatiSolution(
+            basis=np.kron(v_y, v_x), modal=[m @ m.T], b_vec=np.zeros(g.size),
+            gains=np.zeros((3, g.size)),
+            spectral=SpectralBasis(vectors=(v_y, v_x), values=np.zeros((5, 7))))
+        vals, vecs = sla.eigh(ric.pi0, po.h1_operator(g).toarray())
+        cos, ray = worst_ic_eigen_check(ric, vecs[:, -1], g)
+        assert cos == pytest.approx(1.0, abs=1e-10)
+        assert ray == pytest.approx(vals[-1], rel=1e-10)
 
     def test_end_to_end_linear_heat(self):
         g = po.build_grid_2d(12, 12)
