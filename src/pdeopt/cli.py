@@ -85,10 +85,10 @@ def _state_csv(path: Path, vec: np.ndarray, label: str) -> None:
 # --- pipelines ---------------------------------------------------------
 
 # The low-rank Riccati sweep holds O(n r), but Pi(0) is n x n: riccati-validate
-# holds V, Pi-tilde(0) and the nodal Pi(0) for pi0.csv, and worst-ic's eigen
-# check two n x n products more, so this cap keeps riccati-validate, and
-# optimize or worst-ic on a linear model, under 1 GiB (at 3072 nodes
-# riccati-validate peaks at 406 MiB and worst-ic at 595 MiB).
+# holds Pi-tilde(0) and, for pi0.csv, V and the nodal Pi(0), and worst-ic's
+# eigen check Pi-tilde(0) and two n x n products, so this cap keeps
+# riccati-validate, and optimize or worst-ic on a linear model, under 1 GiB
+# (at 3072 nodes riccati-validate peaks at 415 MiB and worst-ic at 537 MiB).
 RICCATI_MAX_NODES = 3072
 
 

@@ -53,25 +53,29 @@ class RiccatiSolution:
     """What the sweep keeps of Pi(t_k): Pi(0), the feedback gains, and
     optionally Pi(t_k) x_k along a given trajectory.
 
-    ``modal`` lists the n x n matrices kept, in the eigenbasis ``basis`` of
-    A: only Pi-tilde(0).  ``gains[k]`` is g_k = (w/rho) Pi(t_k) b, so the
-    feedback law reads u_k = -<g_k, x_k>.  ``along[k]`` is Pi(t_k) X[k] for
-    the trajectory X passed as ``along=`` (None without one).  ``spectral``
-    is A's ``SpectralBasis``, whose 1-D factors give ``basis`` as their
-    Kronecker product; None stands for the one factor ``basis``.
+    ``spectral`` is A's ``SpectralBasis``, and ``modal`` lists the n x n
+    matrices kept in it: only Pi-tilde(0).  ``gains[k]`` is
+    g_k = (w/rho) Pi(t_k) b, so the feedback law reads u_k = -<g_k, x_k>.
+    ``along[k]`` is Pi(t_k) X[k] for the trajectory X passed as ``along=``
+    (None without one).
     """
 
-    basis: np.ndarray = field(repr=False)
+    spectral: SpectralBasis = field(repr=False)
     modal: list = field(repr=False)
     b_vec: np.ndarray = field(repr=False)
     gains: np.ndarray = field(repr=False)
     along: np.ndarray | None = field(default=None, repr=False)
-    spectral: SpectralBasis | None = field(default=None, repr=False)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The dense n x n eigenvector matrix V, formed on each call."""
+        return self.spectral.matrix
 
     @property
     def pi0(self) -> np.ndarray:
         """The nodal matrix Pi(0)."""
-        return self.basis @ self.modal[0] @ self.basis.T
+        v = self.basis
+        return v @ self.modal[0] @ v.T
 
     def pi0_to_csv(self, path) -> None:
         np.savetxt(path, self.pi0, fmt="%.16e", delimiter=",", comments="")
@@ -162,15 +166,16 @@ class _DensePi:
         self.diag = self.pi.reshape(-1)[::n + 1]  # a view of the diagonal
 
     def half_lyapunov(self) -> None:
-        self.pi *= self.grow[:, None]
-        self.pi *= self.grow
+        # one product g_i g_j = g_j g_i per entry, and u_i u_j = u_j u_i in
+        # the downdate, so Pi stays exactly symmetric
+        self.pi *= np.multiply.outer(self.grow, self.grow, out=self.scratch)
         self.diag += self.source
 
     def times(self, v: np.ndarray) -> np.ndarray:
         return self.pi @ v
 
     def downdate(self, beta: float, y: np.ndarray) -> None:
-        u = math.sqrt(beta) * y  # u_i u_j = u_j u_i, so Pi stays exactly symmetric
+        u = math.sqrt(beta) * y
         self.pi -= np.multiply.outer(u, u, out=self.scratch)
 
     def compress(self) -> None:
@@ -277,10 +282,9 @@ def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
     def nodal(rows):
         return basis.from_modal(rows.reshape((-1,) + basis.values.shape)).reshape(rows.shape)
 
-    # the dense V is formed only now, so the sweep runs without it
-    return RiccatiSolution(basis=basis.matrix, modal=[pi0], b_vec=b_vec,
+    return RiccatiSolution(spectral=basis, modal=[pi0], b_vec=b_vec,
                            gains=s_scale * nodal(pib),
-                           along=None if pix is None else nodal(pix), spectral=basis)
+                           along=None if pix is None else nodal(pix))
 
 
 def closed_loop_simulate(model: ModelSpec, ric: RiccatiSolution, x0: np.ndarray,
@@ -398,11 +402,7 @@ def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
     # Pi(0) = V Pi-tilde(0) V^T and Q = V^T V_K that matrix is
     # diag(k^-1/2) Q^T Pi-tilde(0) Q diag(k^-1/2)
     n, k_basis = grid.size, grid.h1.basis
-    spectral = ric.spectral or SpectralBasis(vectors=(ric.basis,), values=np.zeros(n))
-    pairs = list(zip(spectral.vectors, k_basis.vectors))
-    if len(spectral.vectors) != len(k_basis.vectors):
-        pairs = [(ric.basis, k_basis.matrix)]
-    blocks = [v.T @ v_k for v, v_k in pairs]
+    blocks = [v.T @ v_k for v, v_k in zip(ric.spectral.vectors, k_basis.vectors, strict=True)]
     pi0_modal = ric.modal[0]
     if len(blocks) == 1:
         pi_k = blocks[0].T @ (pi0_modal @ blocks[0])
@@ -423,7 +423,7 @@ def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
     extremal = k_basis.from_modal((k_isqrt * y[:, -1]).reshape(k_basis.values.shape))
     denom = h1_norm(x0_star, grid) * h1_norm(extremal, grid)
     cosine = abs(h1_inner(x0_star, extremal, grid)) / max(denom, 1e-300)
-    xi = spectral.to_modal(x0_star).reshape(n)  # <x0, Pi(0) x0> = <xi, Pi-tilde(0) xi>
+    xi = ric.spectral.to_modal(x0_star).reshape(n)  # <x0, Pi(0) x0> = <xi, Pi-tilde(0) xi>
     rayleigh = inner_product(xi, pi0_modal @ xi, grid) / \
         max(h1_inner(x0_star, x0_star, grid), 1e-300)
     return float(cosine), float(rayleigh)

@@ -192,7 +192,9 @@ class TestUnstableOperators:
     def test_linear_ks_takes_dense_storage_and_stays_psd(self, monkeypatch):
         # linear KS at lambda = 60 has eigenvalues up to 278, where D - Z Z^T
         # would cancel: the sweep must keep Pi dense and still return a
-        # finite PSD Pi(0)
+        # finite PSD Pi(0).  Every map of a step multiplies entries (i, j)
+        # and (j, i) by the same float, so the modal Pi stays symmetric bit
+        # for bit
         def no_low_rank(*args):
             raise AssertionError("an unstable operator took the low-rank storage")
 
@@ -201,9 +203,11 @@ class TestUnstableOperators:
         model = po.make_ks_model(g, lam=60.0, linear=True)
         assert model.linear_op.basis.values.max() > 0
         b = model.actuator_family.evaluate(model.actuator_family.initial_design(), g)
-        pi0 = solve_differential_riccati(model.linear_op, b, po.CostWeights(),
+        ric = solve_differential_riccati(model.linear_op, b, po.CostWeights(),
                                          po.TimeGrid(tau=0.5, nt=800),
-                                         state_weight=g.weight, check_every=1).pi0
+                                         state_weight=g.weight, check_every=1)
+        np.testing.assert_array_equal(ric.modal[0], ric.modal[0].T)
+        pi0 = ric.pi0
         assert np.all(np.isfinite(pi0))
         evs = eigvalsh(pi0)
         assert evs[0] >= -1e-8 * evs[-1]
@@ -219,7 +223,7 @@ class TestStepBound:
 
     def test_refused_above_one_accepted_below(self):
         # 4x4 linear heat at nt = 400: the largest h s b^T Pi b is 0.46 at
-        # q_scale 1e7 and 2.4 at 1e8
+        # q_scale 1e7 and 2.2 at 1e8
         g, model, b = self._heat_4x4()
         tg = po.TimeGrid(tau=1.0, nt=400)
         pi0 = solve_differential_riccati(model.linear_op, b, po.CostWeights(1e7, 1.0), tg,
@@ -601,9 +605,8 @@ class TestWorstIcEigenCheck:
         v_x, _ = np.linalg.qr(rng.standard_normal((7, 7)))
         m = rng.standard_normal((g.size, g.size))
         ric = po.RiccatiSolution(
-            basis=np.kron(v_y, v_x), modal=[m @ m.T], b_vec=np.zeros(g.size),
-            gains=np.zeros((3, g.size)),
-            spectral=SpectralBasis(vectors=(v_y, v_x), values=np.zeros((5, 7))))
+            spectral=SpectralBasis(vectors=(v_y, v_x), values=np.zeros((5, 7))),
+            modal=[m @ m.T], b_vec=np.zeros(g.size), gains=np.zeros((3, g.size)))
         vals, vecs = sla.eigh(ric.pi0, po.h1_operator(g).toarray())
         cos, ray = worst_ic_eigen_check(ric, vecs[:, -1], g)
         assert cos == pytest.approx(1.0, abs=1e-10)
@@ -633,8 +636,9 @@ def _synthetic_riccati(pi0: np.ndarray, grid) -> po.RiccatiSolution:
     """Wrap a given matrix as Pi(0) of a degenerate one-step solution."""
     n = pi0.shape[0]
     tg = po.TimeGrid(tau=1.0, nt=2)
-    return po.RiccatiSolution(basis=np.eye(n), modal=[pi0],
-                              b_vec=np.zeros(n), gains=np.zeros((tg.nt + 1, n)))
+    identity = SpectralBasis(vectors=(np.eye(n),), values=np.zeros(n))
+    return po.RiccatiSolution(spectral=identity, modal=[pi0], b_vec=np.zeros(n),
+                              gains=np.zeros((tg.nt + 1, n)))
 
 
 def test_ks_linearized_feedback_two_percent():
