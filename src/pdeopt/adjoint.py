@@ -4,7 +4,9 @@ The adjoint stepper is the algebraic transpose of the linearized forward
 stepper (discretize-then-optimize), so the assembled gradients differentiate
 the discrete cost exactly and central finite differences must agree to
 truncation + roundoff.  The continuous adjoint PDE is recovered as dt -> 0 and
-only serves as a consistency oracle in the tests.
+only serves as a consistency oracle in the tests.  The sweep writes each
+costate row over the nodal source row it came from, so an adjoint solve forms
+no trajectory-sized array besides its source, which becomes the costate.
 
 Conventions.  With cost J = int q<x,x> + rho u^2 dt (trapezoid in time), the
 adjoint p solves the final-value problem with source Q x (the textbook
@@ -79,38 +81,55 @@ def adjoint_sweep(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
     lam_0 is the gradient row: <lam_0, d>_L2 is the exact derivative of the
     space-time pairing sum_k dt <x_k, source_k> along an initial perturbation.
 
-    It steps in the forward sweep's modal coordinates, where only the G_j^T
-    term makes a round trip per step, through buffers made once.
-    ``source`` comes already in those coordinates, shape
-    (nt+1, *basis.values.shape), and the sweep owns it: it is scaled in
-    place into the modal lam rows, which return to nodal values over the
-    same buffer.
+    ``source`` holds nodal rows, shape (nt+1, n), C-contiguous, and the sweep
+    owns it: the nodal lam rows are written over it and it is returned.  It
+    steps in the forward sweep's modal coordinates, where M and P are
+    diagonal.  On a model with a Jacobian, lam makes one round trip per
+    step: G_j^T (3/2 lam_{j+1} - 1/2 lam_{j+2}), from the nodal rows j+1 and
+    j+2 already written, is added to source row j, that one row is mapped to
+    modal and folded into the modal lam, and nodal lam_j goes back over row
+    j.  A linear model needs no transform per step, so its whole source is
+    mapped to modal over itself, the recursion runs there elementwise, and
+    the rows are mapped back over the same buffer.
     """
     if traj.time_grid != tg:
         raise ValueError("trajectory and requested time grids disagree")
+    jac_t, x = model.jacobian_adjoint_apply, traj.states
+    if source.shape != x.shape or not source.flags.c_contiguous:
+        raise ValueError(f"source must be C-contiguous nodal rows of shape {x.shape}, "
+                         f"got shape {source.shape}")
     basis, num, den = crank_nicolson_factors(model.linear_op, tg.dt)
     nt, dt = tg.nt, tg.dt
     ratio, gain = num / den, dt / den
-    jac_t, x = model.jacobian_adjoint_apply, traj.states
 
-    lam = source
-    lam *= dt
-    lam[1:] /= den
-    step, comb, older = (np.empty_like(lam[0]) for _ in range(3))
-    nodal = np.empty_like(x[0])
+    if jac_t is None:
+        lam = basis.to_modal(source, out=source.reshape(nt + 1, *ratio.shape))
+        lam *= dt
+        lam[1:] /= den
+        step = np.empty_like(ratio)
+        for j in range(nt - 1, -1, -1):
+            np.multiply(ratio if j else num, lam[j + 1], out=step)
+            lam[j] += step
+        basis.from_modal(lam, out=lam)
+        return source
+
+    lam, s_j = basis.to_modal(source[nt]), np.empty_like(ratio)  # modal lam_{j+1}, row j
+    lam *= gain
+    basis.from_modal(lam, out=source[nt])
+    comb, older = np.empty_like(x[0]), np.empty_like(x[0])
     for j in range(nt - 1, -1, -1):
-        np.multiply(ratio if j else num, lam[j + 1], out=step)
-        if jac_t is not None:  # comb = 3/2 lam_{j+1} - 1/2 lam_{j+2}, with 1 for 3/2 at j = 0
-            np.multiply(1.5 if j else 1.0, lam[j + 1], out=comb)
-            if j < nt - 1:
-                np.multiply(0.5, lam[j + 2], out=older)
-                comb -= older
-            basis.from_modal(comb, out=nodal)
-            basis.to_modal(jac_t(x[j], nodal), out=comb)
-            comb *= gain if j else dt
-            step += comb
-        lam[j] += step
-    return basis.from_modal(lam, out=lam)
+        # comb = 3/2 lam_{j+1} - 1/2 lam_{j+2}, with 1 for 3/2 at j = 0
+        np.multiply(1.5 if j else 1.0, source[j + 1], out=comb)
+        if j < nt - 1:
+            np.multiply(0.5, source[j + 2], out=older)
+            comb -= older
+        source[j] += jac_t(x[j], comb)
+        basis.to_modal(source[j], out=s_j)
+        s_j *= gain if j else dt
+        lam *= ratio if j else num
+        lam += s_j
+        basis.from_modal(lam, out=source[j])
+    return source
 
 
 def linearized_forward(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
@@ -139,12 +158,11 @@ def solve_adjoint(model: ModelSpec, traj: Trajectory, weights: CostWeights,
 
     The terminal value is the exact transpose of the last Crank-Nicolson step
     against the trapezoid cost weight, which is O(dt) rather than literally
-    zero; it converges to the continuous condition p(tau) = 0.  The source
-    q theta_k x_k is formed in modal coordinates, from one batched
-    transform of the states whose rows are then scaled in place.
+    zero; it converges to the continuous condition p(tau) = 0.  The nodal
+    source q theta_k x_k is the one trajectory-sized array formed here:
+    ``adjoint_sweep`` writes p over it.
     """
-    source = model.linear_op.basis.to_modal(traj.states)
-    source *= (weights.q_scale * tg.weights).reshape(-1, *[1] * (source.ndim - 1))
+    source = traj.states * (weights.q_scale * tg.weights)[:, None]
     return Trajectory(time_grid=tg, states=adjoint_sweep(model, traj, tg, source))
 
 

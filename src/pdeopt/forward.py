@@ -8,7 +8,12 @@ N(x, u) = F(x) + b u,
     s_0 = N_0,   s_k = 3/2 N_k - 1/2 N_{k-1}   (k >= 1),
 
 which is unconditionally stable against the linear part and avoids Newton
-solves on the nonlinearity.  Divergence of a trajectory is reported as a
+solves on the nonlinearity (the IMEX CNAB scheme of Ascher, Ruuth & Wetton,
+SIAM J. Numer. Anal. 32 (1995)).  On a model with a nonlinearity the input
+is part of N: each step adds u_k b to F(x_k) before the one modal transform
+the step makes anyway.  A linear model has no such transform per step, so
+there the input stays a modal rank-one source, 3/2 u_k - 1/2 u_{k-1} times
+the modal coefficients of b.  Divergence of a trajectory is reported as a
 ``BlowUpError`` with the step index; existence is only local in time, so a
 blow-up is a legitimate outcome, not a bug.
 """
@@ -145,12 +150,15 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
     N_k = term(k, x_k) (plain N_0 on the first step).  The state is carried
     as modal coefficients c_k in A's basis, so a step is the elementwise
     c_{k+1} = (num/den) c_k + (dt/den) s_k with the right-hand side s_k in
-    modal form.  The state-independent ``source`` comes already in modal
-    coordinates, shape (nt, *basis.values.shape), and is scaled by dt/den in
-    place; only ``term`` makes a round trip per step (N_k in, x_{k+1} out),
-    one state at a time through buffers made once per sweep.  Without a term
-    the trajectory returns to nodal values in one batched transform at the
-    end, written over the modal rows.
+    modal form.  ``term`` makes the one round trip per step (N_k in, x_{k+1}
+    out), one state at a time through buffers made once per sweep; whatever
+    a nonlinear model's step adds, the input included, belongs in N_k, and
+    the array ``term`` returns is read before its next call, so it may be a
+    buffer the term reuses.  The state-independent ``source`` is for sweeps
+    without a term: it comes already in modal coordinates, shape
+    (nt, *basis.values.shape), and is scaled by dt/den in place.  Without a
+    term the trajectory returns to nodal values in one batched transform at
+    the end, written over the modal rows.
 
     Raises BlowUpError(step) at the first non-finite state, found in one
     pass over the finished trajectory, and when ``term`` raises PdeoptError
@@ -211,7 +219,14 @@ def _check_finite(rows: np.ndarray) -> None:
 
 def solve_forward(model: ModelSpec, u: ControlSignal | None, design: ActuatorDesign,
                   x0: np.ndarray, tg: TimeGrid) -> Trajectory:
-    """Integrate the IVP; raises BlowUpError(step) on non-finite states."""
+    """Integrate the IVP; raises BlowUpError(step) on non-finite states.
+
+    On a model with a nonlinearity, the input enters N_k = F(x_k) + u_k b,
+    summed in a nodal buffer of this solve, so that AB2 extrapolates it with
+    F and no trajectory-sized array besides the states is formed.  A linear
+    model takes it as the modal rank-one source 3/2 u_k - 1/2 u_{k-1} times
+    the modal coefficients of b, from one transform of b.
+    """
     grid = model.grid
     if x0.shape != (grid.size,):
         raise ValueError(f"x0 of shape {x0.shape} does not match grid size {grid.size}")
@@ -220,10 +235,16 @@ def solve_forward(model: ModelSpec, u: ControlSignal | None, design: ActuatorDes
         raise ValueError("control and state time grids disagree")
 
     b = model.actuator_family.evaluate(design, grid)  # checks the design
-    source = None
-    if np.any(uv[:-1]):  # the rank-one input b u_k in modal form, from one transform of b
+    f, forced, source = model.nonlinearity, np.any(uv[:-1]), None
+    term = None if f is None else lambda k, x: f(x)
+    if forced and f is None:
         source = np.multiply.outer(u.ab2, model.linear_op.basis.to_modal(b))
-    term = None if model.nonlinearity is None else lambda k, x: model.nonlinearity(x)
+    elif forced:
+        n_k = np.empty_like(b)
+
+        def term(k, x):
+            np.multiply(b, uv[k], out=n_k)
+            return np.add(n_k, f(x), out=n_k)
     states = cn_ab2_sweep(model.linear_op, tg, x0, source, term)
     return Trajectory(time_grid=tg, states=states)
 

@@ -100,7 +100,7 @@ class Grid2D(_Grid):
         return np.meshgrid(self.xs, self.ys)
 
 
-# rows per GEMM when a one-factor from_modal writes over its input
+# rows per GEMM when a one-factor map writes over its input
 _INPLACE_ROWS = 64
 
 
@@ -117,10 +117,11 @@ class SpectralBasis:
     (..., n) to coefficients of shape (..., *values.shape), and
     ``from_modal`` maps them back, so a whole trajectory moves in one call.
     ``out``, a C-contiguous array of the result's shape, receives the
-    result, and ``from_modal(c, out=c)`` writes the nodal rows over c.  On
-    the Kronecker path only the first GEMM reads c.  The one-factor map is
-    a single GEMM, for which numpy would copy all of an input that overlaps
-    ``out``, so it runs over c a block of rows at a time.  The Kronecker
+    result, and may be the input's own buffer: ``to_modal(x, out=...)`` and
+    ``from_modal(c, out=...)`` then write the result over it.  On the
+    Kronecker path only the first GEMM reads the input.  The one-factor map
+    is a single GEMM, for which numpy would copy all of an input that
+    overlaps ``out``, so it runs a block of rows at a time.  The Kronecker
     GEMMs are np.dot calls, which cost less than np.matmul's, except where a
     batch needs matmul to apply Vy to each state.
     """
@@ -143,7 +144,7 @@ class SpectralBasis:
 
     def to_modal(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if len(self.vectors) == 1:
-            return np.matmul(x, self.vectors[0], out=out)
+            return _rows_times(x, self.vectors[0], out)
         vy_t, vx = self._transposed[0], self.vectors[1]
         if x.ndim == 1:  # one state
             return np.dot(vy_t, np.dot(x.reshape(self.values.shape), vx), out=out)
@@ -152,20 +153,26 @@ class SpectralBasis:
 
     def from_modal(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if len(self.vectors) == 1:
-            v_t = self.vectors[0].T
-            if out is not c:
-                return np.matmul(c, v_t, out=out)
-            rows = c.reshape(-1, len(v_t))  # a view: out is C-contiguous
-            for i in range(0, len(rows), _INPLACE_ROWS):
-                block = rows[i:i + _INPLACE_ROWS]
-                np.matmul(block, v_t, out=block)  # numpy copies only this block
-            return c
+            return _rows_times(c, self.vectors[0].T, out)
         vy, vx_t = self.vectors[0], self._transposed[1]
         grid_out = None if out is None else out.reshape(c.shape)
         if c.ndim == 2:  # one state
             return np.dot(vy, np.dot(c, vx_t), out=grid_out).ravel()
         cv = np.dot(c.reshape(-1, len(vx_t)), vx_t)  # one GEMM over every row of every state
         return np.matmul(vy, cv.reshape(c.shape), out=grid_out).reshape(c.shape[:-2] + (-1,))
+
+
+def _rows_times(x: np.ndarray, mat: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """x @ mat, into ``out`` when given.  A batch written over its own buffer
+    runs a block of rows at a time, so numpy copies one block of the
+    overlapping input (one state skips the overlap test, which costs more
+    than copying it)."""
+    if out is None or x.ndim == 1 or not np.may_share_memory(x, out):
+        return np.matmul(x, mat, out=out)
+    src, dst = x.reshape(-1, len(mat)), out.reshape(-1, len(mat))  # out is C-contiguous
+    for i in range(0, len(dst), _INPLACE_ROWS):
+        np.matmul(src[i:i + _INPLACE_ROWS], mat, out=dst[i:i + _INPLACE_ROWS])
+    return out
 
 
 @dataclass(frozen=True)
@@ -191,13 +198,6 @@ class LinearOperator:
         fy, fx = self.factors
         x = v.reshape(len(fy), len(fx))
         return (fy @ x + x @ fx.T).ravel()
-
-    def toarray(self) -> np.ndarray:
-        """The assembled n x n matrix (a fresh copy)."""
-        if len(self.factors) == 1:
-            return self.factors[0].copy()
-        fy, fx = self.factors
-        return np.kron(fy, np.eye(len(fx))) + np.kron(np.eye(len(fy)), fx)
 
     def __neg__(self) -> "LinearOperator":
         neg = LinearOperator(factors=tuple(-f for f in self.factors))

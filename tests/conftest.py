@@ -51,6 +51,14 @@ def first_mode_2d(grid, amplitude=1.0):
     return amplitude * (np.sin(np.pi * xx / grid.lx) * np.sin(np.pi * yy / grid.ly)).ravel()
 
 
+def toarray(op):
+    """The assembled n x n matrix of a ``LinearOperator`` (a fresh copy)."""
+    if len(op.factors) == 1:
+        return op.factors[0].copy()
+    fy, fx = op.factors
+    return np.kron(fy, np.eye(len(fx))) + np.kron(np.eye(len(fy)), fx)
+
+
 def traced_peak(fn):
     """fn() and the peak bytes traced while it ran, above those live before."""
     started = not tracemalloc.is_tracing()

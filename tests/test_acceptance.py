@@ -27,7 +27,7 @@ def _identity_error(model, traj, tg, rng):
     g = rng.standard_normal(traj.states.shape)
     phi = rng.standard_normal(traj.states.shape)
     h = linearized_forward(model, traj, tg, g)
-    lam = adjoint_sweep(model, traj, tg, model.linear_op.basis.to_modal(phi))
+    lam = adjoint_sweep(model, traj, tg, phi.copy())
     lhs = tg.dt * w * float(np.sum(h[1:] * phi[1:]))
     rhs = tg.dt * w * float(np.sum(g[:-1] * lam[1:]))
     return abs(lhs - rhs) / max(abs(lhs), 1e-300)

@@ -6,7 +6,7 @@ import pdeopt as po
 from pdeopt.exceptions import BlowUpError, NotApplicableError
 from pdeopt.models import ScalarNonlinearity
 
-from conftest import first_mode_2d, smooth_clamped
+from conftest import first_mode_2d, smooth_clamped, toarray
 
 
 class TestTimeGridAndSignals:
@@ -51,7 +51,7 @@ class TestSolveForward:
     def test_linear_heat_eigen_decay(self):
         g = po.build_grid_2d(16, 16)
         model = po.make_heat_model(g, f_scalar=None)
-        vals, vecs = np.linalg.eigh(-model.linear_op.toarray())
+        vals, vecs = np.linalg.eigh(-toarray(model.linear_op))
         mu1, e1 = vals[0], vecs[:, 0]
         tg = po.TimeGrid(tau=0.1, nt=200)
         traj = po.solve_forward(model, None, model.actuator_family.initial_design(),

@@ -13,7 +13,7 @@ from pdeopt.grids import LinearOperator, SpectralBasis
 from pdeopt.riccati import closed_loop_simulate, solve_differential_riccati, \
     verify_feedback_consistency, worst_ic_eigen_check
 
-from conftest import first_mode_2d, smooth_clamped, traced_peak
+from conftest import first_mode_2d, smooth_clamped, toarray, traced_peak
 
 
 def scalar_op(a=0.0):
@@ -29,7 +29,7 @@ def reference_split_riccati(a_op, b_vec, weights, tg, state_weight, along):
     (Sherman-Morrison).  No step bound and no PSD check.  Returns the nodal
     Pi(0), the gains and Pi(t_k) along[k].
     """
-    a, n = a_op.toarray(), b_vec.size
+    a, n = toarray(a_op), b_vec.size
     h, s, q = tg.dt, state_weight / weights.r_scale, weights.q_scale
     block = expm(np.block([[-a, np.eye(n)], [np.zeros((n, n)), a]]) * (0.5 * h))
     e = block[n:, n:]
@@ -569,7 +569,7 @@ class TestWorstIcEigenCheck:
         rng = np.random.default_rng(3)
         m = rng.standard_normal((8, 8))
         pi0 = m @ m.T + np.eye(8)
-        k = po.h1_operator(g).toarray()
+        k = toarray(po.h1_operator(g))
         vals, vecs = sla.eigh(pi0, k)
         x_star = vecs[:, -1]
         ric = _synthetic_riccati(pi0, g)
@@ -582,7 +582,7 @@ class TestWorstIcEigenCheck:
         g = po.build_grid_1d(8)
         m = rng.standard_normal((8, 8))
         pi0 = m @ m.T
-        k = po.h1_operator(g).toarray()
+        k = toarray(po.h1_operator(g))
         k_isqrt = np.linalg.inv(sqrtm(k).real)
         wh = k_isqrt @ pi0 @ k_isqrt
         vals, vecs = np.linalg.eigh(wh)
@@ -607,7 +607,7 @@ class TestWorstIcEigenCheck:
         ric = po.RiccatiSolution(
             spectral=SpectralBasis(vectors=(v_y, v_x), values=np.zeros((5, 7))),
             modal=[m @ m.T], b_vec=np.zeros(g.size), gains=np.zeros((3, g.size)))
-        vals, vecs = sla.eigh(ric.pi0, po.h1_operator(g).toarray())
+        vals, vecs = sla.eigh(ric.pi0, toarray(po.h1_operator(g)))
         cos, ray = worst_ic_eigen_check(ric, vecs[:, -1], g)
         assert cos == pytest.approx(1.0, abs=1e-10)
         assert ray == pytest.approx(vals[-1], rel=1e-10)

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pdeopt as po
 from pdeopt.adjoint import adjoint_sweep, linearized_forward
@@ -18,17 +18,36 @@ from pdeopt.exceptions import BlowUpError, PdeoptError
 from pdeopt.forward import crank_nicolson_factors
 from pdeopt.grids import LinearOperator
 
+from conftest import toarray
+
 SIDES = ("left", "right", "bottom", "top")
 
 
 @st.composite
 def rect_grids(draw):
+    """Non-square rectangles: nx != ny in [4, 12] cells, lx and ly in
+    [0.5, 2] at least 0.05 apart, and one to four Dirichlet sides."""
     nx = draw(st.integers(4, 12))
     ny = draw(st.integers(4, 12).filter(lambda n: n != nx))
     lx = draw(st.floats(0.5, 2.0))
     ly = draw(st.floats(0.5, 2.0).filter(lambda v: abs(v - lx) > 0.05))
     sides = draw(st.lists(st.sampled_from(SIDES), min_size=1, max_size=4, unique=True))
     return po.build_grid_2d(nx, ny, lx, ly, dirichlet_sides=tuple(sides))
+
+
+# the edges of rect_grids: fewest x cells on the tallest rectangle with one
+# Dirichlet side, and the most x cells on the widest with all four
+SMALL_GRID = po.build_grid_2d(4, 12, 0.5, 2.0, dirichlet_sides=("top",))
+LARGE_GRID = po.build_grid_2d(12, 4, 2.0, 0.5, dirichlet_sides=SIDES)
+SEEDS = st.integers(0, 2**16)
+
+
+@st.composite
+def bad_inputs(draw):
+    """(nt, step, value): 2 to 20 steps and the input sample at a step in
+    [0, nt - 1] set to inf or nan."""
+    nt = draw(st.integers(2, 20))
+    return nt, draw(st.integers(0, nt - 1)), draw(st.sampled_from([np.inf, np.nan]))
 
 
 def rel_err(got, want):
@@ -39,7 +58,7 @@ def dense_cn_ab2(model, uv, design, x0, tg):
     """Nodal CN-AB2 with dense solves of I - dt/2 A: the stepper as written
     in forward.py's docstring, with no eigenbasis involved.  Stops after the
     first non-finite state, which the heat nonlinearity refuses."""
-    a = model.linear_op.toarray()
+    a = toarray(model.linear_op)
     eye = np.eye(a.shape[0])
     m, p = eye - 0.5 * tg.dt * a, eye + 0.5 * tg.dt * a
     b = model.actuator_family.evaluate(design, model.grid)
@@ -59,14 +78,16 @@ def dense_cn_ab2(model, uv, design, x0, tg):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(grid=rect_grids(), seed=st.integers(0, 2**16))
+@given(grid=rect_grids(), seed=SEEDS)
+@example(grid=SMALL_GRID, seed=0)
+@example(grid=LARGE_GRID, seed=2**16)
 def test_eigenbasis_matches_dense_oracles(grid, seed):
     rng = np.random.default_rng(seed)
     a_op = po.heat_operator(grid)
-    a = a_op.toarray()
+    a = toarray(a_op)
     x = rng.standard_normal(grid.size)
 
-    k = po.h1_operator(grid).toarray()
+    k = toarray(po.h1_operator(grid))
     assert rel_err(po.h1_riesz_map(x, grid), np.linalg.solve(k, x)) <= 1e-10
 
     c_omega = po.smallest_eigenvalue(-a_op)
@@ -74,7 +95,9 @@ def test_eigenbasis_matches_dense_oracles(grid, seed):
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(grid=rect_grids(), seed=st.integers(0, 2**16))
+@given(grid=rect_grids(), seed=SEEDS)
+@example(grid=SMALL_GRID, seed=0)
+@example(grid=LARGE_GRID, seed=2**16)
 def test_linearized_adjoint_duality_non_square(grid, seed):
     rng = np.random.default_rng(seed)
     model = po.make_heat_model(grid)
@@ -84,7 +107,7 @@ def test_linearized_adjoint_duality_non_square(grid, seed):
     g = rng.standard_normal(traj.states.shape)
     phi = rng.standard_normal(traj.states.shape)
     h = linearized_forward(model, traj, tg, g)
-    lam = adjoint_sweep(model, traj, tg, model.linear_op.basis.to_modal(phi))
+    lam = adjoint_sweep(model, traj, tg, phi.copy())
     lhs = float(np.sum(h[1:] * phi[1:]))
     rhs = float(np.sum(g[:-1] * lam[1:]))
     assert abs(lhs - rhs) <= 1e-11 * abs(lhs)
@@ -122,7 +145,7 @@ def test_iss_margin_uses_own_poincare_constant():
         traj = po.Trajectory(tg, states)
         margin = po.verify_heat_iss_bound(traj, u, design, model)
 
-        c_omega = np.linalg.eigvalsh(-model.linear_op.toarray())[0]
+        c_omega = np.linalg.eigvalsh(-toarray(model.linear_op))[0]
         r_vec = model.actuator_family.evaluate(design, grid)
         expect = po.inner_product(states[0], states[0], grid) \
             + 4.0 / c_omega * tg.norm(u.values) ** 2 * po.inner_product(r_vec, r_vec, grid)
@@ -130,7 +153,9 @@ def test_iss_margin_uses_own_poincare_constant():
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(grid=rect_grids(), batch=st.integers(1, 5), seed=st.integers(0, 2**16))
+@given(grid=rect_grids(), batch=st.integers(1, 5), seed=SEEDS)
+@example(grid=SMALL_GRID, batch=1, seed=0)
+@example(grid=LARGE_GRID, batch=5, seed=2**16)
 def test_batched_modal_transforms_match_rows(grid, batch, seed):
     rng = np.random.default_rng(seed)
     for basis in (po.heat_operator(grid).basis,
@@ -147,7 +172,9 @@ def test_batched_modal_transforms_match_rows(grid, batch, seed):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(grid=rect_grids(), batch=st.integers(1, 4), seed=st.integers(0, 2**16))
+@given(grid=rect_grids(), batch=st.integers(1, 4), seed=SEEDS)
+@example(grid=SMALL_GRID, batch=1, seed=0)
+@example(grid=LARGE_GRID, batch=4, seed=2**16)
 def test_modal_transforms_into_out_match_the_allocating_maps(grid, batch, seed):
     # one state and a batch; the dense V checks the values, where a swapped
     # factor or a transposed reshape in either path would show
@@ -181,21 +208,44 @@ def test_from_modal_overwrite_gives_the_same_rows(kind, rng):
     assert np.shares_memory(got, c)
 
 
-def test_one_factor_from_modal_over_c_holds_no_copy_of_c(rng):
+@pytest.mark.parametrize("kind", ["heat", "ks"])
+def test_to_modal_overwrite_gives_the_same_rows(kind, rng):
+    # out over x, as the linear adjoint maps its source: the Kronecker map
+    # writes its second GEMM over x, the one-factor map a block of rows at a time
+    grid = po.build_grid_2d(6, 5)
+    basis = po.heat_operator(grid).basis if kind == "heat" \
+        else po.ks_operator(po.build_grid_1d(grid.size), 30.0).basis
+    x = rng.standard_normal((4, grid.size))
+    want = basis.to_modal(x)
+    got = basis.to_modal(x, out=x.reshape(want.shape))
+    assert np.array_equal(got, want)
+    assert np.shares_memory(got, x)
+
+
+def _one_factor_map_over_input(direction, rng):
     # numpy copies all of an input that overlaps out; over more rows than one
-    # block, from_modal(c, out=c) holds a block's copy and no more
+    # block, a one-factor map written over its input holds a block's copy and
+    # no more
     basis = po.ks_operator(po.build_grid_1d(64), 30.0).basis
     c = rng.standard_normal((301, 64))
-    want = c @ basis.matrix.T
+    want = c @ (basis.matrix if direction == "to_modal" else basis.matrix.T)
     tracemalloc.start()
     try:
-        got = basis.from_modal(c, out=c)
+        got = getattr(basis, direction)(c, out=c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.shares_memory(got, c)
     assert rel_err(got, want) <= 1e-13
     assert peak < 0.25 * c.nbytes
+
+
+def test_one_factor_from_modal_over_c_holds_no_copy_of_c(rng):
+    _one_factor_map_over_input("from_modal", rng)
+
+
+def test_one_factor_to_modal_over_x_holds_no_copy_of_x(rng):
+    _one_factor_map_over_input("to_modal", rng)
 
 
 def _forward_case(model, rng, tg, amplitude):
@@ -207,7 +257,9 @@ def _forward_case(model, rng, tg, amplitude):
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(grid=rect_grids(), nt=st.integers(2, 30), seed=st.integers(0, 2**16))
+@given(grid=rect_grids(), nt=st.integers(2, 30), seed=SEEDS)
+@example(grid=SMALL_GRID, nt=2, seed=0)
+@example(grid=LARGE_GRID, nt=30, seed=2**16)
 def test_solve_forward_matches_dense_cn_ab2_heat(grid, nt, seed):
     rng = np.random.default_rng(seed)
     tg = po.TimeGrid(tau=0.05, nt=nt)
@@ -217,10 +269,13 @@ def test_solve_forward_matches_dense_cn_ab2_heat(grid, nt, seed):
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
-@given(n=st.integers(8, 24), nt=st.integers(2, 30), seed=st.integers(0, 2**16))
+@given(n=st.integers(8, 24), nt=st.integers(2, 30), seed=SEEDS)
+@example(n=8, nt=30, seed=0)
+@example(n=24, nt=2, seed=2**16)
 def test_solve_forward_matches_dense_cn_ab2_ks(n, nt, seed):
     # The dense LU reference itself loses about kappa(I - dt/2 A) digits on
-    # the biharmonic operator, so dt*max|lambda|/2 stays below ~2e3 here.
+    # the biharmonic operator, so dt*max|lambda|/2 stays below ~2e3 here,
+    # 1.5e3 at the stiffest edge (n = 24, nt = 2).
     rng = np.random.default_rng(seed)
     tg = po.TimeGrid(tau=1e-3, nt=nt)
     for linear in (True, False):
@@ -230,7 +285,9 @@ def test_solve_forward_matches_dense_cn_ab2_ks(n, nt, seed):
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(grid=rect_grids(), seed=st.integers(0, 2**16))
+@given(grid=rect_grids(), seed=SEEDS)
+@example(grid=SMALL_GRID, seed=0)
+@example(grid=LARGE_GRID, seed=2**16)
 def test_linearized_adjoint_duality_linear_heat(grid, seed):
     rng = np.random.default_rng(seed)
     model = po.make_heat_model(grid, f_scalar=None)
@@ -240,22 +297,25 @@ def test_linearized_adjoint_duality_linear_heat(grid, seed):
     g = rng.standard_normal(traj.states.shape)
     phi = rng.standard_normal(traj.states.shape)
     h = linearized_forward(model, traj, tg, g)
-    lam = adjoint_sweep(model, traj, tg, model.linear_op.basis.to_modal(phi))
+    lam = adjoint_sweep(model, traj, tg, phi.copy())
     lhs = float(np.sum(h[1:] * phi[1:]))
     rhs = float(np.sum(g[:-1] * lam[1:]))
     assert abs(lhs - rhs) <= 1e-11 * abs(lhs)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(grid=rect_grids(), nt=st.integers(2, 20), data=st.data())
-def test_linear_blow_up_step_matches_dense_cn_ab2(grid, nt, data):
+@given(grid=rect_grids(), bad=bad_inputs())
+@example(grid=SMALL_GRID, bad=(2, 0, np.inf))
+@example(grid=LARGE_GRID, bad=(20, 19, np.nan))
+def test_linear_blow_up_step_matches_dense_cn_ab2(grid, bad):
     # The linear path checks the whole trajectory once, after mapping it
     # back; it must still name the step the per-step reference fails at.
     model = po.make_heat_model(grid, f_scalar=None)
     design = model.actuator_family.initial_design()
+    nt, step, value = bad
     tg = po.TimeGrid(tau=0.05, nt=nt)
     uv = np.ones(nt + 1)
-    uv[data.draw(st.integers(0, nt - 1))] = data.draw(st.sampled_from([np.inf, np.nan]))
+    uv[step] = value
     x0 = np.ones(grid.size)
     want = dense_cn_ab2(model, uv, design, x0, tg)
     first_bad = int(np.argmax(~np.isfinite(want).all(axis=1)))
@@ -264,21 +324,28 @@ def test_linear_blow_up_step_matches_dense_cn_ab2(grid, nt, data):
     assert err.value.step == first_bad
 
 
+def ks_model(n):
+    return po.make_ks_model(po.build_grid_1d(n), 30.0)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["ks", "heat"]), nt=st.integers(2, 20), data=st.data())
-def test_nonlinear_blow_up_step_matches_dense_cn_ab2(kind, nt, data):
+@given(model=st.one_of(st.integers(8, 24).map(ks_model), rect_grids().map(po.make_heat_model)),
+       bad=bad_inputs())
+# the edges: KS on 8 and 24 nodes, cubic heat on both edge grids
+@example(model=ks_model(8), bad=(2, 0, np.inf))
+@example(model=ks_model(24), bad=(20, 19, np.nan))
+@example(model=po.make_heat_model(SMALL_GRID), bad=(2, 0, np.nan))
+@example(model=po.make_heat_model(LARGE_GRID), bad=(20, 19, np.inf))
+def test_nonlinear_blow_up_step_matches_dense_cn_ab2(model, bad):
     # The nonlinear path also checks the whole trajectory once, at the end or
     # when the heat term refuses a non-finite state; it must name the step
-    # the per-step reference fails at.
-    if kind == "ks":
-        model = po.make_ks_model(po.build_grid_1d(data.draw(st.integers(8, 24))), 30.0)
-        tg = po.TimeGrid(tau=1e-3, nt=nt)
-    else:
-        model = po.make_heat_model(data.draw(rect_grids()))
-        tg = po.TimeGrid(tau=0.05, nt=nt)
+    # the per-step reference fails at.  KS (n in [8, 24]) runs on tau = 1e-3,
+    # cubic heat on rect_grids and tau = 0.05.
+    nt, step, value = bad
+    tg = po.TimeGrid(tau=1e-3 if model.lam is not None else 0.05, nt=nt)
     design = model.actuator_family.initial_design()
     uv = np.ones(nt + 1)
-    uv[data.draw(st.integers(0, nt - 1))] = data.draw(st.sampled_from([np.inf, np.nan]))
+    uv[step] = value
     x0 = 0.5 * np.ones(model.grid.size)
     want = dense_cn_ab2(model, uv, design, x0, tg)
     first_bad = int(np.argmax(~np.isfinite(want).all(axis=1)))

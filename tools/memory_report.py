@@ -18,7 +18,12 @@ with:
   remaps after returning them to the system, show up here;
 - the child's peak RSS (`ru_maxrss`) in MiB over those untraced runs, read
   before the traced one: what the benchmark's `peak_rss_mb` measures in a
-  fresh process that runs the pipeline once.
+  fresh process that runs the pipeline once;
+- that peak above the child's peak RSS after importing `pdeopt` and
+  building the workload's model, before any run.  What the interpreter maps
+  for the checkout itself (module paths, bytecode) is below this baseline,
+  so this column compares the code of two checkouts where the total can
+  differ by up to 1 MiB for the same code in directories of other names.
 
 BLAS runs on one thread, as in `perfbench/run.py`, unless the environment
 sets the thread counts.
@@ -40,6 +45,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 DEPTH = 3
+
+
+def _max_rss_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
 def _faults_per_run(run) -> int:
@@ -94,17 +103,20 @@ def _report(src: str, name: str) -> None:
 
     subcommand, configs, _ = workloads.make_inputs(name, 0)
     cfg = ExperimentConfig(values=configs[0])
+    cfg.build_model()
+    base_rss = _max_rss_mib()
     trajectory = 8 * (cfg["time.nt"] + 1) * cfg.build_grid().size
     with tempfile.TemporaryDirectory() as tmp:
         def once():
             run(subcommand, cfg, Path(tmp) / name)
 
         faults = _faults_per_run(once)
-        max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        max_rss = _max_rss_mib()
         peak, where = _traced_peak(once)
     print(f"{name}: traced peak {peak / 2**20:.2f} MiB = "
           f"{peak / trajectory:.2f} trajectories of {trajectory / 2**20:.2f} MiB "
-          f"in {where}; peak RSS {max_rss:.2f} MiB; {faults} minor faults per run",
+          f"in {where}; peak RSS {max_rss:.2f} MiB, {max_rss - base_rss:.2f} MiB "
+          f"above the model's build; {faults} minor faults per run",
           flush=True)
 
 
