@@ -155,10 +155,10 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
     a nonlinear model's step adds, the input included, belongs in N_k, and
     the array ``term`` returns is read before its next call, so it may be a
     buffer the term reuses.  The state-independent ``source`` is for sweeps
-    without a term: it comes already in modal coordinates, shape
-    (nt, *basis.values.shape), and is scaled by dt/den in place.  Without a
-    term the trajectory returns to nodal values in one batched transform at
-    the end, written over the modal rows.
+    without a term: it comes already in modal coordinates, shape (nt, n),
+    and is scaled by dt/den in place.  Without a term the trajectory
+    returns to nodal values in one batched transform at the end, written
+    over the modal rows.
 
     Raises BlowUpError(step) at the first non-finite state, found in one
     pass over the finished trajectory, and when ``term`` raises PdeoptError
@@ -171,7 +171,7 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
         if source is not None:
             source *= gain
         if term is None:
-            coef = np.empty((nt + 1, *ratio.shape))
+            coef = np.empty((nt + 1, x0.size))
             coef[0] = basis.to_modal(x0)
             for k in range(nt):
                 np.multiply(ratio, coef[k], out=coef[k + 1])

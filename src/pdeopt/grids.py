@@ -18,6 +18,8 @@ Every operator is held as its dense factors and keeps its orthonormal
 eigenbasis (``LinearOperator.basis``).  The 2-D operators are Kronecker sums
 of two 1-D factors, so theirs comes from two small eigensolves: the fast
 diagonalization method of Lynch, Rice & Thomas, Numer. Math. 6 (1964).
+Modal coefficients are flat (..., n) arrays like the states, so only
+``SpectralBasis`` knows that Kronecker layout.
 """
 
 from __future__ import annotations
@@ -109,67 +111,70 @@ class SpectralBasis:
     """Orthonormal eigenbasis V of a symmetric operator, A = V diag(values) V^T.
 
     ``vectors`` is (V,), or (Vy, Vx) for a Kronecker sum Fy (x) I + I (x) Fx
-    on a grid with the x index fastest: then the modal coefficients of x are
-    Vy^T X Vx with X = x.reshape(ny, nx), ``values`` has shape (ny, nx), and
-    the maps below never form V = Vy (x) Vx (only ``matrix`` does).
+    on a grid with the x index fastest: then V = Vy (x) Vx, ``values`` is
+    the flattened outer sum of the factors' eigenvalues, and a row x maps
+    through X = x.reshape(ny, nx) to Vy^T X Vx and back by Vy C Vx^T, so V
+    is never formed (only ``matrix`` forms it).
 
-    Both maps accept leading batch axes: ``to_modal`` takes x of shape
-    (..., n) to coefficients of shape (..., *values.shape), and
-    ``from_modal`` maps them back, so a whole trajectory moves in one call.
-    ``out``, a C-contiguous array of the result's shape, receives the
-    result, and may be the input's own buffer: ``to_modal(x, out=...)`` and
-    ``from_modal(c, out=...)`` then write the result over it.  On the
-    Kronecker path only the first GEMM reads the input.  The one-factor map
-    is a single GEMM, for which numpy would copy all of an input that
-    overlaps ``out``, so it runs a block of rows at a time.  The Kronecker
-    GEMMs are np.dot calls, which cost less than np.matmul's, except where a
-    batch needs matmul to apply Vy to each state.
+    ``to_modal`` (V^T on each row) and ``from_modal`` (V) take states or
+    coefficients of shape (..., n) to that shape, a whole trajectory in one
+    call.  ``out``, C-contiguous, receives the result and may be the input
+    or its transpose: for a symmetric M, p = from_modal(M) and then
+    from_modal(p.T, out=p) give V M V^T.
     """
 
     vectors: tuple
     values: np.ndarray
-    _transposed: tuple = field(init=False, repr=False, compare=False)
+    _to: tuple = field(init=False, repr=False, compare=False)
+    _back: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # C-contiguous Vy^T and Vx^T, made once: the Kronecker maps ran faster
-        # with these than with transposed views, while the one-factor map ran
-        # no faster and would keep a second n x n matrix
-        object.__setattr__(self, "_transposed", tuple(
-            np.ascontiguousarray(v.T) for v in self.vectors) if len(self.vectors) > 1 else ())
+        # x V and c V^T, or Vy^T X Vx and Vy C Vx^T: the Kronecker transposes
+        # are copied once, faster than views, while a copy of V^T ran no
+        # faster and would keep a second n x n matrix
+        if len(self.vectors) == 1:
+            to, back = self.vectors, (self.vectors[0].T,)
+        else:
+            vy, vx = self.vectors
+            to, back = (np.ascontiguousarray(vy.T), vx), (vy, np.ascontiguousarray(vx.T))
+        object.__setattr__(self, "_to", to)
+        object.__setattr__(self, "_back", back)
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense n x n V = Vy (x) Vx, whose columns follow ``values.ravel()``."""
+        """The dense n x n V = Vy (x) Vx, whose columns follow ``values``."""
         return reduce(np.kron, self.vectors)
 
     def to_modal(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if len(self.vectors) == 1:
-            return _rows_times(x, self.vectors[0], out)
-        vy_t, vx = self._transposed[0], self.vectors[1]
-        if x.ndim == 1:  # one state
-            return np.dot(vy_t, np.dot(x.reshape(self.values.shape), vx), out=out)
-        xv = np.dot(x.reshape(-1, len(vx)), vx)  # one GEMM over every row of every state
-        return np.matmul(vy_t, xv.reshape(x.shape[:-1] + self.values.shape), out=out)
+        return _row_map(x, self._to, out)
 
     def from_modal(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if len(self.vectors) == 1:
-            return _rows_times(c, self.vectors[0].T, out)
-        vy, vx_t = self.vectors[0], self._transposed[1]
-        grid_out = None if out is None else out.reshape(c.shape)
-        if c.ndim == 2:  # one state
-            return np.dot(vy, np.dot(c, vx_t), out=grid_out).ravel()
-        cv = np.dot(c.reshape(-1, len(vx_t)), vx_t)  # one GEMM over every row of every state
-        return np.matmul(vy, cv.reshape(c.shape), out=grid_out).reshape(c.shape[:-2] + (-1,))
+        return _row_map(c, self._back, out)
 
 
-def _rows_times(x: np.ndarray, mat: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """x @ mat, into ``out`` when given.  A batch written over its own buffer
-    runs a block of rows at a time, so numpy copies one block of the
-    overlapping input (one state skips the overlap test, which costs more
-    than copying it)."""
-    if out is None or x.ndim == 1 or not np.may_share_memory(x, out):
+def _row_map(x: np.ndarray, mats: tuple, out: np.ndarray | None) -> np.ndarray:
+    """x times the basis matrix row by row: x @ M for mats = (M,), or L X R
+    with X each row as (len(L), len(R)) for a Kronecker pair (L, R).  One
+    state takes np.dot, cheaper than np.matmul.  A batch's first product
+    reads all of x, so ``out`` may overlap it.  For one matrix numpy copies
+    an x that overlaps ``out``; where x is out's own rows, a block of rows at
+    a time (one state skips the overlap test, which costs more than a copy).
+    """
+    if len(mats) == 2:
+        left, right = mats
+        if x.ndim == 1:
+            if out is None:
+                return np.dot(left, np.dot(x.reshape(len(left), -1), right)).ravel()
+            np.dot(left, np.dot(x.reshape(len(left), -1), right), out=out.reshape(len(left), -1))
+            return out
+        shape = x.shape[:-1] + (len(left), len(right))
+        y = np.matmul(left, np.matmul(x.reshape(shape), right),
+                      out=None if out is None else out.reshape(shape))
+        return y.reshape(x.shape)
+    mat = mats[0]
+    if out is None or x.ndim == 1 or not (x.flags.c_contiguous and np.may_share_memory(x, out)):
         return np.matmul(x, mat, out=out)
-    src, dst = x.reshape(-1, len(mat)), out.reshape(-1, len(mat))  # out is C-contiguous
+    src, dst = x.reshape(-1, len(mat)), out.reshape(-1, len(mat))
     for i in range(0, len(dst), _INPLACE_ROWS):
         np.matmul(src[i:i + _INPLACE_ROWS], mat, out=dst[i:i + _INPLACE_ROWS])
     return out
@@ -190,7 +195,7 @@ class LinearOperator:
         """Orthonormal eigenbasis, computed on first use and kept on the operator."""
         pairs = [np.linalg.eigh(f) for f in self.factors]
         return SpectralBasis(vectors=tuple(v for _, v in pairs),
-                             values=reduce(np.add.outer, [w for w, _ in pairs]))
+                             values=reduce(np.add.outer, [w for w, _ in pairs]).ravel())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if len(self.factors) == 1:

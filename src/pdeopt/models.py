@@ -69,9 +69,9 @@ CUBIC_SINK = ScalarNonlinearity(
 
 
 def heat_nonlinearity(w: np.ndarray, f_scalar: ScalarNonlinearity) -> np.ndarray:
-    """Pointwise application F(w_i)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = f_scalar.value(w)
+    """Pointwise application F(w_i); a non-finite value raises PdeoptError
+    (the sweep that calls it runs under np.errstate, so numpy stays quiet)."""
+    out = f_scalar.value(w)
     if not np.isfinite(out).all():
         raise PdeoptError("pointwise nonlinearity overflowed to a non-finite value")
     return out

@@ -73,9 +73,11 @@ class RiccatiSolution:
 
     @property
     def pi0(self) -> np.ndarray:
-        """The nodal matrix Pi(0)."""
-        v = self.basis
-        return v @ self.modal[0] @ v.T
+        """The nodal Pi(0) = V Pi-tilde(0) V^T: ``from_modal`` on the rows of
+        Pi-tilde(0), then on those of the result's transpose V Pi-tilde(0),
+        written over it; V is never formed, and two n x n arrays at most."""
+        pi = self.spectral.from_modal(self.modal[0])
+        return self.spectral.from_modal(pi.T, out=pi)
 
     def pi0_to_csv(self, path) -> None:
         np.savetxt(path, self.pi0, fmt="%.16e", delimiter=",", comments="")
@@ -272,19 +274,13 @@ def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
     splitting raises StepSizeError; the caller names the field that sets it.
     """
     basis = a_op.basis
-    lam, n = basis.values.ravel(), b_vec.size
-    b_modal = basis.to_modal(b_vec).reshape(n)
     s_scale = state_weight / weights.r_scale
-    along_modal = None if along is None else basis.to_modal(along).reshape(along.shape)
-    pi0, pib, pix = _split_sweep(lam, b_modal, weights.q_scale, s_scale, tg.nt, tg.dt,
-                                 check_every, along_modal)
-
-    def nodal(rows):
-        return basis.from_modal(rows.reshape((-1,) + basis.values.shape)).reshape(rows.shape)
-
+    along_modal = None if along is None else basis.to_modal(along)
+    pi0, pib, pix = _split_sweep(basis.values, basis.to_modal(b_vec), weights.q_scale,
+                                 s_scale, tg.nt, tg.dt, check_every, along_modal)
     return RiccatiSolution(spectral=basis, modal=[pi0], b_vec=b_vec,
-                           gains=s_scale * nodal(pib),
-                           along=None if pix is None else nodal(pix))
+                           gains=s_scale * basis.from_modal(pib),
+                           along=None if pix is None else basis.from_modal(pix))
 
 
 def closed_loop_simulate(model: ModelSpec, ric: RiccatiSolution, x0: np.ndarray,
@@ -396,34 +392,27 @@ def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
     worst-IC stationarity condition in the H1 geometry; a literal eigenvalue
     equation Pi(0) x0 = -mu x0 with mu >= 0 would force Pi(0) x0 = 0 for a
     PSD Pi(0), so eigen-alignment plus the signed quotient is what is tested.
+
+    With K = V_K diag(k) V_K^T, W = V_K diag(k^-1/2) has W^T K W = I, so it
+    becomes (W^T Pi(0) W) y = theta y, and with Pi(0) = V Pi-tilde(0) V^T
+    and Q = V^T V_K that matrix is diag(k^-1/2) Q^T Pi-tilde(0) Q
+    diag(k^-1/2).  Q is ``from_modal`` in A's basis, then ``to_modal`` in
+    K's, on the rows of Pi-tilde(0) and then on those of Q^T Pi-tilde(0),
+    over one n x n buffer: Q, V and the nodal Pi(0) are never formed.
     """
-    # whiten with K = V_K diag(k) V_K^T: W = V_K diag(k^-1/2) has W^T K W = I, so
-    # Pi(0) v = theta K v becomes (W^T Pi(0) W) y = theta y, and with
-    # Pi(0) = V Pi-tilde(0) V^T and Q = V^T V_K that matrix is
-    # diag(k^-1/2) Q^T Pi-tilde(0) Q diag(k^-1/2)
-    n, k_basis = grid.size, grid.h1.basis
-    blocks = [v.T @ v_k for v, v_k in zip(ric.spectral.vectors, k_basis.vectors, strict=True)]
-    pi0_modal = ric.modal[0]
-    if len(blocks) == 1:
-        pi_k = blocks[0].T @ (pi0_modal @ blocks[0])
-    else:
-        # Q = Qy (x) Qx, applied one 1-D factor at a time to the column
-        # index (x, then y) and then to the row index, so Q is never formed
-        # and at most two n x n products are live
-        q_y, q_x = blocks
-        ny, nx = len(q_y), len(q_x)
-        pi_k = pi0_modal.reshape(-1, nx) @ q_x
-        pi_k = np.matmul(q_y.T, pi_k.reshape(n, ny, nx))  # Pi-tilde(0) Q
-        pi_k = np.matmul(q_x.T, pi_k.reshape(ny, nx, n))
-        pi_k = (q_y.T @ pi_k.reshape(ny, nx * n)).reshape(n, n)
-    k_isqrt = 1.0 / np.sqrt(k_basis.values.ravel())
+    spectral, k_basis = ric.spectral, grid.h1.basis
+    pi_k = spectral.from_modal(ric.modal[0])
+    k_basis.to_modal(pi_k, out=pi_k)
+    spectral.from_modal(pi_k.T, out=pi_k)
+    k_basis.to_modal(pi_k, out=pi_k)
+    k_isqrt = 1.0 / np.sqrt(k_basis.values)
     pi_k *= k_isqrt
     pi_k *= k_isqrt[:, None]
     _, y = np.linalg.eigh(pi_k)
-    extremal = k_basis.from_modal((k_isqrt * y[:, -1]).reshape(k_basis.values.shape))
+    extremal = k_basis.from_modal(k_isqrt * y[:, -1])
     denom = h1_norm(x0_star, grid) * h1_norm(extremal, grid)
     cosine = abs(h1_inner(x0_star, extremal, grid)) / max(denom, 1e-300)
-    xi = ric.spectral.to_modal(x0_star).reshape(n)  # <x0, Pi(0) x0> = <xi, Pi-tilde(0) xi>
-    rayleigh = inner_product(xi, pi0_modal @ xi, grid) / \
+    xi = spectral.to_modal(x0_star)  # <x0, Pi(0) x0> = <xi, Pi-tilde(0) xi>
+    rayleigh = inner_product(xi, ric.modal[0] @ xi, grid) / \
         max(h1_inner(x0_star, x0_star, grid), 1e-300)
     return float(cosine), float(rayleigh)

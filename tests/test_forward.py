@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pdeopt as po
 from pdeopt.exceptions import BlowUpError, NotApplicableError
@@ -31,7 +31,11 @@ class TestTimeGridAndSignals:
         assert list(th) == [0.5, 1.0, 1.0, 1.0, 0.5]
 
     @settings(max_examples=50, deadline=None, derandomize=True)
+    # tau in [1e-3, 1e3], nt in [2, 500], seed in [0, 2^16]; the edges are the
+    # shortest horizon with the fewest steps and the longest with the most
     @given(tau=st.floats(1e-3, 1e3), nt=st.integers(2, 500), seed=st.integers(0, 2**16))
+    @example(tau=1e-3, nt=2, seed=0)
+    @example(tau=1e3, nt=500, seed=2**16)
     def test_inner_symmetric_and_exact_on_linear_signals(self, tau, nt, seed):
         tg = po.TimeGrid(tau=tau, nt=nt)
         f, g = np.random.default_rng(seed).standard_normal((2, nt + 1))

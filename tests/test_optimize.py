@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pdeopt as po
 import pdeopt.optimize as optimize
@@ -84,9 +84,14 @@ class TestProjections:
                 tg.norm(a.values - b.values) * (1 + 1e-12)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
+    # tau in [1e-2, 1e2], nt in [2, 80], r1, scale and u_box (or no box) in
+    # [1e-3, 1e3]; the edges are the smallest signals in the smallest ball
+    # with no box, and the largest in the largest ball under the tightest box
     @given(tau=st.floats(1e-2, 1e2), nt=st.integers(2, 80), r1=st.floats(1e-3, 1e3),
            u_box=st.one_of(st.none(), st.floats(1e-3, 1e3)),
            scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**16))
+    @example(tau=1e-2, nt=2, r1=1e-3, u_box=None, scale=1e-3, seed=0)
+    @example(tau=1e2, nt=80, r1=1e3, u_box=1e-3, scale=1e3, seed=2**16)
     def test_project_u_in_ball_idempotent_nonexpansive(self, tau, nt, r1, u_box,
                                                        scale, seed):
         tg = po.TimeGrid(tau=tau, nt=nt)
@@ -495,14 +500,26 @@ _FAMILIES = {
 }
 
 
+@st.composite
+def design_pairs(draw):
+    """(kind, a, b): a family of _FAMILIES and two parameter vectors of its
+    dimension with coordinates in [-10, 10]."""
+    kind = draw(st.sampled_from(sorted(_FAMILIES)))
+    dim = _FAMILIES[kind]().design_dim
+    coords = st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)
+    return kind, draw(coords), draw(coords)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(sorted(_FAMILIES)), data=st.data())
-def test_project_K_is_a_nonexpansive_projection_onto_the_box(kind, data):
+@given(pair=design_pairs())
+# the edges of design_pairs: opposite corners of the coordinate range
+@example(pair=("ks", [-10.0], [10.0]))
+@example(pair=("heat", [10.0, -10.0, 10.0, -10.0], [-10.0, 10.0, -10.0, 10.0]))
+def test_project_K_is_a_nonexpansive_projection_onto_the_box(pair):
+    kind, a, b = pair
     family = _FAMILIES[kind]()
     sets = po.AdmissibleSets(family=family)
-    coords = st.lists(st.floats(min_value=-10.0, max_value=10.0),
-                      min_size=family.design_dim, max_size=family.design_dim)
-    a, b = (po.ActuatorDesign(params=np.array(data.draw(coords))) for _ in range(2))
+    a, b = (po.ActuatorDesign(params=np.array(p)) for p in (a, b))
     pa, pb = po.project_K(a, sets), po.project_K(b, sets)
     assert family.contains(pa.params)
     assert np.array_equal(po.project_K(pa, sets).params, pa.params)

@@ -467,15 +467,29 @@ class TestStorage:
         assert peak / (8 * n * n) <= 5 + (3 * (tg.nt + 1) + 32) / n
 
     def test_eigen_check_peak_counts_its_arrays(self, rng):
-        # T = V^T V_K diag(k^-1/2), Pi-tilde(0) T and T^T Pi-tilde(0) T, whose
-        # eigenvectors take the place of the product: three n x n arrays plus
-        # 32 n-vectors of slack, and neither the nodal Pi(0) nor V_K diag(k^-1/2)
+        # one n x n buffer that the four maps of Q write over, beside each
+        # map's one n x n intermediate, then eigh's eigenvectors: within three
+        # n x n arrays plus 32 n-vectors of slack, and never the nodal Pi(0),
+        # V or Q
         g, model, b = self._heat_16x16()
         ric = solve_differential_riccati(model.linear_op, b, po.CostWeights(),
                                          po.TimeGrid(tau=1.0, nt=40), state_weight=g.weight)
         n = g.size
         _, peak = traced_peak(lambda: worst_ic_eigen_check(ric, rng.standard_normal(n), g))
         assert peak / (8 * n * n) <= 3 + 32 / n
+
+    def test_pi0_peak_counts_its_arrays(self):
+        # Pi-tilde(0) V^T, then V Pi-tilde(0) V^T written over it, each map
+        # with one n x n intermediate: two n x n arrays plus 32 n-vectors of
+        # slack, and never the dense V
+        g, model, b = self._heat_16x16()
+        ric = solve_differential_riccati(model.linear_op, b, po.CostWeights(),
+                                         po.TimeGrid(tau=1.0, nt=40), state_weight=g.weight)
+        n = g.size
+        pi0, peak = traced_peak(lambda: ric.pi0)
+        v = ric.basis
+        assert_rel_close(pi0, v @ ric.modal[0] @ v.T, 1e-13)
+        assert peak / (8 * n * n) <= 2 + 32 / n
 
     @pytest.mark.parametrize("kind", ["heat", "ks"])
     def test_along_matches_pi0_of_the_remaining_horizon(self, kind, rng):
@@ -599,18 +613,17 @@ class TestWorstIcEigenCheck:
         # grid: Q = V^T V_K is then no permutation (on heat it is the index
         # reversal, whatever axis a factor is applied to), so applying a
         # factor of Q to the wrong axis shows here
-        import scipy.linalg as sla
-        g = po.build_grid_2d(7, 5, dirichlet_sides=("left", "bottom"))
         v_y, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         v_x, _ = np.linalg.qr(rng.standard_normal((7, 7)))
-        m = rng.standard_normal((g.size, g.size))
-        ric = po.RiccatiSolution(
-            spectral=SpectralBasis(vectors=(v_y, v_x), values=np.zeros((5, 7))),
-            modal=[m @ m.T], b_vec=np.zeros(g.size), gains=np.zeros((3, g.size)))
-        vals, vecs = sla.eigh(ric.pi0, toarray(po.h1_operator(g)))
-        cos, ray = worst_ic_eigen_check(ric, vecs[:, -1], g)
-        assert cos == pytest.approx(1.0, abs=1e-10)
-        assert ray == pytest.approx(vals[-1], rel=1e-10)
+        _assert_matches_generalized_eigensolve(
+            SpectralBasis(vectors=(v_y, v_x), values=np.zeros(35)), rng)
+
+    def test_one_factor_basis_on_a_2d_grid(self, rng):
+        # A's basis as one dense factor, K's as two: Q = V^T V_K then mixes a
+        # one-factor and a Kronecker map
+        v, _ = np.linalg.qr(rng.standard_normal((35, 35)))
+        _assert_matches_generalized_eigensolve(SpectralBasis(vectors=(v,), values=np.zeros(35)),
+                                               rng)
 
     def test_end_to_end_linear_heat(self):
         g = po.build_grid_2d(12, 12)
@@ -630,6 +643,21 @@ class TestWorstIcEigenCheck:
         cos, ray = worst_ic_eigen_check(ric, x0s, g)
         assert cos >= 0.999
         assert ray > 0
+
+
+def _assert_matches_generalized_eigensolve(spectral: SpectralBasis, rng) -> None:
+    """The eigen check on a random PSD Pi-tilde(0) in ``spectral`` on a 7x5
+    grid against scipy's eigh(Pi(0), K): cosine 1 for its top eigenvector,
+    and the Rayleigh quotient its eigenvalue."""
+    import scipy.linalg as sla
+    g = po.build_grid_2d(7, 5, dirichlet_sides=("left", "bottom"))
+    m = rng.standard_normal((g.size, g.size))
+    ric = po.RiccatiSolution(spectral=spectral, modal=[m @ m.T], b_vec=np.zeros(g.size),
+                             gains=np.zeros((3, g.size)))
+    vals, vecs = sla.eigh(ric.pi0, toarray(po.h1_operator(g)))
+    cos, ray = worst_ic_eigen_check(ric, vecs[:, -1], g)
+    assert cos == pytest.approx(1.0, abs=1e-10)
+    assert ray == pytest.approx(vals[-1], rel=1e-10)
 
 
 def _synthetic_riccati(pi0: np.ndarray, grid) -> po.RiccatiSolution:

@@ -162,6 +162,7 @@ def test_batched_modal_transforms_match_rows(grid, batch, seed):
                   po.ks_operator(po.build_grid_1d(grid.size), 30.0).basis):
         x = rng.standard_normal((batch, 3, grid.size))
         c = basis.to_modal(x)
+        assert basis.values.shape == (grid.size,)
         assert c.shape == (batch, 3, *basis.values.shape)
         for i in np.ndindex(batch, 3):
             want = basis.to_modal(x[i])
