@@ -7,9 +7,22 @@ initial condition radially in the discrete H1 norm.  One Armijo backtracking
 search serves both problems, with the projection-arc sufficient-decrease
 test at ARMIJO_C1 = 1e-4 and a step halved (BACKTRACK = 0.5) on each
 rejection; the worst-initial-condition ascent is a descent on -J.  A forward
-blow-up at a trial point counts as a backtrack, and the search stops below a
-step of MIN_STEP = 1e-14.  The joint descent starts at STEP0 = 1.0 and
-doubles its step (up to 1e6) after an acceptance that needed no backtrack.
+blow-up at a trial point counts as a backtrack, and the search stops below an
+input step of MIN_STEP = 1e-14.
+
+The joint descent steps each block by its own length, and one search scales
+both by the same factor.  grad_u = 2 (rho u + B* p) in the trapezoid L2
+pairing, so the input block's first step is 1/(2 rho), which moves u to
+-B* p / rho, at most MAX_STEP = 1e6; that is also its cap.  The design block
+takes the input block's step until an accepted step has moved the design.
+After each acceptance a block takes the spectral (Barzilai-Borwein) step
+<s,s>/<s,y> of its last move s and gradient change y, in the trapezoid
+pairing for u and the Euclidean one for r, at most its cap (MAX_STEP for
+r).  A block with <s,y> <= 0 doubles its step after an acceptance that
+needed no backtrack and keeps the backtracked step otherwise.  This is the
+projected spectral gradient method with a monotone search (Birgin, Martinez
+& Raydan, SIAM J. Optim. 10 (2000)), so accepted costs never increase.
+
 The ascent starts at its cap, MAX_ASCENT_STEP = 1e8, and each later search
 at twice the last accepted step, at most the cap.  With the input held fixed
 a linear model's cost is a convex quadratic in x0, so J(y) >= J(x) +
@@ -18,10 +31,16 @@ sufficient-increase test, and the first trial, projected, is the ball's
 boundary point along the H1 gradient (a power-iteration step toward the top
 eigenvector of Pi(0)).  The ascent forms that gradient itself, by the H1
 Riesz map of the bundle's L2 gradient 2 p(0).  On a nonconvex model the
-search pays its backtracks once per start and then adapts.  ``tol`` stops
-both problems: the joint descent when its absolute residuals res_u and res_r
-are below it, the ascent when its KKT residual is, relative to
-||riesz p(0)||_H1.
+search pays its backtracks once per start and then adapts.
+
+``tol`` stops both problems.  The joint descent stops when the absolute
+residuals res_u and res_r and the design displacement
+||r - P_K(r - alpha_r grad_r J)|| at the design block's current step
+alpha_r are all below it; the last bounds the design move that the
+curvature estimate still predicts (Kelley, Iterative Methods for
+Optimization, ch. 5), where a small design gradient alone would not.  The
+input-only problem stops on res_u.  The ascent stops when its KKT residual
+is below ``tol``, relative to ||riesz p(0)||_H1.
 """
 
 from __future__ import annotations
@@ -39,7 +58,7 @@ from .models import ActuatorDesign, ActuatorFamily, ModelSpec
 
 ARMIJO_C1 = 1e-4  # sufficient-decrease share of the predicted change
 BACKTRACK = 0.5  # step factor after a rejected trial
-STEP0 = 1.0  # the joint descent's first trial step
+MAX_STEP = 1e6  # the joint descent's largest step on either block
 MIN_STEP = 1e-14  # the Armijo search gives up below this step
 MAX_ASCENT_STEP = 1e8  # the worst-IC ascent's first and largest trial step
 
@@ -218,6 +237,16 @@ def _armijo_search(trial, cost_at, cost: float, alpha: float):
     return None, alpha
 
 
+def _next_step(ss: float, sy: float, step: float, clean: bool, cap: float) -> float:
+    """A block's next trial step after accepting ``step``: the spectral step
+    <s,s>/<s,y> when the curvature <s,y> is positive, else twice ``step``
+    after an acceptance that needed no backtrack and ``step`` itself after
+    one that did; at most ``cap``."""
+    if sy > 0:
+        return min(ss / sy, cap)
+    return min(2.0 * step, cap) if clean else step
+
+
 def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
                    x0: np.ndarray, tg: TimeGrid, config: OptimizerConfig,
                    optimize_design: bool = True,
@@ -240,15 +269,22 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
     report = CostReport()
 
     bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
-    alpha = STEP0
+    cap_u = min(0.5 / weights.r_scale, MAX_STEP)
+    alpha_u, alpha_r = cap_u, None  # alpha_r follows alpha_u until a design secant
     for it in range(config.max_iters + 1):
         res = optimality_residuals(bundle, u, design, sets)
+        step_r = alpha_u if alpha_r is None else alpha_r
         report.append(iter=it, cost=bundle.cost,
                       grad_u_norm=tg.norm(bundle.grad_u),
                       grad_r_norm=float(np.linalg.norm(bundle.grad_r)),
-                      step=alpha, res_u=res.res_u, res_r=res.res_r,
+                      step=alpha_u, res_u=res.res_u, res_r=res.res_r,
                       margin=energy_margin(model, traj, u, design))
-        stationarity = max(res.res_u, res.res_r) if optimize_design else res.res_u
+        stationarity = res.res_u
+        if optimize_design:
+            # the design displacement the curvature estimate predicts
+            moved = design.params - sets.family.project(design.params
+                                                        - step_r * bundle.grad_r)
+            stationarity = max(stationarity, res.res_r, float(np.linalg.norm(moved)))
         if stationarity <= config.tol:
             report.converged = True
             report.stop_reason = "residuals below tolerance"
@@ -259,7 +295,8 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
 
         def trial(step):
             u_trial = project_U(ControlSignal(tg, u.values - step * bundle.grad_u), sets)
-            d_trial = project_K(ActuatorDesign(design.params - step * bundle.grad_r), sets) \
+            d_trial = project_K(ActuatorDesign(
+                design.params - step_r * (step / alpha_u) * bundle.grad_r), sets) \
                 if optimize_design else design
             pred = tg.inner(bundle.grad_u, u.values - u_trial.values) \
                 + float(np.dot(bundle.grad_r, design.params - d_trial.params))
@@ -270,14 +307,20 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
             return evaluate_cost(solve_forward(model, u_trial, d_trial, x0, tg),
                                  u_trial, weights, model.grid)
 
-        point, step = _armijo_search(trial, cost_at, bundle.cost, alpha)
+        point, step = _armijo_search(trial, cost_at, bundle.cost, alpha_u)
         if point is None:
             report.stop_reason = "no acceptable step (projection stationary or blow-up)"
             break
+        shrink, last = step / alpha_u, bundle  # the search's factor on both blocks
+        s_u, s_r = point[0].values - u.values, point[1].params - design.params
         u, design = point
-        # grow only after a clean acceptance
-        alpha = min(step * 2.0, 1e6) if step == alpha else step
         bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
+        y_u, y_r = bundle.grad_u - last.grad_u, bundle.grad_r - last.grad_r
+        alpha_u = _next_step(tg.inner(s_u, s_u), tg.inner(s_u, y_u), step,
+                             shrink == 1.0, cap_u)
+        if alpha_r is not None or np.any(s_r):
+            alpha_r = _next_step(float(s_r @ s_r), float(s_r @ y_r), step_r * shrink,
+                                 shrink == 1.0, MAX_STEP)
     report.traj, report.p, report.residuals = traj, p, res
     return u, design, report
 

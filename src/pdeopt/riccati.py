@@ -203,6 +203,20 @@ class _DensePi:
         return self.pi
 
 
+def _steps_needed(a: float, nt: int, dt: float, lam_max: float) -> int:
+    """Steps over the horizon nt dt that keep a refused step's a <= 1.
+
+    a = h s b^T Pi b is about linear in h while Pi stays as it is, so nt a
+    steps do for the refused step.  On an unstable operator Pi grows on
+    towards the split sweep's fixed point, where a = e^{2 lam_max h} - 1, so
+    it needs h <= ln 2 / (2 lam_max) as well.
+    """
+    need = nt * a
+    if lam_max > 0.0:
+        need = max(need, 2.0 * lam_max * nt * dt / math.log(2.0))
+    return math.ceil(need)
+
+
 def _split_sweep(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: float,
                  nt: int, dt: float, check_every: int, along_modal: np.ndarray | None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -246,7 +260,8 @@ def _split_sweep(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: float,
                 raise _not_finite()
             if a > 1.0:
                 raise StepSizeError(f"a Riccati step has h s b^T Pi b = {a:.3g} > 1, where "
-                                    "the splitting error grows; take more time steps")
+                                    "the splitting error grows; take at least about "
+                                    f"{_steps_needed(a, nt, dt, float(lam.max()))} steps")
             pi.downdate(h_s / (1.0 + a), y)
             pi.half_lyapunov()
             pib[k] = pi.times(b_modal)

@@ -1,6 +1,7 @@
 import configparser
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -573,6 +574,30 @@ class TestCliEntry:
         else:
             assert code == 2 and err.count("\n") == 1
             assert f"config field '{field}'" in err and "> 1" in err
+
+    # the refusal names a step count: nt a for a stable operator (4x4 heat at
+    # q_scale 1e8 reads a = 2.2 at nt = 400), and for linear KS at lambda = 60
+    # (top eigenvalue 278, tau = 0.5) the split sweep's fixed point
+    # a = e^{2 lam h} - 1 asks for 2 lam tau / ln 2 = 402 where riccati.nt = 100
+    # reads a = 1.48 at its refused step; 401 is still refused
+    @pytest.mark.parametrize("text, refused, low, high", [
+        (_HEAT_4X4 + "[cost]\nq_scale = 1e8\n\n[initial_condition]\namplitude = 0\n\n"
+         "[riccati]\nnt = {nt}\n", 400, 860, 900),
+        ("[model]\nkind = ks\nlambda = 60\nlinear = true\n\n[grid]\nn = 64\n\n"
+         "[time]\ntau = 0.5\n\n[riccati]\nnt = {nt}\n", 100, 400, 440)],
+        ids=["heat-q1e8", "ks60"])
+    def test_refused_riccati_step_names_enough_steps(self, tmp_path, capsys, text,
+                                                     refused, low, high):
+        ini = tmp_path / "step.ini"
+        ini.write_text(text.format(nt=refused))
+        assert main(["riccati-validate", "--config", str(ini), "--out",
+                     str(tmp_path / "o")]) == 2
+        need = int(re.search(r"take at least about (\d+) steps",
+                             capsys.readouterr().err).group(1))
+        assert low <= need <= high
+        ini.write_text(text.format(nt=need))
+        assert main(["riccati-validate", "--config", str(ini), "--out",
+                     str(tmp_path / "o")]) == 0
 
     def test_seed_override_changes_summary_seed(self, tmp_path):
         cfg = ExperimentConfig(values=dict(SMALL_KS))

@@ -7,8 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 import pdeopt as po
 import pdeopt.optimize as optimize
 from pdeopt.adjoint import compute_bundle
+from pdeopt.config import ExperimentConfig
 from pdeopt.exceptions import BlowUpError
 from pdeopt.models import ScalarNonlinearity
+from pdeopt.optimize import BACKTRACK
 
 from conftest import first_mode_2d
 
@@ -41,6 +43,27 @@ def blowups(monkeypatch):
 
     monkeypatch.setattr(optimize, "solve_forward", recording)
     return steps
+
+
+@pytest.fixture
+def search_log(monkeypatch):
+    """The joint descent's gradient bundles and Armijo trials, in call order:
+    ("bundle", u, design, grad_u, grad_r) and ("trial", u, design)."""
+    log = []
+    solve, bundle = optimize.solve_forward, optimize.compute_bundle
+
+    def trial(model, u, design, x0, tg):
+        log.append(("trial", u.values, design.params))
+        return solve(model, u, design, x0, tg)
+
+    def bundled(model, u, design, x0, weights, tg):
+        out = bundle(model, u, design, x0, weights, tg)
+        log.append(("bundle", u.values, design.params, out[0].grad_u, out[0].grad_r))
+        return out
+
+    monkeypatch.setattr(optimize, "solve_forward", trial)
+    monkeypatch.setattr(optimize, "compute_bundle", bundled)
+    return log
 
 
 @pytest.fixture
@@ -211,33 +234,34 @@ class TestMinimizeJoint:
         assert lines[0] == "iter,cost,grad_u_norm,grad_r_norm,step,res_u,res_r,margin"
         assert len(lines) == len(rep.iterations) + 1
 
-    def test_blowup_rejects_the_trial_and_backtracks(self, growth_model, blowups,
-                                                     monkeypatch):
-        # a huge first step drives the growth model to overflow; the line
-        # search must shrink the step and still accept descent steps
-        monkeypatch.setattr(optimize, "STEP0", 1e8)
+    def test_blowup_rejects_the_trial_and_backtracks(self, growth_model, blowups):
+        # a tiny rho makes the first step the 1e6 cap, and q = 100 makes the
+        # gradient large enough that it drives the growth model to overflow;
+        # the line search must shrink the step and still accept descent steps
         g = growth_model.grid
         sets = po.AdmissibleSets(family=growth_model.actuator_family, r1=1e8, r2=1.0)
         tg = po.TimeGrid(tau=0.2, nt=20)
         cfg = po.OptimizerConfig(max_iters=3, tol=1e-12)
-        _, _, rep = po.minimize_joint(growth_model, sets, po.CostWeights(),
+        _, _, rep = po.minimize_joint(growth_model, sets, po.CostWeights(100.0, 1e-12),
                                       first_mode_2d(g, 0.5), tg, cfg)
         costs = [row["cost"] for row in rep.iterations]
+        assert rep.iterations[0]["step"] == 1e6
         assert blowups
         assert len(costs) == 4 and costs[-1] < costs[0]
 
-    @pytest.mark.parametrize("step0, trials", [(1.0, 47), (1e9, 77)])
+    @pytest.mark.parametrize("r_scale, trials", [(0.5, 47), (1e-12, 67)])
     def test_search_gives_up_below_the_minimum_step(self, heat_model_linear,
-                                                    every_trial_blows_up, step0, trials,
-                                                    monkeypatch):
-        # every trial blows up, so the search halves the step from step0 until
-        # it falls below 1e-14: 2^-46 >= 1e-14 > 2^-47, and 1e9 2^-76 likewise
-        monkeypatch.setattr(optimize, "STEP0", step0)
+                                                    every_trial_blows_up, r_scale,
+                                                    trials):
+        # every trial blows up, so the search halves the step from
+        # min(1/(2 rho), 1e6) until it falls below 1e-14: from 1,
+        # 2^-46 >= 1e-14 > 2^-47, and from the cap 1e6, 1e6 2^-66 likewise
+        step0 = min(0.5 / r_scale, 1e6)
         g = heat_model_linear.grid
         sets = po.AdmissibleSets(family=heat_model_linear.actuator_family, r1=50.0)
         tg = po.TimeGrid(tau=0.3, nt=30)
         cfg = po.OptimizerConfig(max_iters=50)
-        u, _, rep = po.minimize_joint(heat_model_linear, sets, po.CostWeights(),
+        u, _, rep = po.minimize_joint(heat_model_linear, sets, po.CostWeights(1.0, r_scale),
                                       first_mode_2d(g, 0.5), tg, cfg)
         assert rep.stop_reason == "no acceptable step (projection stationary or blow-up)"
         assert not rep.converged
@@ -245,26 +269,50 @@ class TestMinimizeJoint:
         assert not np.any(u.values)
         assert len(every_trial_blows_up) == trials
 
-    def test_step_doubles_after_a_clean_acceptance_or_halves(self, heat_model_linear,
-                                                             monkeypatch):
-        monkeypatch.setattr(optimize, "STEP0", 30.0)
-        g = heat_model_linear.grid
-        sets = po.AdmissibleSets(family=heat_model_linear.actuator_family, r1=50.0)
-        tg = po.TimeGrid(tau=0.3, nt=30)
-        cfg = po.OptimizerConfig(tol=1e-5, max_iters=200)
-        _, _, rep = po.minimize_joint(heat_model_linear, sets, po.CostWeights(),
-                                      first_mode_2d(g, 0.5), tg, cfg)
-        assert rep.converged
+    def test_step_doubles_after_a_clean_acceptance_or_halves(self, search_log):
+        # Replays the step rule on a KS joint run that takes every branch of
+        # it: the input step starts at min(1/(2 rho), 1e6) = 50 and the
+        # design step follows it until the design has moved; after that each
+        # block takes <s,s>/<s,y> (the input block in the trapezoid pairing),
+        # at most its cap, where <s,y> > 0, and otherwise doubles after a
+        # clean acceptance or keeps the backtracked step.  Both blocks share
+        # the search's factor.
+        g = po.build_grid_1d(64)
+        model = po.make_ks_model(g, lam=30.0)
+        sets = po.AdmissibleSets(family=model.actuator_family, r1=200.0, r2=1.0)
+        tg = po.TimeGrid(tau=0.2, nt=100)
+        x0 = 3.0 * np.exp(-((g.nodes - 0.3) ** 2) / (2 * 0.07**2))
+        weights = po.CostWeights(1.0, 1e-2)
+        _, _, rep = po.minimize_joint(model, sets, weights, x0, tg,
+                                      po.OptimizerConfig(tol=1e-7, max_iters=12))
         steps = [row["step"] for row in rep.iterations]
-        assert steps[0] == optimize.STEP0
-        grew = halved = 0
-        for old, new in zip(steps, steps[1:]):
-            if new == min(2.0 * old, 1e6):
-                grew += 1
-            else:
-                assert any(new == old * 0.5**k for k in range(1, 60)), (old, new)
-                halved += 1
-        assert grew and halved
+        assert steps[0] == 50.0
+
+        def rule(ss, sy, step, clean, cap, block):
+            if sy > 0:
+                fired.add(f"{block} spectral" + (" under the cap" if ss / sy < cap else ""))
+                return min(ss / sy, cap)
+            fired.add(f"{block} doubled" if clean else f"{block} kept")
+            return min(2.0 * step, cap) if clean else step
+
+        fired = set()
+        bundles = [i for i, event in enumerate(search_log) if event[0] == "bundle"]
+        alpha_r = None
+        for k, (i, j) in enumerate(zip(bundles, bundles[1:])):
+            (_, u0, r0, gu0, gr0), (_, u1, r1, gu1, gr1) = search_log[i], search_log[j]
+            trials = search_log[i + 1:j]
+            step_r = steps[k] if alpha_r is None else alpha_r
+            # the first trial moves the (interior) design by step_r along -grad_r
+            assert trials[0][2] == pytest.approx(r0 - step_r * gr0, rel=1e-14)
+            shrink = BACKTRACK ** (len(trials) - 1)
+            s_u, y_u, s_r, y_r = u1 - u0, gu1 - gu0, r1 - r0, gr1 - gr0
+            assert steps[k + 1] == rule(tg.inner(s_u, s_u), tg.inner(s_u, y_u),
+                                        steps[k] * shrink, shrink == 1.0, 50.0, "u")
+            if alpha_r is not None or np.any(s_r):
+                alpha_r = rule(float(s_r @ s_r), float(s_r @ y_r), step_r * shrink,
+                               shrink == 1.0, 1e6, "r")
+        assert {"u spectral under the cap", "r spectral under the cap", "u doubled",
+                "u kept", "r doubled"} <= fired
 
 
 class TestOptimalityResiduals:
@@ -342,6 +390,61 @@ class TestOptimalityResiduals:
 
         fd = (cost_at(u.values + eps * d) - cost_at(u.values - eps * d)) / (2 * eps)
         assert fd == pytest.approx(2 * res.res_u, rel=1e-4)
+
+
+class TestConvergedAnswers:
+    """The default tolerance gives the answer of a tight solve: each problem
+    is solved again at tol = 1e-9 as the reference."""
+
+    @staticmethod
+    def readme_ks():
+        g = po.build_grid_1d(128)
+        model = po.make_ks_model(g, lam=30.0)
+        sets = po.AdmissibleSets(family=model.actuator_family, r1=200.0, r2=1.0)
+        x0 = 3.0 * np.exp(-((g.nodes - 0.3) ** 2) / (2 * 0.07**2))
+        return model, sets, po.CostWeights(1.0, 1e-4), x0, po.TimeGrid(tau=0.2, nt=200)
+
+    @staticmethod
+    def solve(problem, tol, **kwargs):
+        _, design, rep = po.minimize_joint(*problem, po.OptimizerConfig(tol=tol,
+                                                                        max_iters=3000),
+                                           **kwargs)
+        assert rep.converged
+        assert rep.final["res_u"] <= tol
+        if kwargs.get("optimize_design", True):
+            assert rep.final["res_r"] <= tol
+        return design, rep
+
+    def test_readme_ks_design(self):
+        problem = self.readme_ks()
+        design, _ = self.solve(problem, 1e-5)
+        reference, _ = self.solve(problem, 1e-9)
+        assert abs(design.params[0] - reference.params[0]) <= 1e-4
+
+    def test_heat_shape_design_and_active_set(self):
+        cfg = ExperimentConfig(values={
+            "model.kind": "heat", "model.nonlinearity": "cubic", "model.linear": False,
+            "grid.nx": 32, "grid.ny": 32, "grid.dirichlet": "left,right,bottom,top",
+            "time.tau": 1.0, "time.nt": 200, "cost.r_scale": 1e-2,
+            "initial_condition.kind": "sine", "initial_condition.amplitude": 3.0,
+            "actuator.basis_per_axis": 3})
+        grid = cfg.build_grid()
+        model = cfg.build_model(grid)
+        problem = (model, cfg.build_sets(model), cfg.build_weights(), cfg.build_x0(grid),
+                   cfg.build_time_grid())
+        design, rep = self.solve(problem, 1e-5)
+        reference, ref = self.solve(problem, 1e-9)
+        assert np.all(np.abs(design.params - reference.params) <= 1e-4)
+        assert np.array_equal(rep.residuals.r_active, ref.residuals.r_active)
+        assert np.any(ref.residuals.r_active)
+
+    @pytest.mark.parametrize("r", [0.2, 0.4])
+    def test_ks_input_only_cost(self, r):
+        problem = self.readme_ks()
+        start = po.ActuatorDesign.of(r)
+        _, rep = self.solve(problem, 1e-5, optimize_design=False, initial_design=start)
+        _, ref = self.solve(problem, 1e-9, optimize_design=False, initial_design=start)
+        assert rep.final["cost"] == pytest.approx(ref.final["cost"], rel=1e-6)
 
 
 class TestWorstInitialCondition:

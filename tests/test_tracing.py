@@ -78,19 +78,19 @@ def test_each_step_calls_the_model_once_through_its_spec():
     assert (backward["models.nonlinearity"], backward["models.jacobian"]) == (0, tg.nt)
 
 
-def test_optimizer_spans_pass_the_self_check(monkeypatch):
+def test_optimizer_spans_pass_the_self_check():
     # Every Armijo trial must solve through a name the tracer wraps: a trial
     # solve bound at import time would leave no span, and the trial counts
-    # would read 0 while the evaluations of its cost still show.
+    # would read 0 while the evaluations of its cost still show.  rho = 1/60
+    # makes the joint descent's first step min(1/(2 rho), 1e6) = 30.
     tracing = _load_tracing()
-    monkeypatch.setattr(pdeopt.optimize, "STEP0", 30.0)
     grid = pdeopt.build_grid_2d(6, 5)
     model = pdeopt.make_heat_model(grid)
     tg = pdeopt.TimeGrid(tau=0.3, nt=30)
     x0 = np.random.default_rng(5).standard_normal(grid.size)
     sets = pdeopt.AdmissibleSets(family=model.actuator_family, r1=50.0, r2=1.0)
     cfg = pdeopt.OptimizerConfig(tol=1e-5, max_iters=200, multi_start=2)
-    weights = pdeopt.CostWeights()
+    weights = pdeopt.CostWeights(1.0, 1.0 / 60.0)
     tracer = tracing.Tracer(pdeopt)
     try:
         tracer.install()

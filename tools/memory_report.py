@@ -13,6 +13,8 @@ with:
   float64 values, and the innermost `pdeopt` functions (up to three, inner
   first) that were running when the traced memory reached that peak (a
   profile hook reads the peak at every call and return);
+- the forward and adjoint solves of that traced run, counted by the same
+  hook: the optimizer's algorithmic cost, apart from the speed of a step;
 - the minor page faults (`ru_minflt`) of one untraced run, the median of
   REPEATS runs after one warm-up run.  Fresh pages the heap maps, and
   remaps after returning them to the system, show up here;
@@ -45,6 +47,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 DEPTH = 3
+SOLVES = {("pdeopt.forward", "solve_forward"): "forward",
+          ("pdeopt.adjoint", "solve_adjoint"): "adjoint"}
 
 
 def _max_rss_mib() -> float:
@@ -61,12 +65,18 @@ def _faults_per_run(run) -> int:
     return int(statistics.median(counts))
 
 
-def _traced_peak(run) -> tuple[int, str]:
-    """Peak traced bytes above those live at the start, and where it fell."""
+def _traced_peak(run) -> tuple[int, str, dict]:
+    """Peak traced bytes above those live at the start, where it fell, and
+    the forward and adjoint solves of the run."""
     peak, where = 0, "(outside pdeopt)"
+    solves = dict.fromkeys(SOLVES.values(), 0)
 
     def hook(frame, event, _arg):
         nonlocal peak, where
+        if event == "call":
+            kind = SOLVES.get((frame.f_globals.get("__name__"), frame.f_code.co_name))
+            if kind is not None:
+                solves[kind] += 1
         now = tracemalloc.get_traced_memory()[1]
         if now <= peak:
             return
@@ -90,7 +100,7 @@ def _traced_peak(run) -> tuple[int, str]:
             run()
         finally:
             sys.setprofile(None)
-        return peak - base, where
+        return peak - base, where, solves
     finally:
         tracemalloc.stop()
 
@@ -112,11 +122,12 @@ def _report(src: str, name: str) -> None:
 
         faults = _faults_per_run(once)
         max_rss = _max_rss_mib()
-        peak, where = _traced_peak(once)
+        peak, where, solves = _traced_peak(once)
     print(f"{name}: traced peak {peak / 2**20:.2f} MiB = "
           f"{peak / trajectory:.2f} trajectories of {trajectory / 2**20:.2f} MiB "
           f"in {where}; peak RSS {max_rss:.2f} MiB, {max_rss - base_rss:.2f} MiB "
-          f"above the model's build; {faults} minor faults per run",
+          f"above the model's build; {faults} minor faults per run; "
+          f"{solves['forward']} forward and {solves['adjoint']} adjoint solves",
           flush=True)
 
 
