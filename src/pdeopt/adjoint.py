@@ -219,12 +219,12 @@ def assemble_gradients(model: ModelSpec, traj: Trajectory, p: Trajectory,
 
 def compute_bundle(model: ModelSpec, u: ControlSignal, design: ActuatorDesign,
                    x0: np.ndarray, weights: CostWeights, tg: TimeGrid
-                   ) -> tuple[GradientBundle, Trajectory, Trajectory]:
-    """One forward + adjoint solve and the assembled gradients."""
+                   ) -> tuple[GradientBundle, Trajectory]:
+    """One forward + adjoint solve: the assembled gradients and the forward
+    trajectory.  The costate is read only here and freed on return."""
     traj = solve_forward(model, u, design, x0, tg)
     p = solve_adjoint(model, traj, weights, tg)
-    bundle = assemble_gradients(model, traj, p, u, design, weights)
-    return bundle, traj, p
+    return assemble_gradients(model, traj, p, u, design, weights), traj
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ def gradient_check(model: ModelSpec, u: ControlSignal, design: ActuatorDesign,
     rng = np.random.default_rng(seed)
     grid = model.grid
 
-    bundle, _, _ = compute_bundle(model, u, design, x0, weights, tg)
+    bundle = compute_bundle(model, u, design, x0, weights, tg)[0]
 
     du = rng.standard_normal(tg.nt + 1)
     du /= np.linalg.norm(du)

@@ -107,16 +107,16 @@ class Residuals:
 class CostReport:
     """Per-iteration diagnostics; accepted-step costs must not increase.
 
-    ``traj``, ``p`` and ``residuals`` are the forward and adjoint solutions
-    and the optimality residuals at the returned iterate (not written by
-    ``to_csv``).
+    ``traj`` and ``residuals`` are the forward solution and the optimality
+    residuals at the returned iterate (not written by ``to_csv``).  The
+    costate is not kept: a reader that needs it solves the adjoint along
+    ``traj``.
     """
 
     iterations: list = field(default_factory=list)
     converged: bool = False
     stop_reason: str = ""
     traj: Trajectory | None = field(default=None, repr=False)
-    p: Trajectory | None = field(default=None, repr=False)
     residuals: Residuals | None = field(default=None, repr=False)
 
     _FIELDS = ("iter", "cost", "grad_u_norm", "grad_r_norm", "step",
@@ -258,9 +258,11 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
     starting design is given.  With ``optimize_design=False`` the design
     block stays frozen at that start and only u moves (the input-only
     problem).  Persistent blow-up during backtracking aborts with the
-    diagnostic recorded in the report, which also carries the forward and
-    adjoint solutions at the returned iterate.  Whatever ends the run, the
-    report's last row is that iterate.
+    diagnostic recorded in the report, which also carries the forward
+    solution at the returned iterate.  Whatever ends the run, the report's
+    last row is that iterate.  One trajectory lives between iterations and
+    two at most: the current one beside a trial, or the new one beside its
+    costate.
     """
     u = project_U(ControlSignal.zero(tg), sets)
     start = initial_design if initial_design is not None \
@@ -268,7 +270,7 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
     design = project_K(start, sets)
     report = CostReport()
 
-    bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
+    bundle, traj = compute_bundle(model, u, design, x0, weights, tg)
     cap_u = min(0.5 / weights.r_scale, MAX_STEP)
     alpha_u, alpha_r = cap_u, None  # alpha_r follows alpha_u until a design secant
     for it in range(config.max_iters + 1):
@@ -314,14 +316,15 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
         shrink, last = step / alpha_u, bundle  # the search's factor on both blocks
         s_u, s_r = point[0].values - u.values, point[1].params - design.params
         u, design = point
-        bundle, traj, p = compute_bundle(model, u, design, x0, weights, tg)
+        del traj  # the old iterate's trajectory goes before the new one is solved
+        bundle, traj = compute_bundle(model, u, design, x0, weights, tg)
         y_u, y_r = bundle.grad_u - last.grad_u, bundle.grad_r - last.grad_r
         alpha_u = _next_step(tg.inner(s_u, s_u), tg.inner(s_u, y_u), step,
                              shrink == 1.0, cap_u)
         if alpha_r is not None or np.any(s_r):
             alpha_r = _next_step(float(s_r @ s_r), float(s_r @ y_r), step_r * shrink,
                                  shrink == 1.0, MAX_STEP)
-    report.traj, report.p, report.residuals = traj, p, res
+    report.traj, report.residuals = traj, res
     return u, design, report
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import CostWeights
+from .adjoint import CostWeights, solve_adjoint
 from .exceptions import PdeoptError, StepSizeError
 from .forward import TimeGrid, Trajectory, cn_ab2_sweep
 from .grids import LinearOperator, SpectralBasis, h1_inner, h1_norm, inner_product
@@ -344,6 +344,8 @@ def verify_feedback_consistency(model: ModelSpec, sets: AdmissibleSets,
 
     Returns the worst of three relative discrepancies: trajectory (max over
     t), adjoint identity p = Pi x (max over t), and control in L2(0,tau).
+    The optimizer keeps no costate, so p is solved here along the
+    optimum's trajectory: the same bits as the optimizer's last adjoint.
     The comparison aligns the two time conventions: the CN-AB2 stepper with a
     trapezoid cost pairs the input u_j with the adjoint extrapolated to the
     half-step and applies the cost source with a half-step lag, so p_k is
@@ -359,7 +361,7 @@ def verify_feedback_consistency(model: ModelSpec, sets: AdmissibleSets,
 
     u_opt, _, report = minimize_joint(model, sets, weights, x0, tg, cfg,
                                       optimize_design=False, initial_design=design)
-    traj_opt, p_opt = report.traj, report.p
+    traj_opt = report.traj
     # p = Pi x along the optimizer's own trajectory (x at the half-lagged sample)
     x_lag = traj_opt.states.copy()
     x_lag[1:] = 0.5 * (traj_opt.states[:-1] + traj_opt.states[1:])
@@ -382,6 +384,7 @@ def verify_feedback_consistency(model: ModelSpec, sets: AdmissibleSets,
     e_state = sup_norm(traj_opt.states - traj_ric.states) \
         / max(sup_norm(traj_ric.states), 1e-300)
     pix = ric.along
+    p_opt = solve_adjoint(model, traj_opt, weights, tg)  # the optimum's costate
     e_adj = sup_norm(p_opt.states[1:] - pix[1:]) / max(sup_norm(pix), 1e-300)
 
     # control comparison: midpoint gain on the node state

@@ -234,8 +234,8 @@ class TestAssembleGradients:
         u = po.ControlSignal(tg, rng.standard_normal(tg.nt + 1))
         design = po.ActuatorDesign.of(0.5)
         x0 = 0.1 * np.sin(np.pi * g.nodes)
-        bundle, _, p = compute_bundle(ks_model_small, u, design, x0, weights, tg)
-        assert np.all(p.states == 0.0)
+        bundle, traj = compute_bundle(ks_model_small, u, design, x0, weights, tg)
+        assert np.all(solve_adjoint(ks_model_small, traj, weights, tg).states == 0.0)
         assert bundle.grad_u == pytest.approx(2 * 1.3 * u.values, rel=1e-14)
         assert np.all(bundle.grad_r == 0.0)
         assert np.all(bundle.grad_x0 == 0.0)
@@ -245,8 +245,8 @@ class TestAssembleGradients:
         tg = po.TimeGrid(tau=0.3, nt=30)
         u = po.ControlSignal.zero(tg)
         x0 = 0.2 * np.sin(np.pi * g.nodes)
-        bundle, _, _ = compute_bundle(ks_model_small, u, po.ActuatorDesign.of(0.4),
-                                      x0, po.CostWeights(), tg)
+        bundle, _ = compute_bundle(ks_model_small, u, po.ActuatorDesign.of(0.4),
+                                   x0, po.CostWeights(), tg)
         assert np.all(bundle.grad_r == 0.0)
 
     def test_reference_pi_rows_ends(self, rng):
@@ -277,8 +277,9 @@ class TestAssembleGradients:
         tg = po.TimeGrid(tau=0.2, nt=nt)
         u = po.ControlSignal(tg, rng.standard_normal(nt + 1))
         weights = po.CostWeights(r_scale=0.1)
-        bundle, _, p = compute_bundle(model, u, design, x0, weights, tg)
-        want_u, want_r = reference_gradients(model, p, u, design, weights)
+        bundle, traj = compute_bundle(model, u, design, x0, weights, tg)
+        want_u, want_r = reference_gradients(model, solve_adjoint(model, traj, weights, tg),
+                                             u, design, weights)
         for got, want in ((bundle.grad_u, want_u), (bundle.grad_r, want_r)):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -350,15 +351,16 @@ class TestAllocation:
         assert peak < 1.5 * p.states.nbytes
 
     def test_minimize_joint_peak(self, case):
-        # an accepted step's compute_bundle holds the previous iterate's
-        # trajectory and adjoint next to the new ones; the returned report
-        # keeps one of each
+        # one trajectory lives between iterations: an Armijo trial's solve
+        # holds the current one beside the trial's, and an accepted step's
+        # compute_bundle holds the new one beside its costate, after the
+        # previous iterate's trajectory has been dropped
         model, _, _, x0, weights, traj, _ = case
         sets = po.AdmissibleSets(family=model.actuator_family)
         (_, _, report), peak = traced_peak(lambda: po.minimize_joint(
             model, sets, weights, x0, traj.time_grid, po.OptimizerConfig()))
         assert len(report.iterations) >= 2  # at least one accepted step
-        assert peak < 4.5 * traj.states.nbytes
+        assert peak < 2.5 * traj.states.nbytes
 
 
 class TestGradientCheck:

@@ -269,6 +269,29 @@ class TestMinimizeJoint:
         assert not np.any(u.values)
         assert len(every_trial_blows_up) == trials
 
+    @pytest.mark.parametrize("stop, tol, max_iters", [
+        ("residuals below tolerance", 1e-4, 500),
+        ("max iterations reached", 1e-12, 2),
+        ("no acceptable step (projection stationary or blow-up)", 1e-12, 50),
+    ])
+    def test_report_traj_is_the_returned_iterate(self, heat_model_small, request,
+                                                 stop, tol, max_iters):
+        # the descent drops each old trajectory before solving the new one,
+        # and the Riccati cross-check solves its costate along report.traj
+        if stop.startswith("no acceptable"):
+            request.getfixturevalue("every_trial_blows_up")
+        g = heat_model_small.grid
+        sets = po.AdmissibleSets(family=heat_model_small.actuator_family, r1=50.0)
+        tg = po.TimeGrid(tau=0.3, nt=30)
+        x0 = first_mode_2d(g, 2.0)
+        u, d, rep = po.minimize_joint(heat_model_small, sets, po.CostWeights(1.0, 0.1),
+                                      x0, tg, po.OptimizerConfig(tol=tol, max_iters=max_iters))
+        assert rep.stop_reason == stop
+        # the blow-up run returns its start, the others an accepted step
+        assert (len(rep.iterations) == 1) == stop.startswith("no acceptable")
+        again = po.solve_forward(heat_model_small, u, d, x0, tg)
+        assert np.array_equal(rep.traj.states, again.states)
+
     def test_step_doubles_after_a_clean_acceptance_or_halves(self, search_log):
         # Replays the step rule on a KS joint run that takes every branch of
         # it: the input step starts at min(1/(2 rho), 1e6) = 50 and the
@@ -341,7 +364,8 @@ class TestOptimalityResiduals:
         design = po.ActuatorDesign.of(0.5)
         x0 = 0.3 * np.sin(np.pi * g.nodes)
         u0 = po.ControlSignal.zero(tg)
-        bundle, traj, p = compute_bundle(ks_model_small, u0, design, x0, weights, tg)
+        bundle, traj = compute_bundle(ks_model_small, u0, design, x0, weights, tg)
+        p = po.solve_adjoint(ks_model_small, traj, weights, tg)
         u_star = po.ControlSignal(tg, -0.5 * bundle.grad_u / weights.r_scale)
         bundle = po.assemble_gradients(ks_model_small, traj, p, u_star, design, weights)
         res = po.optimality_residuals(bundle, u_star, design, ks_sets)
@@ -375,7 +399,7 @@ class TestOptimalityResiduals:
         design = po.ActuatorDesign.of(0.45)
         x0 = 0.4 * np.sin(np.pi * g.nodes)
         u = po.ControlSignal(tg, 0.2 * rng.standard_normal(tg.nt + 1))
-        bundle, traj, p = compute_bundle(ks_model_small, u, design, x0, weights, tg)
+        bundle, _ = compute_bundle(ks_model_small, u, design, x0, weights, tg)
         res = po.optimality_residuals(bundle, u, design, ks_sets)
         # interior point: res_u = ||v|| with v the half-gradient; the
         # directional derivative of the cost along v/||v|| equals 2 res_u

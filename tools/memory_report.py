@@ -18,14 +18,15 @@ with:
 - the minor page faults (`ru_minflt`) of one untraced run, the median of
   REPEATS runs after one warm-up run.  Fresh pages the heap maps, and
   remaps after returning them to the system, show up here;
-- the child's peak RSS (`ru_maxrss`) in MiB over those untraced runs, read
-  before the traced one: what the benchmark's `peak_rss_mb` measures in a
-  fresh process that runs the pipeline once;
-- that peak above the child's peak RSS after importing `pdeopt` and
-  building the workload's model, before any run.  What the interpreter maps
-  for the checkout itself (module paths, bytecode) is below this baseline,
-  so this column compares the code of two checkouts where the total can
-  differ by up to 1 MiB for the same code in directories of other names.
+- the peak RSS (`ru_maxrss`) in MiB of a fresh interpreter that imports
+  `pdeopt`, reads the workload's INI file and runs the pipeline once, as
+  `perfbench/probe.py rss` does for the benchmark's `peak_rss_mb`;
+- that peak above the same interpreter's peak RSS after importing
+  `pdeopt`, before the run.  What the interpreter maps for the checkout
+  itself (module paths, bytecode) is below this baseline, so this column
+  compares the code of two checkouts where the total can differ by up to
+  1 MiB for the same code in directories of other names, or where one
+  tree imports cached bytecode and the other compiles from source.
 
 BLAS runs on one thread, as in `perfbench/run.py`, unless the environment
 sets the thread counts.
@@ -49,10 +50,29 @@ REPEATS = 3
 DEPTH = 3
 SOLVES = {("pdeopt.forward", "solve_forward"): "forward",
           ("pdeopt.adjoint", "solve_adjoint"): "adjoint"}
+# argv: SRC SUBCOMMAND CONFIG.ini OUT_DIR; prints ru_maxrss in KiB after the
+# imports and after the run
+FRESH_RUN = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from pdeopt import cli
+from pdeopt.config import ExperimentConfig
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+cli.run(sys.argv[2], ExperimentConfig.from_ini(sys.argv[3]), sys.argv[4])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 
-def _max_rss_mib() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+def _fresh_rss_mib(src: str, subcommand: str, cfg, tmp: Path) -> tuple[float, float]:
+    """Peak RSS of a fresh interpreter after importing `pdeopt` and after
+    one run of the pipeline, in MiB."""
+    ini = tmp / "input.ini"
+    cfg.to_ini(ini)
+    out = subprocess.run([sys.executable, "-c", FRESH_RUN, str(Path(src).resolve()),
+                          subcommand, str(ini), str(tmp / "fresh")],
+                         stdout=subprocess.PIPE, text=True, check=True).stdout
+    lines = out.split()
+    return int(lines[0]) / 1024, int(lines[-1]) / 1024  # KiB on Linux
 
 
 def _faults_per_run(run) -> int:
@@ -113,20 +133,19 @@ def _report(src: str, name: str) -> None:
 
     subcommand, configs, _ = workloads.make_inputs(name, 0)
     cfg = ExperimentConfig(values=configs[0])
-    cfg.build_model()
-    base_rss = _max_rss_mib()
     trajectory = 8 * (cfg["time.nt"] + 1) * cfg.build_grid().size
     with tempfile.TemporaryDirectory() as tmp:
+        base_rss, max_rss = _fresh_rss_mib(src, subcommand, cfg, Path(tmp))
+
         def once():
             run(subcommand, cfg, Path(tmp) / name)
 
         faults = _faults_per_run(once)
-        max_rss = _max_rss_mib()
         peak, where, solves = _traced_peak(once)
     print(f"{name}: traced peak {peak / 2**20:.2f} MiB = "
           f"{peak / trajectory:.2f} trajectories of {trajectory / 2**20:.2f} MiB "
           f"in {where}; peak RSS {max_rss:.2f} MiB, {max_rss - base_rss:.2f} MiB "
-          f"above the model's build; {faults} minor faults per run; "
+          f"above the imports; {faults} minor faults per run; "
           f"{solves['forward']} forward and {solves['adjoint']} adjoint solves",
           flush=True)
 
