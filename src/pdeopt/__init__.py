@@ -26,7 +26,7 @@ from .models import (CUBIC_SINK, ActuatorDesign, ActuatorFamily, HeatShapeActuat
                      ks_jacobian_apply, ks_nonlinearity, make_heat_model, make_ks_model)
 from .optimize import (AdmissibleSets, CostReport, OptimizerConfig, Residuals,
                        WorstIcReport, golden_section_r, minimize_joint,
-                       optimality_residuals, project_K, project_U, project_V_ball,
+                       optimality_residuals, project_U, project_V_ball,
                        worst_initial_condition)
 from .riccati import (FeedbackCheck, RiccatiSolution, closed_loop_simulate,
                       solve_differential_riccati, verify_feedback_consistency,

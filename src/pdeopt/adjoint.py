@@ -209,9 +209,8 @@ def assemble_gradients(model: ModelSpec, traj: Trajectory, p: Trajectory,
     grad_u = 2.0 * (weights.r_scale * u.values + bstar_p)
 
     s = u.ab2 @ p.states[1:]
-    # equals the per-step accumulation of actuator_design_derivative_adjoint
     grad_r = actuator_design_derivative_adjoint(model.actuator_family, design,
-                                                1.0, 2.0 * tg.dt * s, grid)
+                                                2.0 * tg.dt * s, grid)
 
     cost = evaluate_cost(traj, u, weights, grid)
     return GradientBundle(grad_u=grad_u, grad_r=grad_r, grad_x0=2.0 * p.states[0], cost=cost)

@@ -86,9 +86,8 @@ def _state_csv(path: Path, vec: np.ndarray, label: str) -> None:
 
 # The low-rank Riccati sweep holds O(n r), but Pi(0) is n x n: riccati-validate
 # holds Pi-tilde(0) and, for pi0.csv, two n x n arrays, and worst-ic Pi-tilde(0),
-# one n x n buffer and eigh's arrays, so this cap keeps them, and optimize on a
-# linear model, under 1 GiB (at 3072 nodes and riccati.nt = time.nt = 681,
-# riccati-validate peaks at 341 MiB and worst-ic at 526 MiB).
+# one n x n buffer and eigh's arrays; this cap keeps them, and optimize on a
+# linear model, under 1 GiB (the README gives the peaks at the cap).
 RICCATI_MAX_NODES = 3072
 
 
@@ -359,9 +358,6 @@ def main(argv=None) -> int:
     parser.add_argument("--param", default=None, help="config field to sweep")
     parser.add_argument("--values", default=None, type=_float_list,
                         help="comma-separated sweep values")
-    parser.add_argument("--sweep-inner", default="optimize",
-                        choices=sorted(_PIPELINES),
-                        help="pipeline executed per sweep value")
     args = parser.parse_args(argv)
 
     try:
@@ -378,7 +374,7 @@ def main(argv=None) -> int:
             if not args.param or not args.values:
                 print("sweep requires --param and --values", file=sys.stderr)
                 return 2
-            results = sweep(args.sweep_inner, cfg, out_dir, args.param, args.values)
+            results = sweep("optimize", cfg, out_dir, args.param, args.values)
             failures = [r for r in results if r[1] is None]
             for value, _, err in failures:
                 log.error("sweep value %g failed: %s", value, err)

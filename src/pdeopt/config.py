@@ -103,11 +103,9 @@ _FIELDS = {f"{sec}.{key}": row for sec, keys in _SCHEMA.items() for key, row in 
 
 # The most doubles that one array sized by the config may hold: an (nt+1) x n
 # trajectory, the sampled actuator basis (basis_per_axis^2 x n) or a dense
-# 1-D heat factor (nx x nx, ny x ny).  From peak RSS, optimize holds about
-# 6 trajectory-sized arrays (heat 32x32) and riccati-validate about 11
-# (linear heat 16x16), so a linear optimize with its Riccati cross-check
-# holds 17 x 16 MiB; with the n x n Riccati arrays (see cli.RICCATI_MAX_NODES)
-# a run stays under 1 GiB.  The basis is held twice while it is sampled.
+# 1-D heat factor (nx x nx, ny x ny).  A pipeline holds a few such arrays
+# (the README counts them), so with the n x n Riccati arrays (see
+# cli.RICCATI_MAX_NODES) a run stays under 1 GiB.
 MAX_SAMPLES = 2**21
 
 

@@ -31,8 +31,6 @@ from .grids import (Grid1D, LinearOperator, build_grid_1d, build_grid_2d, inner_
                     smallest_eigenvalue)
 from .models import ActuatorDesign, ModelSpec
 
-FOUR_PI_SQ = 4.0 * np.pi**2
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -259,13 +257,11 @@ def verify_ks_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDesign,
     """Margin of the KS energy bound; nonnegative means the bound held.
 
     ||w(tau)||^2 <= ||w_0||^2 + (1/sigma(lam)) ||u||_{L2}^2 max_xi b^2(xi; r),
-    with sigma(lam) the smallest eigenvalue of the model's discrete -A.  Only
-    asserted where sigma > 0, which needs lam < 4 pi^2 and on coarse grids a
-    smaller lam; raises NotApplicableError elsewhere.
+    with sigma(lam) the smallest eigenvalue of the model's discrete -A.  Its
+    one hypothesis is sigma > 0 (which holds only below lam = 4 pi^2, and on
+    coarse grids below a smaller lam); raises NotApplicableError elsewhere.
     """
-    lam, grid = model.lam, model.grid
-    if lam >= FOUR_PI_SQ:
-        raise NotApplicableError(f"bound requires lam < 4*pi^2 ~= {FOUR_PI_SQ:.3f}, got {lam}")
+    grid = model.grid
     sigma = smallest_eigenvalue(-model.linear_op)
     if sigma <= 0:
         raise NotApplicableError(f"discrete -A not positive definite (sigma = {sigma:.3e})")
@@ -298,11 +294,11 @@ def verify_heat_iss_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDe
 def energy_margin(model: ModelSpec, traj: Trajectory, u: ControlSignal,
                   design: ActuatorDesign) -> float | None:
     """Margin of the energy bound that belongs to ``model``, None if it does
-    not apply (the bound raises NotApplicableError): the KS bound when the
-    discrete -A is positive definite, with or without the nonlinearity; the
-    heat ISS bound under the sign condition or on the linear model.
+    not apply (the bound raises NotApplicableError): the KS bound on a 1-D
+    grid, the heat ISS bound on a 2-D one.  Both margins are ||x_0||^2 +
+    gain ||u||^2 - ||x(tau)||^2 and differ in their gain and hypothesis.
     """
-    bound = verify_ks_bound if model.lam is not None else verify_heat_iss_bound
+    bound = verify_ks_bound if isinstance(model.grid, Grid1D) else verify_heat_iss_bound
     try:
         return float(bound(traj, u, design, model))
     except NotApplicableError:

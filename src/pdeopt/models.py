@@ -213,17 +213,11 @@ class HeatShapeActuator(ActuatorFamily):
 
 
 def actuator_design_derivative_adjoint(family: ActuatorFamily, design: ActuatorDesign,
-                                       u_t: float, p_t: np.ndarray, grid) -> np.ndarray:
-    """Adjoint of the design derivative of the input map at a single time.
-
-    Component m is u_t * <d b/d param_m, p_t> in the discrete L2 inner
-    product; stacking these over time and integrating yields the design
-    gradient of the cost.
-    """
-    if u_t == 0.0:
-        return np.zeros(family.design_dim)
+                                       p: np.ndarray, grid) -> np.ndarray:
+    """Adjoint of the design derivative of the input map, applied to ``p``:
+    component m is <d b/d param_m, p> in the discrete L2 inner product."""
     rows = family.param_derivative(design, grid)
-    return u_t * grid.weight * (rows @ p_t)
+    return grid.weight * (rows @ p)
 
 
 @dataclass(frozen=True)
@@ -242,7 +236,6 @@ class ModelSpec:
     jacobian_adjoint_apply: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     actuator_family: ActuatorFamily
     sign_condition: bool = False
-    lam: float | None = None
 
     @property
     def is_linear(self) -> bool:
@@ -261,7 +254,7 @@ def make_ks_model(grid: Grid1D, lam: float, actuator: KsGaussianActuator | None 
         jac = lambda w, f: ks_jacobian_apply(w, f, grid)
         jac_t = lambda w, g: ks_jacobian_adjoint_apply(w, g, grid)
     return ModelSpec(grid=grid, linear_op=a_op, nonlinearity=nl, jacobian_apply=jac,
-                     jacobian_adjoint_apply=jac_t, actuator_family=fam, lam=lam)
+                     jacobian_adjoint_apply=jac_t, actuator_family=fam)
 
 
 def make_heat_model(grid: Grid2D, f_scalar: ScalarNonlinearity | None = CUBIC_SINK,

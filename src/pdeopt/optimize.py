@@ -157,11 +157,6 @@ def project_U(u: ControlSignal, sets: AdmissibleSets) -> ControlSignal:
     return ControlSignal(time_grid=u.time_grid, values=values)
 
 
-def project_K(design: ActuatorDesign, sets: AdmissibleSets) -> ActuatorDesign:
-    """Componentwise clamp onto the design box."""
-    return ActuatorDesign(params=sets.family.project(design.params))
-
-
 def project_V_ball(x0: np.ndarray, r2: float, grid) -> np.ndarray:
     """Radial projection onto the discrete H1 ball of radius r2.
 
@@ -191,7 +186,6 @@ def optimality_residuals(bundle: GradientBundle, u: ControlSignal,
     if sets.u_box is not None:
         at_hi = u.values >= sets.u_box * (1 - active_tol)
         at_lo = u.values <= -sets.u_box * (1 - active_tol)
-        d = d.copy()
         d[at_hi & (d > 0)] = 0.0
         d[at_lo & (d < 0)] = 0.0
     norm_u = tg.norm(u.values)
@@ -264,10 +258,10 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
     two at most: the current one beside a trial, or the new one beside its
     costate.
     """
-    u = project_U(ControlSignal.zero(tg), sets)
+    u = ControlSignal.zero(tg)
     start = initial_design if initial_design is not None \
         else model.actuator_family.initial_design()
-    design = project_K(start, sets)
+    design = ActuatorDesign(sets.family.project(start.params))
     report = CostReport()
 
     bundle, traj = compute_bundle(model, u, design, x0, weights, tg)
@@ -297,8 +291,8 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
 
         def trial(step):
             u_trial = project_U(ControlSignal(tg, u.values - step * bundle.grad_u), sets)
-            d_trial = project_K(ActuatorDesign(
-                design.params - step_r * (step / alpha_u) * bundle.grad_r), sets) \
+            d_trial = ActuatorDesign(sets.family.project(
+                design.params - step_r * (step / alpha_u) * bundle.grad_r)) \
                 if optimize_design else design
             pred = tg.inner(bundle.grad_u, u.values - u_trial.values) \
                 + float(np.dot(bundle.grad_r, design.params - d_trial.params))

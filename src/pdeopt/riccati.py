@@ -350,9 +350,10 @@ def verify_feedback_consistency(model: ModelSpec, sets: AdmissibleSets,
     trapezoid cost pairs the input u_j with the adjoint extrapolated to the
     half-step and applies the cost source with a half-step lag, so p_k is
     compared against Pi(t_k) (x_{k-1}+x_k)/2 and the feedback control against
-    the midpoint gain acting on the node state.  The check is flagged
-    inconclusive if the input-ball constraint is active at the optimum (the
-    feedback law only matches interior optima).
+    the midpoint gain acting on the node state.  The check is inconclusive,
+    with the reason, where the input-only solve did not converge, or where
+    the input-ball constraint is active at the optimum (the feedback law
+    only matches interior optima).
     """
     if not model.is_linear:
         raise ValueError("verify_feedback_consistency requires the linearized model")
@@ -370,10 +371,11 @@ def verify_feedback_consistency(model: ModelSpec, sets: AdmissibleSets,
                                      weights, tg, state_weight=grid.weight,
                                      check_every=check_every, along=x_lag)
     u_norm_check = tg.norm(u_opt.values)
-    if u_norm_check >= sets.r1 * (1 - 1e-8):
+    if not report.converged or u_norm_check >= sets.r1 * (1 - 1e-8):
+        reason = "input constraint active at optimum" if report.converged \
+            else f"input-only solve did not converge: {report.stop_reason}"
         return FeedbackCheck(discrepancy=np.inf, inconclusive=True,
-                             parts={"reason": "input constraint active at optimum"},
-                             riccati=ric)
+                             parts={"reason": reason}, riccati=ric)
 
     traj_ric, _ = closed_loop_simulate(model, ric, x0, tg)
 

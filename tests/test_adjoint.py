@@ -44,8 +44,8 @@ def reference_gradients(model, p, u, design, weights):
     pi = reference_pi_rows(p)
     b = model.actuator_family.evaluate(design, grid)
     grad_u = 2.0 * (weights.r_scale * u.values + grid.weight * (pi @ b) / tg.weights)
-    grad_r = sum(actuator_design_derivative_adjoint(model.actuator_family, design, u_j,
-                                                    2.0 * tg.dt * pi_j, grid)
+    grad_r = sum(actuator_design_derivative_adjoint(model.actuator_family, design,
+                                                    u_j * 2.0 * tg.dt * pi_j, grid)
                  for u_j, pi_j in zip(u.values, pi))
     return grad_u, grad_r
 

@@ -312,6 +312,21 @@ class TestCliEntry:
         assert "config field '(file)'" in err and str(ini) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text,field", [
+        ("kind = ks\n", "(file)"),
+        ("[nosuch]\nkey = 1\n", "nosuch"),
+        ("[initial_condition]\namplitude = 1e300\nsecond_mode = 1e300\n",
+         "initial_condition.amplitude"),
+    ])
+    def test_exit_two_names_the_refused_part_of_the_file(self, tmp_path, capsys, text, field):
+        # no section header, an unknown section, an initial state that overflows
+        ini = tmp_path / "exp.ini"
+        ini.write_text(text)
+        code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("section,key,raw", [
         ("optimizer", "multi_start", "0"),
         ("riccati", "nt", "1"),
@@ -677,6 +692,22 @@ class TestSweep:
         assert code == 0
         code = main(["sweep", "--config", str(ini), "--out", str(tmp_path / "s2")])
         assert code == 2
+
+    def test_cli_sweep_exit_three_when_a_run_blows_up(self, tmp_path, caplog):
+        # the 4e3 bump blows up in the first forward solve of optimize; the
+        # 0.5 row is still written, and the failure is logged by its value
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[model]\nkind = ks\n\n[grid]\nn = 32\n\n[time]\ntau = 0.1\nnt = 20\n")
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", str(ini), "--out", str(out),
+                     "--param", "initial_condition.amplitude", "--values", "0.5,4e3"])
+        assert code == 3
+        ok, failed = (line.split(",") for line in
+                      (out / "sweep.csv").read_text().splitlines()[1:])
+        assert ok[-1] == "" and float(ok[1]) > 0
+        assert failed[1:] == ["", "", "", "BlowUpError: non-finite state at time step 8"]
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "sweep value 4000 failed: BlowUpError: non-finite state at time step 8"]
 
     def test_cli_sweep_refuses_a_fractional_int_value(self, tmp_path, capsys):
         # grid.nx = 8.5 must not run as nx = 8 in a directory named grid_nx=8.5

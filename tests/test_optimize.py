@@ -139,11 +139,10 @@ class TestProjections:
         assert np.max(np.abs(proj.values)) <= 0.5
 
     def test_project_k_clamp(self, ks_sets):
-        out = po.project_K(po.ActuatorDesign.of(0.95), ks_sets)
-        assert out.params[0] == pytest.approx(0.9)
+        out = ks_sets.family.project(np.array([0.95]))
+        assert out[0] == pytest.approx(0.9)
         for r in np.linspace(0.1, 0.9, 7):
-            d = po.ActuatorDesign.of(r)
-            assert po.project_K(d, ks_sets).params[0] == pytest.approx(r)
+            assert ks_sets.family.project(np.array([r]))[0] == pytest.approx(r)
 
     def test_project_v_ball(self, grid1d_small, rng):
         r2 = 0.7
@@ -645,9 +644,8 @@ def design_pairs(draw):
 def test_project_K_is_a_nonexpansive_projection_onto_the_box(pair):
     kind, a, b = pair
     family = _FAMILIES[kind]()
-    sets = po.AdmissibleSets(family=family)
-    a, b = (po.ActuatorDesign(params=np.array(p)) for p in (a, b))
-    pa, pb = po.project_K(a, sets), po.project_K(b, sets)
-    assert family.contains(pa.params)
-    assert np.array_equal(po.project_K(pa, sets).params, pa.params)
-    assert np.linalg.norm(pa.params - pb.params) <= np.linalg.norm(a.params - b.params)
+    a, b = np.array(a), np.array(b)
+    pa, pb = family.project(a), family.project(b)
+    assert family.contains(pa)
+    assert np.array_equal(family.project(pa), pa)
+    assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b)

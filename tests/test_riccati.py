@@ -9,6 +9,7 @@ from scipy.linalg import eigvalsh, expm, sqrtm
 
 import pdeopt as po
 from pdeopt import riccati
+from pdeopt.config import ExperimentConfig
 from pdeopt.grids import LinearOperator, SpectralBasis
 from pdeopt.riccati import closed_loop_simulate, solve_differential_riccati, \
     verify_feedback_consistency, worst_ic_eigen_check
@@ -574,6 +575,21 @@ class TestFeedbackConsistency:
         chk = verify_feedback_consistency(model, sets, weights,
                                           first_mode_2d(g, 1.0), tg, design, check_every=20)
         assert chk.inconclusive
+
+    def test_unconverged_input_solve_flagged_inconclusive(self):
+        # linear KS at lambda = 60 on a wide input ball: every Armijo trial
+        # from u = 0 blows up, so the input-only solve stops there with no
+        # acceptable step, and u = 0 is no optimum to compare
+        cfg = ExperimentConfig(values={"model.kind": "ks", "model.lambda": 60.0,
+                                       "model.linear": True, "grid.n": 64,
+                                       "time.tau": 0.5, "sets.r1": 1e3})
+        grid = cfg.build_grid()
+        model = cfg.build_model(grid)
+        chk = verify_feedback_consistency(model, cfg.build_sets(model), cfg.build_weights(),
+                                          cfg.build_x0(grid), po.TimeGrid(tau=0.5, nt=800),
+                                          cfg.build_design(model))
+        assert chk.inconclusive
+        assert "no acceptable step" in chk.parts["reason"]
 
 
 class TestWorstIcEigenCheck:

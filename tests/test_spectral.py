@@ -343,7 +343,7 @@ def test_nonlinear_blow_up_step_matches_dense_cn_ab2(model, bad):
     # the per-step reference fails at.  KS (n in [8, 24]) runs on tau = 1e-3,
     # cubic heat on rect_grids and tau = 0.05.
     nt, step, value = bad
-    tg = po.TimeGrid(tau=1e-3 if model.lam is not None else 0.05, nt=nt)
+    tg = po.TimeGrid(tau=1e-3 if isinstance(model.grid, po.Grid1D) else 0.05, nt=nt)
     design = model.actuator_family.initial_design()
     uv = np.ones(nt + 1)
     uv[step] = value
