@@ -231,7 +231,6 @@ class GradientCheckReport:
     """Relative errors between adjoint and central-difference derivatives."""
 
     rows: list  # (variable, epsilon, adjoint_value, fd_value, rel_error)
-    tolerance: float
 
     @property
     def best_errors(self) -> dict:
@@ -246,11 +245,11 @@ class GradientCheckReport:
 
     @property
     def ok(self) -> bool:
-        return self.max_rel_error <= self.tolerance
+        return self.max_rel_error <= GRADCHECK_TOL
 
     def to_dict(self) -> dict:
         return {
-            "tolerance": self.tolerance,
+            "tolerance": GRADCHECK_TOL,
             "ok": self.ok,
             "best_errors": self.best_errors,
             "rows": [{"variable": v, "epsilon": e, "adjoint": a, "fd": f, "rel_error": r}
@@ -299,4 +298,4 @@ def gradient_check(model: ModelSpec, u: ControlSignal, design: ActuatorDesign,
         fd_x = (cost_at(u.values, design.params, x0 + eps * dx)
                 - cost_at(u.values, design.params, x0 - eps * dx)) / (2 * eps)
         rows.append(("x0", eps, adj_x, fd_x, abs(fd_x - adj_x) / max(abs(fd_x), 1e-300)))
-    return GradientCheckReport(rows=rows, tolerance=GRADCHECK_TOL)
+    return GradientCheckReport(rows=rows)

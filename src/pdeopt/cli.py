@@ -6,8 +6,10 @@ pipeline's metrics (deterministic for a fixed config and seed), the data
 artifacts (CSV / binary checkpoints), and a ``manifest.json`` listing each
 artifact with size and SHA-256 plus the config echo and wall time.
 
-Exit codes: 0 success, 2 malformed configuration (field diagnostic on
-stderr), 3 runtime blow-up (step index on stderr).
+Exit codes: 0 success, 1 any other PdeoptError (one ``error:`` line on
+stderr) or a sweep value that failed without a blow-up, 2 malformed
+configuration (field diagnostic on stderr), 3 runtime blow-up (step index
+on stderr).
 """
 
 from __future__ import annotations
@@ -295,18 +297,18 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def _sweep_worker(args: tuple) -> tuple[float, dict | None, str]:
-    subcommand, cfg_values, param, value, out_dir = args
+    cfg_values, param, value, out_dir = args
     try:
         cfg = ExperimentConfig(values=cfg_values).with_value(param, value)
-        summary = run(subcommand, cfg, out_dir)
+        summary = run("optimize", cfg, out_dir)
         return value, summary, ""
     except Exception as err:  # partial sweeps are preserved
         return value, None, f"{type(err).__name__}: {err}"
 
 
-def sweep(subcommand: str, cfg: ExperimentConfig, out_dir, param: str,
+def sweep(cfg: ExperimentConfig, out_dir, param: str,
           values: list[float]) -> list[tuple[float, dict | None, str]]:
-    """Run ``subcommand`` once per parameter value; aggregate results to CSV."""
+    """Run ``optimize`` once per parameter value; aggregate results to CSV."""
     for v in values:  # a bad name or value fails before any run
         cfg.with_value(param, v)
     # one directory per value, named by its shortest round-trip text
@@ -318,7 +320,7 @@ def sweep(subcommand: str, cfg: ExperimentConfig, out_dir, param: str,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = min(cfg["output.jobs"], len(values), os.cpu_count() or 1)
-    tasks = [(subcommand, dict(cfg.values), param, v, str(out / name))
+    tasks = [(dict(cfg.values), param, v, str(out / name))
              for v, name in zip(values, names)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
@@ -334,9 +336,8 @@ def sweep(subcommand: str, cfg: ExperimentConfig, out_dir, param: str,
             if summary is None:
                 fh.write(f"{value:.16e},,,,{err}\n")
             else:
-                fh.write(f"{value:.16e},{summary.get('final_cost', float('nan')):.16e},"
-                         f"{summary.get('res_u', float('nan')):.16e},"
-                         f"{summary.get('res_r', float('nan')):.16e},\n")
+                fh.write(f"{value:.16e},{summary['final_cost']:.16e},"
+                         f"{summary['res_u']:.16e},{summary['res_r']:.16e},\n")
     return results
 
 
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
             if not args.param or not args.values:
                 print("sweep requires --param and --values", file=sys.stderr)
                 return 2
-            results = sweep("optimize", cfg, out_dir, args.param, args.values)
+            results = sweep(cfg, out_dir, args.param, args.values)
             failures = [r for r in results if r[1] is None]
             for value, _, err in failures:
                 log.error("sweep value %g failed: %s", value, err)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import CostWeights
-from .exceptions import ConfigError
+from .exceptions import ConfigError, ConstraintViolationError
 from .forward import TimeGrid
 from .grids import SIDES, build_grid_1d, build_grid_2d
 from .models import (CUBIC_SINK, ActuatorDesign, HeatShapeActuator,
@@ -224,6 +224,17 @@ class ExperimentConfig:
         if v["sets.r2"] > r2_max:
             raise ConfigError("sets.r2", f"{v['sets.r2']} is above {r2_max:.4g}, where "
                               "the grid's H1 norm <x, Kx> can overflow float64")
+        # the KS operator's eigenvalues lie in [-bound, bound] with bound
+        # 16/h^4 + 4|lambda|/h^2 (Gershgorin, h = w), which must be finite like
+        # the Laplacian's above; so must the input weight w/rho of B R^-1 B*
+        # (a Python float product or quotient overflows to inf)
+        if v["model.kind"] == "ks" \
+                and not np.isfinite(16.0 / w**4 + 4.0 * abs(v["model.lambda"]) / w**2):
+            raise ConfigError("model.lambda", f"{v['model.lambda']} makes the KS operator's "
+                              "spectral bound 16/h^4 + 4|lambda|/h^2 overflow float64")
+        if not np.isfinite(w / v["cost.r_scale"]):
+            raise ConfigError("cost.r_scale", f"{v['cost.r_scale']} makes w/r_scale, the "
+                              f"weight of the input (w = {w:.4g} per node), overflow float64")
         for name in ("actuator.omega", "initial_condition.width"):
             # a Gaussian divides by the square of its width, which a subnormal
             # square turns into an overflow
@@ -316,13 +327,12 @@ class ExperimentConfig:
         r_init = self["actuator.r_init"]
         if not r_init:
             return model.actuator_family.initial_design()
-        family = model.actuator_family
-        params = np.asarray(r_init, dtype=float)
-        if params.shape != (family.design_dim,) \
-                or not np.array_equal(family.project(params), params):
-            raise ConfigError("actuator.r_init", f"{list(r_init)} is not an admissible "
-                              f"design of {family.design_dim} parameter(s)")
-        return ActuatorDesign(params=params)
+        design = ActuatorDesign(params=np.asarray(r_init, dtype=float))
+        try:
+            model.actuator_family.check(design)
+        except ConstraintViolationError as err:
+            raise ConfigError("actuator.r_init", f"{list(r_init)}: {err}") from None
+        return design
 
     def build_x0(self, grid) -> np.ndarray:
         with np.errstate(all="ignore"):

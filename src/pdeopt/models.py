@@ -118,14 +118,13 @@ class ActuatorFamily:
     def project(self, params: np.ndarray) -> np.ndarray:
         return np.clip(params, self.lower, self.upper)
 
-    def contains(self, params: np.ndarray, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.project(params) - params) <= tol))
-
     def check(self, design: ActuatorDesign) -> None:
+        """The one design rule: the family's number of parameters, each
+        within 1e-12 of the box."""
         if design.params.shape != (self.design_dim,):
             raise ConstraintViolationError(
                 f"design has {design.params.shape[0]} parameters, family needs {self.design_dim}")
-        if not self.contains(design.params):
+        if not np.all(np.abs(self.project(design.params) - design.params) <= 1e-12):
             raise ConstraintViolationError(f"design {design.params} outside the admissible set")
 
     def initial_design(self) -> ActuatorDesign:

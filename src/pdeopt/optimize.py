@@ -382,7 +382,6 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
     """
     grid = model.grid
     rng = np.random.default_rng(config.seed)
-    model.actuator_family.check(design_fixed)
 
     def ascend(x0_init: np.ndarray, label: str) -> dict:
         x0 = project_V_ball(x0_init, sets.r2, grid)

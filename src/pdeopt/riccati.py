@@ -203,24 +203,27 @@ class _DensePi:
         return self.pi
 
 
-def _steps_needed(a: float, nt: int, dt: float, lam_max: float) -> int:
+def _steps_needed(a: float, nt: int, dt: float, lam_max: float) -> int | float:
     """Steps over the horizon nt dt that keep a refused step's a <= 1.
 
     a = h s b^T Pi b is about linear in h while Pi stays as it is, so nt a
     steps do for the refused step.  On an unstable operator Pi grows on
     towards the split sweep's fixed point, where a = e^{2 lam_max h} - 1, so
-    it needs h <= ln 2 / (2 lam_max) as well.
+    it needs h <= ln 2 / (2 lam_max) as well.  A count beyond float64 is
+    returned as inf.
     """
     need = nt * a
     if lam_max > 0.0:
         need = max(need, 2.0 * lam_max * nt * dt / math.log(2.0))
-    return math.ceil(need)
+    return math.ceil(need) if math.isfinite(need) else need
 
 
-def _split_sweep(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: float,
-                 nt: int, dt: float, check_every: int, along_modal: np.ndarray | None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Backward Strang-split sweep in the eigenbasis over nt steps of h = dt.
+def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
+                               weights: CostWeights, tg: TimeGrid,
+                               state_weight: float = 1.0,
+                               check_every: int = 1,
+                               along: np.ndarray | None = None) -> RiccatiSolution:
+    """Backward Strang-split sweep in A's eigenbasis over the nt steps of h = dt.
 
     One step from Pi_{k+1} to Pi_k is a half Lyapunov step, the exact
     rank-one step, and a second half Lyapunov step:
@@ -232,25 +235,35 @@ def _split_sweep(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: float,
       beta = h s / (1 + a), the exact flow of dPi/ds = -s Pi b b^T Pi
       over h (Sherman-Morrison).
 
-    The splitting error grows with a, so a step with a > 1 raises
-    StepSizeError.  A non-finite y raises PdeoptError, and so does a Pi
-    that fails the PSD test, which runs every ``check_every`` steps and at
-    the last; the low-rank storage is compressed every COMPRESS_EVERY steps.
+    s = w/rho, with w = ``state_weight`` the quadrature weight of the grid
+    carrying b_vec (1.0 for a plain ODE system).  With ``along``, an
+    (nt+1) x n trajectory X, the solution also carries Pi(t_k) X[k].
 
-    Returns Pi-tilde(0) and, at the nt + 1 times t_k, the rows
-    Pi-tilde(t_k) b_modal and Pi-tilde(t_k) along_modal[k].
+    A step with a > 1, or whose e^{lam_max h} overflows, raises
+    StepSizeError (the caller names the field that sets the step).  A
+    non-finite y raises PdeoptError, and so does a Pi that fails the PSD
+    test, run every ``check_every`` steps and at the last; the low-rank
+    storage is compressed every COMPRESS_EVERY steps.
     """
-    n, h_s = lam.size, dt * s_scale
-    pib = np.zeros((nt + 1, n))  # Pi(tau) = 0 leaves row nt zero
-    pix = None if along_modal is None else np.zeros((nt + 1, n))
+    basis = a_op.basis
+    lam, nt, dt = basis.values, tg.nt, tg.dt
+    lam_max, s_scale = float(lam.max()), state_weight / weights.r_scale
+    h_s, b_modal = dt * s_scale, basis.to_modal(b_vec)
+    along_modal = None if along is None else basis.to_modal(along)
+    pib = np.zeros((nt + 1, lam.size))  # Pi(tau) = 0 leaves row nt zero
+    pix = None if along is None else np.zeros((nt + 1, lam.size))
     # non-finite values are tested for and reported once, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(np.exp(dt * lam_max)):
+            raise StepSizeError(f"a Riccati step has lambda_max h = {dt * lam_max:.3g}, whose "
+                                "exponential overflows float64; take at least about "
+                                f"{_steps_needed(0.0, nt, dt, lam_max):.3g} steps")
         grow = np.exp(0.5 * dt * lam)
-        source = np.full(n, 0.5 * dt)
+        source = np.full(lam.size, 0.5 * dt)
         moving = lam != 0.0
         source[moving] = np.expm1(dt * lam[moving]) / (2.0 * lam[moving])
-        source *= q
-        pi = (_LowRankPi if float(lam.max()) <= 0.0 else _DensePi)(grow, source)
+        source *= weights.q_scale
+        pi = (_LowRankPi if lam_max <= 0.0 else _DensePi)(grow, source)
         for m in range(nt):
             k = nt - m - 1
             pi.half_lyapunov()
@@ -261,7 +274,7 @@ def _split_sweep(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: float,
             if a > 1.0:
                 raise StepSizeError(f"a Riccati step has h s b^T Pi b = {a:.3g} > 1, where "
                                     "the splitting error grows; take at least about "
-                                    f"{_steps_needed(a, nt, dt, float(lam.max()))} steps")
+                                    f"{_steps_needed(a, nt, dt, lam_max)} steps")
             pi.downdate(h_s / (1.0 + a), y)
             pi.half_lyapunov()
             pib[k] = pi.times(b_modal)
@@ -271,29 +284,7 @@ def _split_sweep(lam: np.ndarray, b_modal: np.ndarray, q: float, s_scale: float,
                 pi.check_psd()
             if (m + 1) % COMPRESS_EVERY == 0:
                 pi.compress()
-    return pi.modal(), pib, pix
-
-
-def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
-                               weights: CostWeights, tg: TimeGrid,
-                               state_weight: float = 1.0,
-                               check_every: int = 1,
-                               along: np.ndarray | None = None) -> RiccatiSolution:
-    """Backward Strang-split solve of the differential Riccati equation
-    (see ``_split_sweep``).
-
-    ``state_weight`` is the uniform quadrature weight of the grid carrying
-    b_vec (1.0 for a plain ODE system).  ``along`` is an optional
-    (nt+1) x n trajectory X; the solution then carries Pi(t_k) X[k].  Only
-    Pi(0) and n-vectors per step are kept.  A step too coarse for the
-    splitting raises StepSizeError; the caller names the field that sets it.
-    """
-    basis = a_op.basis
-    s_scale = state_weight / weights.r_scale
-    along_modal = None if along is None else basis.to_modal(along)
-    pi0, pib, pix = _split_sweep(basis.values, basis.to_modal(b_vec), weights.q_scale,
-                                 s_scale, tg.nt, tg.dt, check_every, along_modal)
-    return RiccatiSolution(spectral=basis, modal=[pi0], b_vec=b_vec,
+    return RiccatiSolution(spectral=basis, modal=[pi.modal()], b_vec=b_vec,
                            gains=s_scale * basis.from_modal(pib),
                            along=None if pix is None else basis.from_modal(pix))
 

@@ -384,6 +384,39 @@ class TestCliEntry:
         assert code == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    # the schema admits both values, but the KS operator (lambda 2/h^2 on
+    # its diagonal) and the input weight w/rho = (1/33)/1e-310 overflow
+    # float64; each run used to end in exit 1 with an "error:" line
+    @pytest.mark.parametrize("text, field, subcommands", [
+        ("[model]\nkind = ks\nlambda = 1e308\n", "model.lambda",
+         ["simulate", "optimize", "worst-ic", "riccati-validate", "gradcheck"]),
+        ("[model]\nkind = ks\nlinear = true\n\n[cost]\nr_scale = 1e-310\n", "cost.r_scale",
+         ["optimize", "worst-ic", "riccati-validate"])], ids=["ks-lambda", "r-scale"])
+    def test_exit_two_names_a_field_whose_model_overflows(self, tmp_path, capsys, text,
+                                                          field, subcommands):
+        ini = tmp_path / "big.ini"
+        ini.write_text(text + "\n[grid]\nn = 32\n\n[time]\nnt = 20\n")
+        for subcommand in subcommands:
+            code = main([subcommand, "--config", str(ini), "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert code == 2 and err.count("\n") == 1, (subcommand, err)
+            assert f"config field '{field}'" in err
+
+    # one design rule, ActuatorFamily.check, with its 1e-12 box tolerance:
+    # an r_init that every solve's check accepts is accepted by the config
+    def test_r_init_within_the_box_tolerance_runs(self, tmp_path):
+        ini = tmp_path / "edge.ini"
+        ini.write_text("[grid]\nn = 32\n\n[time]\nnt = 20\n\n"
+                       f"[actuator]\nr_init = {0.9 + 1e-13!r}\n")
+        assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")]) == 0
+
+    def test_r_init_beyond_the_box_tolerance_exits_two(self, tmp_path, capsys):
+        ini = tmp_path / "out.ini"
+        ini.write_text("[grid]\nn = 32\n\n[time]\nnt = 20\n\n"
+                       f"[actuator]\nr_init = {0.9 + 1e-9!r}\n")
+        assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'actuator.r_init'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,raw", [("armijo_c1", "1e-4"), ("backtrack", "0.5"),
                                          ("step0", "1.0")])
     def test_exit_two_names_removed_optimizer_key(self, tmp_path, capsys, key, raw):
@@ -558,6 +591,39 @@ class TestCliEntry:
         evs = np.linalg.eigvalsh(pi0)
         assert evs[0] >= -1e-8 * evs[-1]
 
+    def test_dense_riccati_cross_check_concludes(self, tmp_path):
+        # linear KS at lambda = 40 has a top eigenvalue of 7.27, so the sweep
+        # keeps Pi dense; with tau = 0.5 the input-only solve converges inside
+        # the input ball, and the feedback cross-check concludes
+        ini = tmp_path / "ks40.ini"
+        ini.write_text("[model]\nkind = ks\nlambda = 40\nlinear = true\n\n[grid]\nn = 64\n\n"
+                       "[time]\ntau = 0.5\n\n[riccati]\nnt = 800\n")
+        assert ExperimentConfig.from_ini(ini).build_model().linear_op.basis.values.max() > 0
+        out = tmp_path / "o"
+        assert main(["riccati-validate", "--config", str(ini), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["inconclusive"] is False
+        assert summary["feedback_discrepancy"] <= 0.02
+
+    # linear KS at lambda = 1e200 has lambda_max h near 1e201, where the
+    # dense sweep's e^{lambda h/2} overflows float64: the step is refused by
+    # the field that sets it, with a step count, as a step with a > 1 is;
+    # at lambda = 1e300 and tau = 1e5 even that count overflows
+    @pytest.mark.parametrize("subcommand, field, lam, tau", [
+        ("riccati-validate", "riccati.nt", "1e200", "1.0"),
+        ("optimize", "riccati.nt", "1e200", "1.0"), ("worst-ic", "time.nt", "1e200", "1.0"),
+        ("riccati-validate", "riccati.nt", "1e300", "1e5")])
+    def test_exit_two_names_a_riccati_step_that_overflows(self, tmp_path, capsys,
+                                                          subcommand, field, lam, tau):
+        ini = tmp_path / "lam.ini"
+        ini.write_text(f"[model]\nkind = ks\nlambda = {lam}\nlinear = true\n\n"
+                       f"[grid]\nn = 32\n\n[time]\ntau = {tau}\nnt = 20\n")
+        code = main([subcommand, "--config", str(ini), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1, err
+        assert f"config field '{field}'" in err and "overflows float64" in err
+        assert re.search(r"take at least about \S+ steps", err)
+
     # a Riccati step with h s b^T Pi b > 1 exits 2 naming the field that sets
     # it; 4x4 linear heat (zero initial state, so the optimizer stops at once)
     # at the default nt = 400 reaches 0.46 at q_scale 1e7 and 2.2 at 1e8, and
@@ -636,8 +702,7 @@ class TestSweep:
 
     def test_sweep_rows_and_subdirs(self, tmp_path):
         values = [0.3, 0.5, 0.7]
-        results = sweep("optimize", self._base_cfg(), tmp_path,
-                        "actuator.r_init", values)
+        results = sweep(self._base_cfg(), tmp_path, "actuator.r_init", values)
         assert len(results) == 3
         assert all(summary is not None for _, summary, _ in results)
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
@@ -648,7 +713,7 @@ class TestSweep:
 
     def test_sweep_worker_pool(self, tmp_path):
         cfg = self._base_cfg().with_value("output.jobs", 2)
-        results = sweep("optimize", cfg, tmp_path, "actuator.r_init", [0.4, 0.6])
+        results = sweep(cfg, tmp_path, "actuator.r_init", [0.4, 0.6])
         assert all(summary is not None for _, summary, _ in results)
 
     def test_sweep_pool_never_exceeds_cpu_count(self, tmp_path, monkeypatch):
@@ -665,19 +730,18 @@ class TestSweep:
                 return False
 
             def map(self, fn, tasks):
-                return [(task[3], None, "not run") for task in tasks]
+                return [(task[2], None, "not run") for task in tasks]
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         cfg = self._base_cfg().with_value("output.jobs", 64)
-        sweep("optimize", cfg, tmp_path, "actuator.r_init", [0.1 * i for i in range(1, 9)])
+        sweep(cfg, tmp_path, "actuator.r_init", [0.1 * i for i in range(1, 9)])
         assert started == [2]
 
     def test_sweep_preserves_partial_results(self, tmp_path):
         # second value blows up; first must still be written
         cfg = self._base_cfg()
-        results = sweep("simulate", cfg, tmp_path,
-                        "initial_condition.amplitude", [0.5, 4e3])
+        results = sweep(cfg, tmp_path, "initial_condition.amplitude", [0.5, 4e3])
         assert results[0][1] is not None
         assert results[1][1] is None and "BlowUpError" in results[1][2]
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()

@@ -3,14 +3,16 @@
     python3 tools/summary_drift.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are the `src` directories of two checkouts.  Each
-checkout runs fourteen configs through `pdeopt.cli.run`, once, in a child
+checkout runs fifteen configs through `pdeopt.cli.run`, once, in a child
 process of its own (both packages are named `pdeopt`): the three benchmark
 workloads at seed 0 (taken from `perfbench/workloads.py` next to this
 script), `simulate`, `gradcheck`, `riccati-validate`, `optimize` and
 `worst-ic` on KS with n = 64, nt = 100 and on linear heat 8x8 with
 nt = riccati.nt = 100 (KS `riccati-validate` and `worst-ic` on the linear
-model), and `riccati-validate` on linear KS at lambda = 60 (tau = 0.5,
-riccati.nt = 800, n = 64), whose unstable operator keeps Pi dense.
+model), and `riccati-validate` on linear KS at lambda = 60 and at
+lambda = 40 (tau = 0.5, riccati.nt = 800, n = 64), whose unstable operators
+keep Pi dense; the lambda = 40 cross-check concludes, the lambda = 60 one
+does not.
 
 Then one line per run gives its label, the worst relative change of any
 float in its summary.json, with the key where it occurs, and the artifacts
@@ -41,8 +43,8 @@ TOOLS = Path(__file__).resolve().parent
 _KS = {"model.kind": "ks", "grid.n": 64, "time.nt": 100}
 _HEAT = {"model.kind": "heat", "model.linear": True, "grid.nx": 8, "grid.ny": 8,
          "time.nt": 100, "riccati.nt": 100}
-_KS60 = {"model.kind": "ks", "model.lambda": 60.0, "model.linear": True, "grid.n": 64,
-         "time.tau": 0.5, "riccati.nt": 800}
+_KS_DENSE = {"model.kind": "ks", "model.linear": True, "grid.n": 64, "time.tau": 0.5,
+             "riccati.nt": 800}
 _PIPELINES = ("simulate", "gradcheck", "riccati-validate", "optimize", "worst-ic")
 _RESIDUALS = ("res_u", "res_r", "kkt_residual")
 
@@ -69,7 +71,9 @@ def runs() -> list[tuple[str, str, dict]]:
         out.append((f"ks-n64-{sub}", sub, {**_KS, **linear}))
     for sub in _PIPELINES:
         out.append((f"heat-8x8-{sub}", sub, dict(_HEAT)))
-    out.append(("ks60-n64-riccati-validate", "riccati-validate", dict(_KS60)))
+    for lam in (60, 40):
+        out.append((f"ks{lam}-n64-riccati-validate", "riccati-validate",
+                    {**_KS_DENSE, "model.lambda": float(lam)}))
     return out
 
 
