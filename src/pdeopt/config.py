@@ -37,8 +37,7 @@ def _one_of(*choices: str) -> tuple:
 
 _SCHEMA: dict[str, dict[str, tuple]] = {
     # section -> key -> (type, default, rule); type in {float, int, bool, str,
-    # "floats", "optfloat"}; rule is the field's admissible range or None,
-    # and an empty optfloat passes every rule
+    # "floats"}; rule is the field's admissible range or None
     "model": {
         "kind": (str, "ks", _one_of("ks", "heat")),
         "lambda": (float, 30.0, None),
@@ -64,7 +63,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "sets": {
         "r1": (float, 10.0, _POSITIVE),
         "r2": (float, 1.0, _POSITIVE),
-        "u_box": ("optfloat", None, _POSITIVE),
     },
     "actuator": {
         "omega": (float, 0.05, _POSITIVE),
@@ -122,8 +120,6 @@ def _parse(name: str, kind, raw: str):
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "optfloat":
-            return None if raw.strip() == "" else float(raw)
         if kind == "floats":
             raw = raw.strip()
             return tuple(float(tok) for tok in raw.split(",")) if raw else ()
@@ -137,8 +133,6 @@ def _sides(raw: str) -> tuple[str, ...]:
 
 
 def _render(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -188,7 +182,7 @@ class ExperimentConfig:
             if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
                 raise ConfigError(name, f"must be finite, got {value!r}")
             rule = _FIELDS[name][2]
-            if rule is not None and value is not None and not rule[0](value):
+            if rule is not None and not rule[0](value):
                 raise ConfigError(name, f"{rule[1]}, got {value!r}")
         # the rules below read more than one field or float64 arithmetic
         if v["model.kind"] == "ks" and v["grid.n"] > 512:
@@ -374,7 +368,7 @@ class ExperimentConfig:
 
     def build_sets(self, model: ModelSpec) -> AdmissibleSets:
         return AdmissibleSets(family=model.actuator_family, r1=self["sets.r1"],
-                              r2=self["sets.r2"], u_box=self["sets.u_box"])
+                              r2=self["sets.r2"])
 
     def build_optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(max_iters=self["optimizer.max_iters"],

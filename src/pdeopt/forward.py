@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BlowUpError, NotApplicableError, PdeoptError
+from .exceptions import BlowUpError, InvalidGridError, NotApplicableError, PdeoptError
 from .grids import (Grid1D, LinearOperator, build_grid_1d, build_grid_2d, inner_product,
                     smallest_eigenvalue)
 from .models import ActuatorDesign, ModelSpec
@@ -335,8 +335,9 @@ def save_checkpoint(traj: Trajectory, path, grid) -> None:
 
 
 def load_checkpoint(path) -> tuple[Trajectory, object]:
-    """Read a ``save_checkpoint`` file back.  Raises ValueError on a foreign
-    file, and on a truncated or overlong one with the byte counts."""
+    """Read a ``save_checkpoint`` file back.  Raises ValueError, naming the
+    path, on a foreign file, on a header that does not describe a grid and
+    time grid, and on a truncated or overlong file with the byte counts."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(_MAGIC):
@@ -346,14 +347,18 @@ def load_checkpoint(path) -> tuple[Trajectory, object]:
     if len(data) < start + hlen:
         raise ValueError(f"{path}: checkpoint header is truncated, expected at least "
                          f"{start + hlen} bytes, found {len(data)}")
-    meta = json.loads(data[start:start + hlen].decode("utf-8"))
-    desc = meta["grid"]
-    if desc["kind"] == "1d":
-        grid = build_grid_1d(desc["n"])
-    else:
-        grid = build_grid_2d(desc["nx"], desc["ny"], desc["lx"], desc["ly"],
-                             dirichlet_sides=tuple(desc["dirichlet"]))
-    tg = TimeGrid(tau=meta["tau"], nt=meta["nt"])
+    try:
+        meta = json.loads(data[start:start + hlen].decode("utf-8"))
+        desc = meta["grid"]
+        if desc["kind"] == "1d":
+            grid = build_grid_1d(desc["n"])
+        else:
+            grid = build_grid_2d(desc["nx"], desc["ny"], desc["lx"], desc["ly"],
+                                 dirichlet_sides=tuple(desc["dirichlet"]))
+        tg = TimeGrid(tau=meta["tau"], nt=meta["nt"])
+    except (KeyError, TypeError, ValueError, InvalidGridError) as err:
+        raise ValueError(f"{path}: checkpoint header is not a trajectory descriptor "
+                         f"({type(err).__name__}: {err})") from None
     start += hlen
     expect, found = 8 * (tg.nt + 1) * grid.size, len(data) - start
     if found != expect:

@@ -2,13 +2,13 @@
 and first-order optimality residuals.
 
 The projections are exact in the geometry each variable lives in: the input
-in the trapezoid L2(0,tau) norm, the design componentwise in its box, and the
-initial condition radially in the discrete H1 norm.  One Armijo backtracking
-search serves both problems, with the projection-arc sufficient-decrease
-test at ARMIJO_C1 = 1e-4 and a step halved (BACKTRACK = 0.5) on each
-rejection; the worst-initial-condition ascent is a descent on -J.  A forward
-blow-up at a trial point counts as a backtrack, and the search stops below an
-input step of MIN_STEP = 1e-14.
+radially onto its ball in the trapezoid L2(0,tau) norm, the design
+componentwise in its box, and the initial condition radially in the discrete
+H1 norm.  One Armijo backtracking search serves both problems, with the
+projection-arc sufficient-decrease test at ARMIJO_C1 = 1e-4 and a step halved
+(BACKTRACK = 0.5) on each rejection; the worst-initial-condition ascent is a
+descent on -J.  A forward blow-up at a trial point counts as a backtrack, and
+the search stops below an input step of MIN_STEP = 1e-14.
 
 The joint descent steps each block by its own length, and one search scales
 both by the same factor.  grad_u = 2 (rho u + B* p) in the trapezoid L2
@@ -65,18 +65,15 @@ MAX_ASCENT_STEP = 1e8  # the worst-IC ascent's first and largest trial step
 
 @dataclass(frozen=True)
 class AdmissibleSets:
-    """Input ball, optional amplitude box, design set, and H1 ball for x0."""
+    """Input ball, design set, and H1 ball for x0."""
 
     family: ActuatorFamily
     r1: float = 10.0
     r2: float = 1.0
-    u_box: float | None = None
 
     def __post_init__(self):
         if self.r1 <= 0 or self.r2 <= 0:
             raise ValueError("ball radii R1 and R2 must be positive")
-        if self.u_box is not None and self.u_box <= 0:
-            raise ValueError("amplitude box bound must be positive")
 
 
 @dataclass(frozen=True)
@@ -145,16 +142,11 @@ class CostReport:
 
 
 def project_U(u: ControlSignal, sets: AdmissibleSets) -> ControlSignal:
-    """Box clamp (if configured), then radial projection onto the R1 ball."""
-    values = u.values
-    if sets.u_box is not None:
-        values = np.clip(values, -sets.u_box, sets.u_box)
-    norm = u.time_grid.norm(values)
-    if norm > sets.r1:
-        values = values * (sets.r1 / norm)
-    elif values is u.values:
+    """Radial projection onto the R1 ball in the trapezoid norm."""
+    norm = u.time_grid.norm(u.values)
+    if not norm > sets.r1:
         return u
-    return ControlSignal(time_grid=u.time_grid, values=values)
+    return ControlSignal(time_grid=u.time_grid, values=u.values * (sets.r1 / norm))
 
 
 def project_V_ball(x0: np.ndarray, r2: float, grid) -> np.ndarray:
@@ -180,14 +172,8 @@ def optimality_residuals(bundle: GradientBundle, u: ControlSignal,
     steepest-descent direction onto the tangent cones."""
     tg = u.time_grid
     # input residual: v = rho*u + B*p, direction d = -v restricted to feasible moves
-    v = 0.5 * bundle.grad_u
-    d = -v
+    d = -0.5 * bundle.grad_u
     active_tol = 1e-8
-    if sets.u_box is not None:
-        at_hi = u.values >= sets.u_box * (1 - active_tol)
-        at_lo = u.values <= -sets.u_box * (1 - active_tol)
-        d[at_hi & (d > 0)] = 0.0
-        d[at_lo & (d < 0)] = 0.0
     norm_u = tg.norm(u.values)
     u_active = False
     if norm_u >= sets.r1 * (1 - active_tol) and norm_u > 0:

@@ -45,6 +45,16 @@ SMALL_HEAT_LIN = {
 
 
 class TestExperimentConfig:
+    def test_readme_ini_examples_parse(self, tmp_path):
+        # a key removed from the schema cannot linger in a README example
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+        assert blocks
+        for i, text in enumerate(blocks):
+            ini = tmp_path / f"readme{i}.ini"
+            ini.write_text(text)
+            ExperimentConfig.from_ini(ini)
+
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
         assert cfg["model.kind"] == "ks"
@@ -335,7 +345,6 @@ class TestCliEntry:
         ("grid", "nx", "2"),
         ("time", "tau", "-1.0"),
         ("sets", "r2", "-1.0"),
-        ("sets", "u_box", "-1.0"),
         ("optimizer", "tol", "0.0"),
         ("optimizer", "max_iters", "0"),
         ("actuator", "omega", "0.0"),
@@ -427,6 +436,14 @@ class TestCliEntry:
         code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"config field 'optimizer.{key}': unknown field" in capsys.readouterr().err
+
+    def test_exit_two_names_the_removed_amplitude_box(self, tmp_path, capsys):
+        # the input set is the ball of radius sets.r1 alone
+        ini = tmp_path / "old.ini"
+        ini.write_text("[sets]\nu_box = -1.0\n")
+        code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config field 'sets.u_box': unknown field" in capsys.readouterr().err
 
     def test_exit_two_on_negative_seed_override(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
@@ -604,6 +621,26 @@ class TestCliEntry:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["inconclusive"] is False
         assert summary["feedback_discrepancy"] <= 0.02
+
+    # linear 8x8 heat with a cheap input: the optimum inside a ball of radius
+    # 0.1 has ||u|| = 0.0915 and satisfies the feedback law, while a ball of
+    # radius 1e-2 binds there and the check says so instead of comparing
+    @pytest.mark.parametrize("r1, inconclusive", [("1e-2", True), ("0.1", False)])
+    def test_riccati_validate_is_inconclusive_where_the_input_ball_binds(
+            self, tmp_path, r1, inconclusive):
+        ini = tmp_path / "heat.ini"
+        ini.write_text("[model]\nkind = heat\nlinear = true\n\n[grid]\nnx = 8\nny = 8\n\n"
+                       "[time]\nnt = 100\n\n[riccati]\nnt = 100\n\n[cost]\nr_scale = 1e-4\n\n"
+                       f"[sets]\nr1 = {r1}\n")
+        out = tmp_path / "o"
+        assert main(["riccati-validate", "--config", str(ini), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["inconclusive"] is inconclusive
+        if inconclusive:
+            assert summary["parts"] == {"reason": "input constraint active at optimum"}
+        else:
+            assert summary["parts"]["u_norm"] == pytest.approx(0.0915, abs=1e-4)
+            assert summary["feedback_discrepancy"] <= 0.05
 
     # linear KS at lambda = 1e200 has lambda_max h near 1e201, where the
     # dense sweep's e^{lambda h/2} overflows float64: the step is refused by

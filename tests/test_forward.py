@@ -250,3 +250,16 @@ class TestExports:
         with pytest.raises(ValueError, match=match) as err:
             po.load_checkpoint(path)
         assert str(path) in str(err.value)
+
+    # JSON after the magic and the length word, but no grid and time grid
+    @pytest.mark.parametrize("header", [
+        b"{}", b"[]", b'{"grid": {"kind": "3d"}, "nt": 2, "tau": 1.0}',
+        b'{"grid": {"kind": "1d", "n": "x"}, "nt": 2, "tau": 1.0}',
+        b'{"grid": {"kind": "1d", "n": 2}, "nt": 2, "tau": 1.0}',
+    ], ids=["empty-object", "list", "3d-grid", "text-n", "small-n"])
+    def test_checkpoint_refuses_a_header_that_is_no_descriptor(self, tmp_path, header):
+        path = tmp_path / "traj.bin"
+        path.write_bytes(b"PDEOPTRJ" + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(ValueError, match="not a trajectory descriptor") as err:
+            po.load_checkpoint(path)
+        assert str(path) in str(err.value)
