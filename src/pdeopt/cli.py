@@ -1,7 +1,7 @@
 """Batch front end: simulate | optimize | worst-ic | riccati-validate |
 gradcheck | sweep.
 
-Every run writes into its output directory a ``summary.json`` with the
+Every run writes into its ``--out`` directory a ``summary.json`` with the
 pipeline's metrics (deterministic for a fixed config and seed), the data
 artifacts (CSV / binary checkpoints), and a ``manifest.json`` listing each
 artifact with size and SHA-256 plus the config echo and wall time.
@@ -166,7 +166,7 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     res = report.residuals
     summary = {
         "pipeline": "optimize",
-        "final_cost": report.final.get("cost"),
+        "final_cost": report.final["cost"],
         "iterations": len(report.iterations),
         "converged": report.converged,
         "stop_reason": report.stop_reason,
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand",
                         choices=sorted(_PIPELINES) + ["sweep"])
     parser.add_argument("--config", required=False, help="INI experiment config")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", default="out", help="directory for the artifacts (default: out)")
     parser.add_argument("--seed", type=int, default=None, help="override seed")
     parser.add_argument("--param", default=None, help="config field to sweep")
     parser.add_argument("--values", default=None, type=_float_list,
@@ -366,23 +366,21 @@ def main(argv=None) -> int:
             else ExperimentConfig()
         if args.seed is not None:
             cfg = cfg.with_value("optimizer.seed", args.seed)
-        out_dir = args.out if args.out is not None else cfg["output.dir"]
-        for path in (Path(out_dir), *Path(out_dir).parents):
+        for path in (Path(args.out), *Path(args.out).parents):
             if path.exists() and not path.is_dir():
-                raise ConfigError("--out" if args.out is not None else "output.dir",
-                                  f"{path} exists and is not a directory")
+                raise ConfigError("--out", f"{path} exists and is not a directory")
         if args.subcommand == "sweep":
             if not args.param or not args.values:
                 print("sweep requires --param and --values", file=sys.stderr)
                 return 2
-            results = sweep(cfg, out_dir, args.param, args.values)
+            results = sweep(cfg, args.out, args.param, args.values)
             failures = [r for r in results if r[1] is None]
             for value, _, err in failures:
                 log.error("sweep value %g failed: %s", value, err)
             if any("BlowUpError" in r[2] for r in failures):
                 return 3
             return 0 if not failures else 1
-        summary = run(args.subcommand, cfg, out_dir)
+        summary = run(args.subcommand, cfg, args.out)
         log.info("%s finished: %s", args.subcommand,
                  {k: v for k, v in summary.items() if not isinstance(v, (list, dict))})
         return 0

@@ -92,7 +92,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "check_every": (int, 10, _at_least(1)),
     },
     "output": {
-        "dir": (str, "out", None),
         "jobs": (int, 1, _at_least(1)),
     },
 }

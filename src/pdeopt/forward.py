@@ -219,30 +219,29 @@ def solve_forward(model: ModelSpec, u: ControlSignal | None, design: ActuatorDes
                   x0: np.ndarray, tg: TimeGrid) -> Trajectory:
     """Integrate the IVP; raises BlowUpError(step) on non-finite states.
 
-    On a model with a nonlinearity, the input enters N_k = F(x_k) + u_k b,
-    summed in a nodal buffer of this solve, so that AB2 extrapolates it with
-    F and no trajectory-sized array besides the states is formed.  A linear
-    model takes it as the modal rank-one source 3/2 u_k - 1/2 u_{k-1} times
-    the modal coefficients of b, from one transform of b.
+    ``u`` must lie on ``tg`` (None is the unforced solve).  With a
+    nonlinearity the input always enters N_k = F(x_k) + u_k b, summed in a
+    nodal buffer, so that AB2 extrapolates it with F and no trajectory-sized
+    array besides the states is formed.  A linear model takes it as the modal
+    rank-one source (3/2 u_k - 1/2 u_{k-1}) times b's modal coefficients.
     """
     grid = model.grid
     if x0.shape != (grid.size,):
         raise ValueError(f"x0 of shape {x0.shape} does not match grid size {grid.size}")
-    uv = np.zeros(tg.nt + 1) if u is None else u.values
-    if uv.shape != (tg.nt + 1,):
+    u = ControlSignal.zero(tg) if u is None else u
+    if u.time_grid != tg:
         raise ValueError("control and state time grids disagree")
 
     b = model.actuator_family.evaluate(design, grid)  # checks the design
-    f, forced, source = model.nonlinearity, np.any(uv[:-1]), None
-    term = None if f is None else lambda k, x: f(x)
-    if forced and f is None:
-        source = np.multiply.outer(u.ab2, model.linear_op.basis.to_modal(b))
-    elif forced:
+    f, source, term = model.nonlinearity, None, None
+    if f is not None:
         n_k = np.empty_like(b)
 
         def term(k, x):
-            np.multiply(b, uv[k], out=n_k)
+            np.multiply(b, u.values[k], out=n_k)
             return np.add(n_k, f(x), out=n_k)
+    elif np.any(u.values[:-1]):
+        source = np.multiply.outer(u.ab2, model.linear_op.basis.to_modal(b))
     states = cn_ab2_sweep(model.linear_op, tg, x0, source, term)
     return Trajectory(time_grid=tg, states=states)
 
@@ -274,13 +273,13 @@ def verify_ks_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDesign,
 
 def verify_heat_iss_bound(traj: Trajectory, u: ControlSignal, design: ActuatorDesign,
                           model: ModelSpec) -> float:
-    """Margin of the ISS bound for the nonlinear heat model.
+    """Margin of the ISS bound for the heat model, with or without F.
 
     ||w(tau)||^2 <= ||w_0||^2 + (4/c_Omega) ||u||_{L2}^2 ||r||_{L2}^2, with
     c_Omega the smallest eigenvalue of the discrete -Laplacian (the discrete
-    Poincare constant).  Requires the declared sign condition zeta F(zeta) <= 0.
+    Poincare constant).  Requires ``model.sign_condition`` (True where F = 0).
     """
-    if not (model.sign_condition or model.is_linear):
+    if not model.sign_condition:
         raise NotApplicableError("ISS bound needs the sign condition zeta*F(zeta) <= 0")
     grid = model.grid
     c_omega = smallest_eigenvalue(-model.linear_op)
@@ -337,7 +336,8 @@ def save_checkpoint(traj: Trajectory, path, grid) -> None:
 def load_checkpoint(path) -> tuple[Trajectory, object]:
     """Read a ``save_checkpoint`` file back.  Raises ValueError, naming the
     path, on a foreign file, on a header that does not describe a grid and
-    time grid, and on a truncated or overlong file with the byte counts."""
+    time grid by integer counts, and on a truncated or overlong file with the
+    byte counts."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(_MAGIC):
@@ -350,6 +350,9 @@ def load_checkpoint(path) -> tuple[Trajectory, object]:
     try:
         meta = json.loads(data[start:start + hlen].decode("utf-8"))
         desc = meta["grid"]
+        counts = [meta["nt"]] + [desc[k] for k in ("n", "nx", "ny") if k in desc]
+        if any(type(c) is not int for c in counts):  # a JSON float or bool is no count
+            raise TypeError(f"counts {counts} are not all integers")
         if desc["kind"] == "1d":
             grid = build_grid_1d(desc["n"])
         else:

@@ -52,8 +52,8 @@ def ks_jacobian_adjoint_apply(w: np.ndarray, g: np.ndarray, grid: Grid1D) -> np.
 class ScalarNonlinearity:
     """Pointwise reaction term F(zeta) with its derivative.
 
-    ``sign_condition`` declares zeta*F(zeta) <= 0 for all real zeta, the
-    hypothesis under which the ISS energy bound applies.
+    ``sign_condition`` declares zeta*F(zeta) <= 0 for all real zeta, the ISS
+    bound's hypothesis (a model without F has it: ModelSpec.sign_condition).
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -225,7 +225,7 @@ class ModelSpec:
     and actuator family, all on a fixed grid.
 
     ``nonlinearity`` and the Jacobian callables are None for linearized
-    variants.  ``sign_condition`` marks zeta*F(zeta) <= 0 (ISS hypothesis).
+    variants, where F = 0 makes ``sign_condition`` (zeta*F(zeta) <= 0) True.
     """
 
     grid: object
@@ -234,7 +234,7 @@ class ModelSpec:
     jacobian_apply: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     jacobian_adjoint_apply: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     actuator_family: ActuatorFamily
-    sign_condition: bool = False
+    sign_condition: bool
 
     @property
     def is_linear(self) -> bool:
@@ -253,7 +253,7 @@ def make_ks_model(grid: Grid1D, lam: float, actuator: KsGaussianActuator | None 
         jac = lambda w, f: ks_jacobian_apply(w, f, grid)
         jac_t = lambda w, g: ks_jacobian_adjoint_apply(w, g, grid)
     return ModelSpec(grid=grid, linear_op=a_op, nonlinearity=nl, jacobian_apply=jac,
-                     jacobian_adjoint_apply=jac_t, actuator_family=fam)
+                     jacobian_adjoint_apply=jac_t, actuator_family=fam, sign_condition=linear)
 
 
 def make_heat_model(grid: Grid2D, f_scalar: ScalarNonlinearity | None = CUBIC_SINK,
@@ -262,12 +262,11 @@ def make_heat_model(grid: Grid2D, f_scalar: ScalarNonlinearity | None = CUBIC_SI
     fam = actuator if actuator is not None else HeatShapeActuator(lx=grid.lx, ly=grid.ly)
     a_op = heat_operator(grid)
     if f_scalar is None:
-        return ModelSpec(grid=grid, linear_op=a_op, nonlinearity=None,
-                         jacobian_apply=None, jacobian_adjoint_apply=None,
-                         actuator_family=fam)
-    nl = lambda w: heat_nonlinearity(w, f_scalar)
-    jac = lambda w, f: heat_jacobian_apply(w, f, f_scalar)
-    jac_t = lambda w, g: heat_jacobian_adjoint_apply(w, g, f_scalar)
-    return ModelSpec(grid=grid, linear_op=a_op, nonlinearity=nl,
-                     jacobian_apply=jac, jacobian_adjoint_apply=jac_t,
-                     actuator_family=fam, sign_condition=f_scalar.sign_condition)
+        nl = jac = jac_t = None
+    else:
+        nl = lambda w: heat_nonlinearity(w, f_scalar)
+        jac = lambda w, f: heat_jacobian_apply(w, f, f_scalar)
+        jac_t = lambda w, g: heat_jacobian_adjoint_apply(w, g, f_scalar)
+    return ModelSpec(grid=grid, linear_op=a_op, nonlinearity=nl, jacobian_apply=jac,
+                     jacobian_adjoint_apply=jac_t, actuator_family=fam,
+                     sign_condition=f_scalar is None or f_scalar.sign_condition)

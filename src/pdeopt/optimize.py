@@ -127,7 +127,7 @@ class CostReport:
 
     @property
     def final(self) -> dict:
-        return self.iterations[-1] if self.iterations else {}
+        return self.iterations[-1]
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -235,19 +235,18 @@ def minimize_joint(model: ModelSpec, sets: AdmissibleSets, weights: CostWeights,
     """Projected gradient with Armijo backtracking on the joint variable (u, r).
 
     Starts from u = 0 and the family's reference design unless an explicit
-    starting design is given.  With ``optimize_design=False`` the design
-    block stays frozen at that start and only u moves (the input-only
-    problem).  Persistent blow-up during backtracking aborts with the
-    diagnostic recorded in the report, which also carries the forward
-    solution at the returned iterate.  Whatever ends the run, the report's
-    last row is that iterate.  One trajectory lives between iterations and
-    two at most: the current one beside a trial, or the new one beside its
-    costate.
+    starting design is given, which the first solve checks, not clips, like
+    every design.  With ``optimize_design=False`` the design block stays
+    frozen at that start and only u moves (the input-only problem).
+    Persistent blow-up during backtracking aborts with the diagnostic
+    recorded in the report, which also carries the forward solution at the
+    returned iterate.  Whatever ends the run, the report's last row is that
+    iterate.  One trajectory lives between iterations and two at most: the
+    current one beside a trial, or the new one beside its costate.
     """
     u = ControlSignal.zero(tg)
-    start = initial_design if initial_design is not None \
+    design = initial_design if initial_design is not None \
         else model.actuator_family.initial_design()
-    design = ActuatorDesign(sets.family.project(start.params))
     report = CostReport()
 
     bundle, traj = compute_bundle(model, u, design, x0, weights, tg)

@@ -72,3 +72,20 @@ def traced_peak(fn):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def lq_optimum(model, design, x0, weights, tg):
+    """The discrete optimum (u*, J*) of a linear model over all inputs, by
+    dense normal equations: J(u) = ||A u + c||^2 + rho dt sum_k theta_k u_k^2,
+    with the columns of A from nt + 1 unit-input solves (x0 = 0) and c from
+    the free solve, each state weighted by sqrt(q dt theta_k w)."""
+    scale = np.sqrt(weights.q_scale * tg.dt * tg.weights * model.grid.weight)[:, None]
+
+    def response(u, x):
+        traj = po.solve_forward(model, po.ControlSignal(tg, u), design, x, tg)
+        return (scale * traj.states).ravel()
+    c = response(np.zeros(tg.nt + 1), x0)
+    a = np.column_stack([response(e, np.zeros_like(x0)) for e in np.eye(tg.nt + 1)])
+    rho = weights.r_scale * tg.dt * tg.weights
+    u = np.linalg.solve(a.T @ a + np.diag(rho), -(a.T @ c))
+    return u, float(np.sum((a @ u + c) ** 2) + rho @ u**2)

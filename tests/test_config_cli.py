@@ -445,6 +445,15 @@ class TestCliEntry:
         assert code == 2
         assert "config field 'sets.u_box': unknown field" in capsys.readouterr().err
 
+    def test_exit_two_names_the_removed_output_dir(self, tmp_path, capsys):
+        # the output directory is --out alone
+        ini = tmp_path / "old.ini"
+        ini.write_text("[output]\ndir = x\n")
+        code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config field 'output.dir': unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_exit_two_on_negative_seed_override(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
         ExperimentConfig(values=dict(SMALL_HEAT_LIN)).to_ini(ini)

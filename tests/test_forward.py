@@ -52,6 +52,15 @@ class TestSolveForward:
                                 po.ActuatorDesign.of(0.5), np.zeros(g.size), tg)
         assert np.all(traj.states == 0.0)
 
+    @pytest.mark.parametrize("model", ["ks_model_small", "heat_model_linear"])
+    def test_control_on_another_time_grid_is_refused(self, request, model):
+        # same sample count, other horizon: the rule of evaluate_cost
+        model = request.getfixturevalue(model)
+        u = po.ControlSignal(po.TimeGrid(tau=5.0, nt=10), np.ones(11))
+        with pytest.raises(ValueError, match="time grids disagree"):
+            po.solve_forward(model, u, model.actuator_family.initial_design(),
+                             np.zeros(model.grid.size), po.TimeGrid(tau=1.0, nt=10))
+
     def test_linear_heat_eigen_decay(self):
         g = po.build_grid_2d(16, 16)
         model = po.make_heat_model(g, f_scalar=None)
@@ -184,6 +193,15 @@ class TestHeatIssBound:
         traj = po.solve_forward(heat_model_small, u, d, np.zeros(g.size), tg)
         assert po.verify_heat_iss_bound(traj, u, d, heat_model_small) == 0.0
 
+    def test_forced_linear_heat_margin_nonnegative(self, heat_model_linear):
+        # F = 0 gives zeta F(zeta) = 0, so the ISS bound applies
+        g = heat_model_linear.grid
+        tg = po.TimeGrid(tau=0.5, nt=50)
+        u = po.ControlSignal(tg, np.sin(np.pi * tg.times))
+        d = heat_model_linear.actuator_family.initial_design()
+        traj = po.solve_forward(heat_model_linear, u, d, first_mode_2d(g, 0.5), tg)
+        assert po.verify_heat_iss_bound(traj, u, d, heat_model_linear) >= 0
+
     def test_missing_sign_condition(self, grid2d_small):
         growth = ScalarNonlinearity(value=lambda z: z**3,
                                     derivative=lambda z: 3 * z**2,
@@ -251,15 +269,23 @@ class TestExports:
             po.load_checkpoint(path)
         assert str(path) in str(err.value)
 
-    # JSON after the magic and the length word, but no grid and time grid
-    @pytest.mark.parametrize("header", [
-        b"{}", b"[]", b'{"grid": {"kind": "3d"}, "nt": 2, "tau": 1.0}',
-        b'{"grid": {"kind": "1d", "n": "x"}, "nt": 2, "tau": 1.0}',
-        b'{"grid": {"kind": "1d", "n": 2}, "nt": 2, "tau": 1.0}',
-    ], ids=["empty-object", "list", "3d-grid", "text-n", "small-n"])
-    def test_checkpoint_refuses_a_header_that_is_no_descriptor(self, tmp_path, header):
+    # JSON after the magic and the length word, but no grid and time grid;
+    # a header with float counts is followed by the payload those counts imply
+    @pytest.mark.parametrize("header, payload", [
+        (b"{}", 0), (b"[]", 0), (b'{"grid": {"kind": "3d"}, "nt": 2, "tau": 1.0}', 0),
+        (b'{"grid": {"kind": "1d", "n": "x"}, "nt": 2, "tau": 1.0}', 0),
+        (b'{"grid": {"kind": "1d", "n": 2}, "nt": 2, "tau": 1.0}', 0),
+        (b'{"grid": {"kind": "1d", "n": 16.0}, "nt": 4, "tau": 0.3}', 640),
+        (b'{"grid": {"kind": "1d", "n": 16}, "nt": 2.5, "tau": 0.3}', 448),
+        (b'{"grid": {"kind": "2d", "nx": 4.0, "ny": 4, "lx": 1.0, "ly": 1.0, '
+         b'"dirichlet": ["left", "right", "bottom", "top"]}, "nt": 2, "tau": 0.3}', 384),
+    ], ids=["empty-object", "list", "3d-grid", "text-n", "small-n", "float-n",
+            "float-nt", "float-nx"])
+    def test_checkpoint_refuses_a_header_that_is_no_descriptor(self, tmp_path, header,
+                                                               payload):
         path = tmp_path / "traj.bin"
-        path.write_bytes(b"PDEOPTRJ" + len(header).to_bytes(4, "little") + header)
+        path.write_bytes(b"PDEOPTRJ" + len(header).to_bytes(4, "little") + header
+                         + bytes(payload))
         with pytest.raises(ValueError, match="not a trajectory descriptor") as err:
             po.load_checkpoint(path)
         assert str(path) in str(err.value)

@@ -289,6 +289,12 @@ class TestModelSpecDuality:
         w = np.ones(32)
         assert np.all((np.zeros_like(w) if m.nonlinearity is None else m.nonlinearity(w)) == 0.0)
 
+    def test_linear_models_have_the_sign_condition(self, grid1d_small, grid2d_small):
+        # F = 0 gives zeta F(zeta) = 0 <= 0; the nonlinear KS term is no pointwise F
+        assert po.make_ks_model(grid1d_small, lam=10.0, linear=True).sign_condition
+        assert po.make_heat_model(grid2d_small, f_scalar=None).sign_condition
+        assert not po.make_ks_model(grid1d_small, lam=10.0).sign_condition
+
     def test_custom_scalar_nonlinearity_flag(self, grid2d_small):
         source = ScalarNonlinearity(value=lambda z: z**3,
                                     derivative=lambda z: 3 * z**2,

@@ -8,11 +8,11 @@ import pdeopt as po
 import pdeopt.optimize as optimize
 from pdeopt.adjoint import compute_bundle
 from pdeopt.config import ExperimentConfig
-from pdeopt.exceptions import BlowUpError
+from pdeopt.exceptions import BlowUpError, ConstraintViolationError
 from pdeopt.models import ScalarNonlinearity
 from pdeopt.optimize import BACKTRACK
 
-from conftest import first_mode_2d
+from conftest import first_mode_2d, lq_optimum
 
 
 @pytest.fixture
@@ -176,6 +176,17 @@ class TestMinimizeJoint:
         assert len(rep.iterations) == 1  # stationary at the start
         assert rep.final["cost"] == 0.0
         assert np.all(u.values == 0.0)
+
+    @pytest.mark.parametrize("optimize_design", [True, False])
+    def test_start_outside_the_design_box_is_refused(self, ks_model_small, ks_sets,
+                                                     optimize_design):
+        # the start is checked like every design, not clipped into [0.1, 0.9]
+        tg = po.TimeGrid(tau=0.3, nt=30)
+        with pytest.raises(ConstraintViolationError):
+            po.minimize_joint(ks_model_small, ks_sets, po.CostWeights(),
+                              np.ones(32), tg, po.OptimizerConfig(),
+                              optimize_design=optimize_design,
+                              initial_design=po.ActuatorDesign.of(0.95))
 
     def test_linear_heat_converges_interior(self, heat_model_linear):
         g = heat_model_linear.grid
@@ -445,6 +456,40 @@ class TestConvergedAnswers:
         _, rep = self.solve(problem, 1e-5, optimize_design=False, initial_design=start)
         _, ref = self.solve(problem, 1e-9, optimize_design=False, initial_design=start)
         assert rep.final["cost"] == pytest.approx(ref.final["cost"], rel=1e-6)
+
+
+def _linear_heat_lq():
+    g = po.build_grid_2d(8, 8)
+    model = po.make_heat_model(g, f_scalar=None)
+    return (model, model.actuator_family.initial_design(), first_mode_2d(g),
+            po.TimeGrid(tau=1.0, nt=50))
+
+
+def _linear_ks_lq():
+    g = po.build_grid_1d(32)
+    model = po.make_ks_model(g, lam=30.0, linear=True)
+    x0 = 3.0 * np.exp(-((g.nodes - 0.3) ** 2) / (2 * 0.07**2))
+    return model, po.ActuatorDesign.of(0.3), x0, po.TimeGrid(tau=0.5, nt=50)
+
+
+@pytest.mark.parametrize("problem, u_tol", [(_linear_heat_lq, 1e-6), (_linear_ks_lq, 1e-5)],
+                         ids=["heat", "ks"])
+def test_input_only_optimum_is_the_discrete_lq_optimum(problem, u_tol):
+    # the dense oracle solves the discrete quadratic exactly, so the optimizer
+    # is held to its own stopping tolerance, not to a dt-sized gap; the control
+    # removes 39 % (heat) and 6.7 % (KS) of the free cost here
+    model, design, x0, tg = problem()
+    weights = po.CostWeights(1.0, 1e-6)
+    u_star, j_star = lq_optimum(model, design, x0, weights, tg)
+    free = po.evaluate_cost(po.solve_forward(model, None, design, x0, tg),
+                            po.ControlSignal.zero(tg), weights, model.grid)
+    assert j_star < 0.95 * free
+    sets = po.AdmissibleSets(family=model.actuator_family, r1=1e6)
+    u, _, rep = po.minimize_joint(model, sets, weights, x0, tg, po.OptimizerConfig(tol=1e-10),
+                                  optimize_design=False, initial_design=design)
+    assert rep.converged
+    assert abs(rep.final["cost"] - j_star) <= 1e-10 * j_star
+    assert np.linalg.norm(u.values - u_star) <= u_tol * np.linalg.norm(u_star)
 
 
 class TestWorstInitialCondition:
