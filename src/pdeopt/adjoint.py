@@ -155,16 +155,17 @@ def linearized_forward(model: ModelSpec, traj: Trajectory, tg: TimeGrid,
 
 
 def solve_adjoint(model: ModelSpec, traj: Trajectory, weights: CostWeights,
-                  tg: TimeGrid) -> Trajectory:
+                  tg: TimeGrid, out: np.ndarray | None = None) -> Trajectory:
     """Adjoint trajectory p for the quadratic cost (source Q x, p(tau) = O(dt)).
 
     The terminal value is the exact transpose of the last Crank-Nicolson step
     against the trapezoid cost weight, which is O(dt) rather than literally
     zero; it converges to the continuous condition p(tau) = 0.  The nodal
-    source q theta_k x_k is the one trajectory-sized array formed here:
-    ``adjoint_sweep`` writes p over it.
+    source q theta_k x_k is the one trajectory-sized array formed here, or
+    written into ``out`` (C-contiguous, the shape of the states) where it is
+    given: ``adjoint_sweep`` writes p over it.
     """
-    source = traj.states * (weights.q_scale * tg.weights)[:, None]
+    source = np.multiply(traj.states, (weights.q_scale * tg.weights)[:, None], out=out)
     return Trajectory(time_grid=tg, states=adjoint_sweep(model, traj, tg, source))
 
 
@@ -217,12 +218,15 @@ def assemble_gradients(model: ModelSpec, traj: Trajectory, p: Trajectory,
 
 
 def compute_bundle(model: ModelSpec, u: ControlSignal, design: ActuatorDesign,
-                   x0: np.ndarray, weights: CostWeights, tg: TimeGrid
-                   ) -> tuple[GradientBundle, Trajectory]:
+                   x0: np.ndarray, weights: CostWeights, tg: TimeGrid,
+                   out: tuple | None = None) -> tuple[GradientBundle, Trajectory]:
     """One forward + adjoint solve: the assembled gradients and the forward
-    trajectory.  The costate is read only here and freed on return."""
-    traj = solve_forward(model, u, design, x0, tg)
-    p = solve_adjoint(model, traj, weights, tg)
+    trajectory.  The costate is read only here and freed on return.  With
+    ``out``, a pair of (nt+1) x n buffers, the trajectory is written into
+    the first and the costate into the second; the bundle holds neither."""
+    x_out, p_out = (None, None) if out is None else out
+    traj = solve_forward(model, u, design, x0, tg, out=x_out)
+    p = solve_adjoint(model, traj, weights, tg, out=p_out)
     return assemble_gradients(model, traj, p, u, design, weights), traj
 
 

@@ -86,10 +86,10 @@ def _state_csv(path: Path, vec: np.ndarray, label: str) -> None:
 
 # --- pipelines ---------------------------------------------------------
 
-# The low-rank Riccati sweep holds O(n r), but Pi(0) is n x n: riccati-validate
-# holds Pi-tilde(0) and, for pi0.csv, two n x n arrays, and worst-ic Pi-tilde(0),
-# one n x n buffer and eigh's arrays; this cap keeps them, and optimize on a
-# linear model, under 1 GiB (the README gives the peaks at the cap).
+# The low-rank Riccati sweep holds O(n r), but Pi(0) is n x n where it is read
+# as a matrix: riccati-validate holds Pi-tilde(0) and, for pi0.csv, two n x n
+# arrays (worst-ic's eigen check forms none); this cap keeps them, and optimize
+# on a linear model, under 1 GiB (the README gives the peaks at the cap).
 RICCATI_MAX_NODES = 3072
 
 

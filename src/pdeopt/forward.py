@@ -21,6 +21,8 @@ blow-up is a legitimate outcome, not a bug.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -44,8 +46,10 @@ class TimeGrid:
     def __post_init__(self):
         if self.nt < 2:
             raise ValueError(f"need at least 2 time steps, got nt={self.nt}")
-        if self.tau <= 0:
-            raise ValueError(f"horizon must be positive, got tau={self.tau}")
+        # a bool is an int, and NaN fails every comparison
+        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real) \
+                or not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"horizon must be a finite positive number, got tau={self.tau!r}")
 
     @property
     def dt(self) -> float:
@@ -140,7 +144,8 @@ def crank_nicolson_factors(a_op, dt: float) -> tuple:
 
 
 def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
-                 source: np.ndarray | None = None, term=None) -> np.ndarray:
+                 source: np.ndarray | None = None, term=None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """States x_0..x_nt of the CN-AB2 stepper, one row per time, with
 
         M x_{k+1} = P x_k + dt (3/2 N_k - 1/2 N_{k-1}) + dt source_k,
@@ -156,7 +161,8 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
     without a term: it comes already in modal coordinates, shape (nt, n),
     and is scaled by dt/den in place.  Without a term the trajectory
     returns to nodal values in one batched transform at the end, written
-    over the modal rows.
+    over the modal rows.  ``out``, C-contiguous of shape (nt+1, n),
+    receives the states (a new array without it).
 
     Raises BlowUpError(step) at the first non-finite state, found in one
     pass over the finished trajectory, and when ``term`` raises PdeoptError
@@ -168,8 +174,9 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         if source is not None:
             source *= gain
+        states = np.empty((nt + 1, x0.size)) if out is None else out
         if term is None:
-            coef = np.empty((nt + 1, x0.size))
+            coef = states
             coef[0] = basis.to_modal(x0)
             for k in range(nt):
                 np.multiply(ratio, coef[k], out=coef[k + 1])
@@ -180,7 +187,6 @@ def cn_ab2_sweep(a_op: LinearOperator, tg: TimeGrid, x0: np.ndarray,
             return states
 
         # N_k and N_{k-1} swap buffers each step; the AB2 weights carry dt/den
-        states = np.empty((nt + 1, x0.size))
         states[0] = x0
         coef = basis.to_modal(x0)
         n_k, n_prev, s_k = (np.empty_like(coef) for _ in range(3))
@@ -216,7 +222,7 @@ def _check_finite(rows: np.ndarray) -> None:
 
 
 def solve_forward(model: ModelSpec, u: ControlSignal | None, design: ActuatorDesign,
-                  x0: np.ndarray, tg: TimeGrid) -> Trajectory:
+                  x0: np.ndarray, tg: TimeGrid, out: np.ndarray | None = None) -> Trajectory:
     """Integrate the IVP; raises BlowUpError(step) on non-finite states.
 
     ``u`` must lie on ``tg`` (None is the unforced solve).  With a
@@ -224,6 +230,8 @@ def solve_forward(model: ModelSpec, u: ControlSignal | None, design: ActuatorDes
     nodal buffer, so that AB2 extrapolates it with F and no trajectory-sized
     array besides the states is formed.  A linear model takes it as the modal
     rank-one source (3/2 u_k - 1/2 u_{k-1}) times b's modal coefficients.
+    The states are written into ``out`` where it is given (see
+    ``cn_ab2_sweep``).
     """
     grid = model.grid
     if x0.shape != (grid.size,):
@@ -242,7 +250,7 @@ def solve_forward(model: ModelSpec, u: ControlSignal | None, design: ActuatorDes
             return np.add(n_k, f(x), out=n_k)
     elif np.any(u.values[:-1]):
         source = np.multiply.outer(u.ab2, model.linear_op.basis.to_modal(b))
-    states = cn_ab2_sweep(model.linear_op, tg, x0, source, term)
+    states = cn_ab2_sweep(model.linear_op, tg, x0, source, term, out)
     return Trajectory(time_grid=tg, states=states)
 
 

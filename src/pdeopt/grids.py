@@ -172,7 +172,9 @@ def _row_map(x: np.ndarray, mats: tuple, out: np.ndarray | None) -> np.ndarray:
                       out=None if out is None else out.reshape(shape))
         return y.reshape(x.shape)
     mat = mats[0]
-    if out is None or x.ndim == 1 or not (x.flags.c_contiguous and np.may_share_memory(x, out)):
+    if x.ndim == 1:
+        return np.dot(x, mat, out=out)
+    if out is None or not (x.flags.c_contiguous and np.may_share_memory(x, out)):
         return np.matmul(x, mat, out=out)
     src, dst = x.reshape(-1, len(mat)), out.reshape(-1, len(mat))
     for i in range(0, len(dst), _INPLACE_ROWS):

@@ -22,9 +22,9 @@ from .grids import Grid1D, Grid2D, LinearOperator, heat_operator, ks_operator
 def _central_diff(f: np.ndarray, h: float) -> np.ndarray:
     """Central first difference with zero values at both ghost ends."""
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = f[1] / (2.0 * h)
-    out[-1] = -f[-2] / (2.0 * h)
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[0], out[-1] = f[1], -f[-2]
+    out /= 2.0 * h
     return out
 
 

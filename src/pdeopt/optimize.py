@@ -363,14 +363,20 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
     on convergence the multiplier is recovered from the active-constraint
     identity mu = ||riesz(p(0))||_V / R2 (mu = 0 at interior points), and the
     KKT residual ||riesz(p(0)) - mu x0||_H1 is reported.  The sign convention
-    makes the V-gradient align with +x0 at a boundary maximizer.
+    makes the V-gradient align with +x0 at a boundary maximizer.  Every
+    forward solve of the call, trial or bundle, writes its trajectory into
+    one (nt+1) x n buffer and every costate into a second, both made once.
     """
     grid = model.grid
     rng = np.random.default_rng(config.seed)
+    buffers = (np.empty((tg.nt + 1, grid.size)), np.empty((tg.nt + 1, grid.size)))
+
+    def bundle_at(x0: np.ndarray):
+        return compute_bundle(model, u_fixed, design_fixed, x0, weights, tg, out=buffers)[0]
 
     def ascend(x0_init: np.ndarray, label: str) -> dict:
         x0 = project_V_ball(x0_init, sets.r2, grid)
-        bundle = compute_bundle(model, u_fixed, design_fixed, x0, weights, tg)[0]
+        bundle = bundle_at(x0)
         alpha = MAX_ASCENT_STEP
         for it in range(config.max_iters + 1):
             g_v = h1_riesz_map(bundle.grad_x0, grid)  # H1 representer of dJ/dx0
@@ -393,7 +399,7 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
 
             def neg_cost_at(x_trial):
                 return -evaluate_cost(
-                    solve_forward(model, u_fixed, design_fixed, x_trial, tg),
+                    solve_forward(model, u_fixed, design_fixed, x_trial, tg, out=buffers[0]),
                     u_fixed, weights, grid)
 
             # ascent of J is descent of -J: each search starts at twice the
@@ -404,7 +410,7 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
                 stop = "no acceptable ascent step"
                 break
             x0 = point
-            bundle = compute_bundle(model, u_fixed, design_fixed, x0, weights, tg)[0]
+            bundle = bundle_at(x0)
         return {
             "label": label, "x0": x0, "cost": bundle.cost, "mu": mu,
             "kkt_residual": kkt, "x0_h1_norm": norm_x0, "active": active,

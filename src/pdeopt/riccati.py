@@ -22,7 +22,8 @@ Automat. Control 60 (2015) 2791-2796), and a step costs O(n r) for rank r.
 For an unstable A, D grows like e^{2 lambda_max t} and D - Z Z^T cancels
 (on linear KS at lambda = 60, 800 steps, it is 7.6e-8 off the dense Pi
 after 100 steps and indefinite by step 150), so Pi is kept as a dense
-matrix there.  Either way Pi is formed as an n x n matrix only at t = 0.
+matrix there.  The low-rank Pi(0) is formed as an n x n matrix only when
+it is read; the worst-IC eigen check needs only its products.
 
 Adjoint pairing uses the uniform quadrature weight w of the grid, so with
 scalar input the matrix form of B R^{-1} B* is (w/rho) b b^T, and the feedback
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,25 +48,39 @@ from .optimize import AdmissibleSets, OptimizerConfig, minimize_joint
 COMPRESS_EVERY = 10  # steps between compressions of the low-rank factor
 RANK_TOL = 1e-16  # Gram eigenvalues below this share of the largest are dropped
 PSD_TOL = 1e-8  # Pi + delta I must be positive definite, delta = PSD_TOL max_i Pi_ii
+LANCZOS_TOL = 1e-15  # the eigen check's Ritz residual norm, relative to its eigenvalue
 
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """What the sweep keeps of Pi(t_k): Pi(0), the feedback gains, and
-    optionally Pi(t_k) x_k along a given trajectory.
+    """What the sweep keeps of Pi(t_k): Pi(0) in the storage the sweep left
+    it in, the feedback gains, and optionally Pi(t_k) x_k along a given
+    trajectory.
 
-    ``spectral`` is A's ``SpectralBasis``, and ``modal`` lists the n x n
-    matrices kept in it: only Pi-tilde(0).  ``gains[k]`` is
-    g_k = (w/rho) Pi(t_k) b, so the feedback law reads u_k = -<g_k, x_k>.
-    ``along[k]`` is Pi(t_k) X[k] for the trajectory X passed as ``along=``
-    (None without one).
+    ``spectral`` is A's ``SpectralBasis`` and ``storage`` holds Pi-tilde(0)
+    in it (``_LowRankPi`` or ``_DensePi``): ``storage.times(xi)`` is
+    Pi-tilde(0) xi, with no n x n array.  ``pib[k]`` is the modal
+    Pi-tilde(t_k) b-tilde and ``s_scale`` is w/rho.  ``modal``, the list of
+    n x n matrices kept in A's basis (only Pi-tilde(0)), and ``gains``, with
+    ``gains[k]`` = g_k = (w/rho) Pi(t_k) b so that the feedback law reads
+    u_k = -<g_k, x_k>, are formed on first read.  ``along[k]`` is
+    Pi(t_k) X[k] for the trajectory X passed as ``along=`` (None without one).
     """
 
     spectral: SpectralBasis = field(repr=False)
-    modal: list = field(repr=False)
+    storage: object = field(repr=False)
     b_vec: np.ndarray = field(repr=False)
-    gains: np.ndarray = field(repr=False)
+    pib: np.ndarray = field(repr=False)
+    s_scale: float
     along: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def modal(self) -> list:
+        return [self.storage.modal()]
+
+    @cached_property
+    def gains(self) -> np.ndarray:
+        return self.s_scale * self.spectral.from_modal(self.pib)
 
     @property
     def basis(self) -> np.ndarray:
@@ -75,7 +91,8 @@ class RiccatiSolution:
     def pi0(self) -> np.ndarray:
         """The nodal Pi(0) = V Pi-tilde(0) V^T: ``from_modal`` on the rows of
         Pi-tilde(0), then on those of the result's transpose V Pi-tilde(0),
-        written over it; V is never formed, and two n x n arrays at most."""
+        written over it; V is never formed, and two n x n arrays at most
+        besides Pi-tilde(0)."""
         pi = self.spectral.from_modal(self.modal[0])
         return self.spectral.from_modal(pi.T, out=pi)
 
@@ -148,6 +165,10 @@ class _LowRankPi:
         except np.linalg.LinAlgError:
             raise _indefinite(self.modal()) from None
 
+    def finish(self) -> None:
+        """The sweep is over: keep Z^T's rows and not the buffer's slack."""
+        self.zt = self.zt[:self.rank].copy()
+
     def modal(self) -> np.ndarray:
         """The n x n Pi-tilde, formed in one array."""
         zt = self.zt[:self.rank]
@@ -198,6 +219,10 @@ class _DensePi:
             self.diag[:] = saved
             raise _indefinite(self.pi) from None
         self.diag[:] = saved
+
+    def finish(self) -> None:
+        """The sweep is over: drop the scratch array."""
+        self.scratch = None
 
     def modal(self) -> np.ndarray:
         return self.pi
@@ -284,8 +309,9 @@ def solve_differential_riccati(a_op: LinearOperator, b_vec: np.ndarray,
                 pi.check_psd()
             if (m + 1) % COMPRESS_EVERY == 0:
                 pi.compress()
-    return RiccatiSolution(spectral=basis, modal=[pi.modal()], b_vec=b_vec,
-                           gains=s_scale * basis.from_modal(pib),
+    pi.finish()
+    return RiccatiSolution(spectral=basis, storage=pi, b_vec=b_vec, pib=pib,
+                           s_scale=s_scale,
                            along=None if pix is None else basis.from_modal(pix))
 
 
@@ -393,6 +419,39 @@ def verify_feedback_consistency(model: ModelSpec, sets: AdmissibleSets,
                          inconclusive=False, parts=parts, riccati=ric)
 
 
+def _top_eigenvector(apply, start: np.ndarray) -> np.ndarray:
+    """A unit eigenvector of the largest eigenvalue of the symmetric map
+    ``apply``, by Lanczos with full reorthogonalization from ``start``
+    (Golub & Van Loan, Matrix Computations, 4th ed., sec. 10.1).
+
+    Step j keeps the unit rows q_0..q_j, orthogonalized twice against the new
+    product, and the tridiagonal T_j of their Rayleigh quotients.  Its top
+    Ritz pair (theta, Q^T s) has the residual norm beta_j |s_j|, so the
+    iteration stops once that is at most LANCZOS_TOL theta, where the
+    Krylov space is invariant (beta_j = 0), or when it spans everything.
+    """
+    n = start.size
+    rows = np.empty((min(n, 32), n))  # doubles when full, up to n rows
+    alpha, beta = np.zeros(n), np.zeros(n)
+    rows[0] = start / np.linalg.norm(start)
+    for j in range(n):
+        q = rows[:j + 1]
+        w = apply(q[j])
+        c = q @ w
+        w -= c @ q
+        w -= (q @ w) @ q
+        alpha[j], b = c[j], float(np.linalg.norm(w))
+        tri = np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+        theta, s = np.linalg.eigh(tri)
+        if b * abs(s[-1, -1]) <= LANCZOS_TOL * theta[-1] or j == n - 1:
+            break
+        if j + 1 == len(rows):
+            rows = np.concatenate((rows, np.empty((min(j + 1, n - j - 1), n))))
+        beta[j] = b
+        np.divide(w, b, out=rows[j + 1])
+    return s[:, -1] @ q
+
+
 def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
                          ) -> tuple[float, float]:
     """Alignment of x0_star with the extremal eigenvector of the H1-whitened
@@ -407,23 +466,24 @@ def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
     With K = V_K diag(k) V_K^T, W = V_K diag(k^-1/2) has W^T K W = I, so it
     becomes (W^T Pi(0) W) y = theta y, and with Pi(0) = V Pi-tilde(0) V^T
     and Q = V^T V_K that matrix is diag(k^-1/2) Q^T Pi-tilde(0) Q
-    diag(k^-1/2).  Q is ``from_modal`` in A's basis, then ``to_modal`` in
-    K's, on the rows of Pi-tilde(0) and then on those of Q^T Pi-tilde(0),
-    over one n x n buffer: Q, V and the nodal Pi(0) are never formed.
+    diag(k^-1/2).  Its top pair comes from Lanczos on its products, from a
+    fixed start vector: Q is ``from_modal`` in K's basis and then
+    ``to_modal`` in A's on one state, Q^T the two maps back, and
+    Pi-tilde(0) is the storage's ``times``.  No n x n array is formed, and
+    the one path serves the low-rank and the dense storage.
     """
-    spectral, k_basis = ric.spectral, grid.h1.basis
-    pi_k = spectral.from_modal(ric.modal[0])
-    k_basis.to_modal(pi_k, out=pi_k)
-    spectral.from_modal(pi_k.T, out=pi_k)
-    k_basis.to_modal(pi_k, out=pi_k)
+    spectral, k_basis, storage = ric.spectral, grid.h1.basis, ric.storage
     k_isqrt = 1.0 / np.sqrt(k_basis.values)
-    pi_k *= k_isqrt
-    pi_k *= k_isqrt[:, None]
-    _, y = np.linalg.eigh(pi_k)
-    extremal = k_basis.from_modal(k_isqrt * y[:, -1])
+
+    def whitened(y: np.ndarray) -> np.ndarray:
+        xi = spectral.to_modal(k_basis.from_modal(k_isqrt * y))
+        return k_isqrt * k_basis.to_modal(spectral.from_modal(storage.times(xi)))
+
+    y = _top_eigenvector(whitened, np.random.default_rng(0).standard_normal(k_isqrt.size))
+    extremal = k_basis.from_modal(k_isqrt * y)
     denom = h1_norm(x0_star, grid) * h1_norm(extremal, grid)
     cosine = abs(h1_inner(x0_star, extremal, grid)) / max(denom, 1e-300)
     xi = spectral.to_modal(x0_star)  # <x0, Pi(0) x0> = <xi, Pi-tilde(0) xi>
-    rayleigh = inner_product(xi, ric.modal[0] @ xi, grid) / \
+    rayleigh = inner_product(xi, storage.times(xi), grid) / \
         max(h1_inner(x0_star, x0_star, grid), 1e-300)
     return float(cosine), float(rayleigh)

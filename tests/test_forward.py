@@ -16,6 +16,12 @@ class TestTimeGridAndSignals:
         with pytest.raises(ValueError):
             po.TimeGrid(tau=-1.0, nt=10)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), True, "1.0", None],
+                             ids=["nan", "inf", "bool", "text", "none"])
+    def test_horizon_must_be_a_finite_positive_number(self, tau):
+        with pytest.raises(ValueError, match="finite positive"):
+            po.TimeGrid(tau=tau, nt=10)
+
     def test_control_shape_checked(self):
         tg = po.TimeGrid(tau=1.0, nt=10)
         with pytest.raises(ValueError):
@@ -279,8 +285,11 @@ class TestExports:
         (b'{"grid": {"kind": "1d", "n": 16}, "nt": 2.5, "tau": 0.3}', 448),
         (b'{"grid": {"kind": "2d", "nx": 4.0, "ny": 4, "lx": 1.0, "ly": 1.0, '
          b'"dirichlet": ["left", "right", "bottom", "top"]}, "nt": 2, "tau": 0.3}', 384),
+        (b'{"grid": {"kind": "1d", "n": 16}, "nt": 4, "tau": NaN}', 640),
+        (b'{"grid": {"kind": "1d", "n": 16}, "nt": 4, "tau": true}', 640),
+        (b'{"grid": {"kind": "1d", "n": 16}, "nt": 4, "tau": Infinity}', 640),
     ], ids=["empty-object", "list", "3d-grid", "text-n", "small-n", "float-n",
-            "float-nt", "float-nx"])
+            "float-nt", "float-nx", "nan-tau", "bool-tau", "inf-tau"])
     def test_checkpoint_refuses_a_header_that_is_no_descriptor(self, tmp_path, header,
                                                                payload):
         path = tmp_path / "traj.bin"

@@ -73,7 +73,7 @@ def every_trial_blows_up(monkeypatch):
     own binding."""
     trials = []
 
-    def blow_up(model, u, design, x0, tg):
+    def blow_up(model, u, design, x0, tg, out=None):
         trials.append(x0)
         raise BlowUpError(1)
 

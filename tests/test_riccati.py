@@ -468,16 +468,31 @@ class TestStorage:
         assert peak / (8 * n * n) <= 5 + (3 * (tg.nt + 1) + 32) / n
 
     def test_eigen_check_peak_counts_its_arrays(self, rng):
-        # one n x n buffer that the four maps of Q write over, beside each
-        # map's one n x n intermediate, then eigh's eigenvectors: within three
-        # n x n arrays plus 32 n-vectors of slack, and never the nodal Pi(0),
-        # V or Q
+        # Lanczos on products with the low-rank Pi-tilde(0): its basis rows
+        # (a few dozen n-vectors here) and one-state transforms, below one
+        # n x n array, and never Pi-tilde(0), the nodal Pi(0), V or Q
         g, model, b = self._heat_16x16()
         ric = solve_differential_riccati(model.linear_op, b, po.CostWeights(),
                                          po.TimeGrid(tau=1.0, nt=40), state_weight=g.weight)
         n = g.size
         _, peak = traced_peak(lambda: worst_ic_eigen_check(ric, rng.standard_normal(n), g))
-        assert peak / (8 * n * n) <= 3 + 32 / n
+        assert peak < 8 * n * n
+        assert "modal" not in vars(ric)
+
+    def test_low_rank_solution_forms_pi0_on_first_read(self):
+        # the sweep keeps D, Z, the modal rows Pi b and an r x r test matrix:
+        # no n x n array until modal (or pi0, which reads it) forms Pi-tilde(0)
+        g, model, b = self._heat_16x16()
+        n = g.size
+        ric, peak = traced_peak(lambda: solve_differential_riccati(
+            model.linear_op, b, po.CostWeights(), po.TimeGrid(tau=1.0, nt=40),
+            state_weight=g.weight))
+        assert isinstance(ric.storage, riccati._LowRankPi)
+        assert peak < 8 * n * n
+        modal, peak = traced_peak(lambda: ric.modal)
+        assert peak >= 8 * n * n
+        assert ric.modal is modal
+        np.testing.assert_array_equal(modal[0], ric.storage.modal())
 
     def test_pi0_peak_counts_its_arrays(self):
         # Pi-tilde(0) V^T, then V Pi-tilde(0) V^T written over it, each map
@@ -487,6 +502,7 @@ class TestStorage:
         ric = solve_differential_riccati(model.linear_op, b, po.CostWeights(),
                                          po.TimeGrid(tau=1.0, nt=40), state_weight=g.weight)
         n = g.size
+        ric.modal  # Pi-tilde(0) is formed on first read, outside the measured call
         pi0, peak = traced_peak(lambda: ric.pi0)
         v = ric.basis
         assert_rel_close(pi0, v @ ric.modal[0] @ v.T, 1e-13)
@@ -641,6 +657,21 @@ class TestWorstIcEigenCheck:
         _assert_matches_generalized_eigensolve(SpectralBasis(vectors=(v,), values=np.zeros(35)),
                                                rng)
 
+    def test_matches_generalized_eigensolve_on_dense_storage(self):
+        # linear KS at lambda = 60 has positive eigenvalues, so Pi(0) comes in
+        # the dense storage; the check runs on the same products as on heat
+        import scipy.linalg as sla
+        g = po.build_grid_1d(64)
+        model = po.make_ks_model(g, lam=60.0, linear=True)
+        b = model.actuator_family.evaluate(po.ActuatorDesign.of(0.5), g)
+        ric = solve_differential_riccati(model.linear_op, b, po.CostWeights(),
+                                         po.TimeGrid(tau=0.5, nt=800), state_weight=g.weight)
+        assert isinstance(ric.storage, riccati._DensePi)
+        vals, vecs = sla.eigh(ric.pi0, toarray(po.h1_operator(g)))
+        cos, ray = worst_ic_eigen_check(ric, vecs[:, -1], g)
+        assert cos == pytest.approx(1.0, abs=1e-10)
+        assert ray == pytest.approx(vals[-1], rel=1e-10)
+
     def test_end_to_end_linear_heat(self):
         g = po.build_grid_2d(12, 12)
         model = po.make_heat_model(g, f_scalar=None)
@@ -668,12 +699,20 @@ def _assert_matches_generalized_eigensolve(spectral: SpectralBasis, rng) -> None
     import scipy.linalg as sla
     g = po.build_grid_2d(7, 5, dirichlet_sides=("left", "bottom"))
     m = rng.standard_normal((g.size, g.size))
-    ric = po.RiccatiSolution(spectral=spectral, modal=[m @ m.T], b_vec=np.zeros(g.size),
-                             gains=np.zeros((3, g.size)))
+    ric = po.RiccatiSolution(spectral=spectral, storage=_dense_storage(m @ m.T),
+                             b_vec=np.zeros(g.size), pib=np.zeros((3, g.size)), s_scale=1.0)
     vals, vecs = sla.eigh(ric.pi0, toarray(po.h1_operator(g)))
     cos, ray = worst_ic_eigen_check(ric, vecs[:, -1], g)
     assert cos == pytest.approx(1.0, abs=1e-10)
     assert ray == pytest.approx(vals[-1], rel=1e-10)
+
+
+def _dense_storage(pi_modal: np.ndarray) -> "riccati._DensePi":
+    """The sweep's dense storage holding the given modal Pi."""
+    n = pi_modal.shape[0]
+    storage = riccati._DensePi(np.ones(n), np.zeros(n))
+    storage.pi[:] = pi_modal
+    return storage
 
 
 def _synthetic_riccati(pi0: np.ndarray, grid) -> po.RiccatiSolution:
@@ -681,8 +720,8 @@ def _synthetic_riccati(pi0: np.ndarray, grid) -> po.RiccatiSolution:
     n = pi0.shape[0]
     tg = po.TimeGrid(tau=1.0, nt=2)
     identity = SpectralBasis(vectors=(np.eye(n),), values=np.zeros(n))
-    return po.RiccatiSolution(spectral=identity, modal=[pi0], b_vec=np.zeros(n),
-                              gains=np.zeros((tg.nt + 1, n)))
+    return po.RiccatiSolution(spectral=identity, storage=_dense_storage(pi0),
+                              b_vec=np.zeros(n), pib=np.zeros((tg.nt + 1, n)), s_scale=1.0)
 
 
 def test_ks_linearized_feedback_two_percent():
