@@ -4,7 +4,8 @@ Solvers and optimization routines for the controlled Kuramoto-Sivashinsky
 equation (1-D, clamped) and a 2-D nonlinear diffusion model with mixed
 boundary conditions: forward IMEX integration, exact discrete adjoints and
 gradients, projected-gradient optimization of input and actuator design,
-worst-initial-condition ascent, and differential-Riccati cross validation.
+the worst initial condition (by Lanczos on linear models, by ascent
+otherwise), and differential-Riccati cross validation.
 """
 
 from .adjoint import (CostWeights, GradientBundle, GradientCheckReport,

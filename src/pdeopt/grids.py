@@ -1,4 +1,5 @@
-"""Spatial grids, discrete differential operators, and discrete inner products.
+"""Spatial grids, discrete differential operators, discrete inner products,
+and the top eigenvector of a symmetric map by Lanczos.
 
 Two grid families are supported:
 
@@ -180,6 +181,45 @@ def _row_map(x: np.ndarray, mats: tuple, out: np.ndarray | None) -> np.ndarray:
     for i in range(0, len(dst), _INPLACE_ROWS):
         np.matmul(src[i:i + _INPLACE_ROWS], mat, out=dst[i:i + _INPLACE_ROWS])
     return out
+
+
+def top_eigenvector(apply, start: np.ndarray, tol: float,
+                    max_products: int | None = None) -> tuple[np.ndarray, int, bool]:
+    """A unit eigenvector of the largest eigenvalue of the symmetric map
+    ``apply``, by Lanczos with full reorthogonalization from ``start``
+    (Golub & Van Loan, Matrix Computations, 4th ed., sec. 10.1).
+
+    Step j keeps the unit rows q_0..q_j, orthogonalized twice against the new
+    product, and the tridiagonal T_j of their Rayleigh quotients.  Its top
+    Ritz pair (theta, Q^T s) has the residual norm beta_j |s_j|, so the
+    iteration stops once that is at most ``tol`` |theta|, where the Krylov
+    space is invariant (beta_j = 0), or when it spans everything.  Returns
+    the top Ritz vector, the number of products, and whether one of those
+    tests ended the iteration rather than the cap of ``max_products``
+    products (none when None; at a cap of 0, the unit start).
+    """
+    n = start.size
+    rows = np.empty((min(n, 32), n))  # doubles when full, up to n rows
+    alpha, beta = np.zeros(n), np.zeros(n)
+    rows[0] = start / np.linalg.norm(start)
+    if max_products == 0:
+        return rows[0], 0, False
+    for j in range(n):
+        q = rows[:j + 1]
+        w = apply(q[j])
+        c = q @ w
+        w -= c @ q
+        w -= (q @ w) @ q
+        alpha[j], b = c[j], float(np.linalg.norm(w))
+        tri = np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+        theta, s = np.linalg.eigh(tri)
+        done = b * abs(s[-1, -1]) <= tol * abs(theta[-1]) or j == n - 1
+        if done or j + 1 == max_products:
+            return s[:, -1] @ q, j + 1, done
+        if j + 1 == len(rows):
+            rows = np.concatenate((rows, np.empty((min(j + 1, n - j - 1), n))))
+        beta[j] = b
+        np.divide(w, b, out=rows[j + 1])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Projected-gradient optimization of (u, r), worst-initial-condition ascent,
-and first-order optimality residuals.
+"""Projected-gradient optimization of (u, r), the worst initial condition by
+Lanczos or by ascent, and first-order optimality residuals.
 
 The projections are exact in the geometry each variable lives in: the input
 radially onto its ball in the trapezoid L2(0,tau) norm, the design
@@ -23,15 +23,22 @@ needed no backtrack and keeps the backtracked step otherwise.  This is the
 projected spectral gradient method with a monotone search (Birgin, Martinez
 & Raydan, SIAM J. Optim. 10 (2000)), so accepted costs never increase.
 
-The ascent starts at its cap, MAX_ASCENT_STEP = 1e8, and each later search
-at twice the last accepted step, at most the cap.  With the input held fixed
-a linear model's cost is a convex quadratic in x0, so J(y) >= J(x) +
-<grad J, y - x>: every trial with a positive predicted gain passes the
-sufficient-increase test, and the first trial, projected, is the ball's
-boundary point along the H1 gradient (a power-iteration step toward the top
-eigenvector of Pi(0)).  The ascent forms that gradient itself, by the H1
-Riesz map of the bundle's L2 gradient 2 p(0).  On a nonconvex model the
-search pays its backtracks once per start and then adapts.
+The worst initial condition takes one of two paths.  With u = 0 a linear
+model's cost is the quadratic form J(x0) = <x0, L x0>, L x0 = p(0), so its
+maximizer on the H1 ball is the top generalized eigenvector of (L, K), K
+the discrete H1 operator, scaled to the ball's radius.  That path finds it
+by Lanczos on the H1-whitened map x0 -> p(0) (Golub & Van Loan, Matrix
+Computations, 4th ed., sec. 10.1), one forward and one adjoint solve per
+product, with no line search.  A nonlinear model, or a linear one under a
+fixed u != 0 (whose cost has a linear term in x0), takes the multi-start
+projected ascent.  The ascent starts at its cap, MAX_ASCENT_STEP = 1e8, and
+each later search at twice the last accepted step, at most the cap.  It
+forms the H1 gradient itself, by the H1 Riesz map of the bundle's L2
+gradient 2 p(0).  On a linear model the cost is a convex quadratic in x0,
+so J(y) >= J(x) + <grad J, y - x>: every trial with a positive predicted
+gain passes the sufficient-increase test, and the first trial, projected,
+is the ball's boundary point along the H1 gradient.  On a nonconvex model
+the search pays its backtracks once per start and then adapts.
 
 ``tol`` stops both problems.  The joint descent stops when the absolute
 residuals res_u and res_r and the design displacement
@@ -39,8 +46,10 @@ residuals res_u and res_r and the design displacement
 alpha_r are all below it; the last bounds the design move that the
 curvature estimate still predicts (Kelley, Iterative Methods for
 Optimization, ch. 5), where a small design gradient alone would not.  The
-input-only problem stops on res_u.  The ascent stops when its KKT residual
-is below ``tol``, relative to ||riesz p(0)||_H1.
+input-only problem stops on res_u.  Both worst-initial-condition paths
+stop when the KKT residual is below ``tol``, relative to ||riesz p(0)||_H1;
+Lanczos stops its products when the top Ritz residual is below ``tol``
+relative to the Ritz value, which bounds that KKT residual up to rounding.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ import numpy as np
 from .adjoint import CostWeights, GradientBundle, compute_bundle, evaluate_cost
 from .exceptions import BlowUpError
 from .forward import ControlSignal, TimeGrid, Trajectory, energy_margin, solve_forward
-from .grids import h1_norm, h1_riesz_map, inner_product
+from .grids import h1_norm, h1_riesz_map, inner_product, top_eigenvector
 from .models import ActuatorDesign, ActuatorFamily, ModelSpec
 
 
@@ -341,7 +350,8 @@ def golden_section_r(model: ModelSpec, sets: AdmissibleSets, weights: CostWeight
 
 @dataclass
 class WorstIcReport:
-    """Multi-start ascent diagnostics for the worst-initial-condition problem."""
+    """Worst-initial-condition diagnostics: one record per ascent start, or
+    the one "lanczos" record of a linear model's eigensolve."""
 
     starts: list = field(default_factory=list)
     best_start: int = -1
@@ -352,20 +362,49 @@ class WorstIcReport:
         return self.starts[self.best_start]
 
 
+def _fix_sign(x0: np.ndarray, tol: float) -> np.ndarray:
+    """x0 or -x0, whichever has <x0, 1> > 0; where that sum is at most
+    ``tol`` times sum |x0_i| (zero within the vector's accuracy), whichever
+    has its first largest-magnitude entry positive."""
+    total = float(np.sum(x0))
+    if abs(total) <= tol * float(np.sum(np.abs(x0))):
+        total = float(x0[np.argmax(np.abs(x0))])
+    return -x0 if total < 0 else x0
+
+
 def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
                             design_fixed: ActuatorDesign, sets: AdmissibleSets,
                             weights: CostWeights, tg: TimeGrid,
                             config: OptimizerConfig
                             ) -> tuple[np.ndarray, float, WorstIcReport]:
-    """Projected gradient ascent of the cost over the H1 ball of radius R2.
+    """The maximizer of the cost over the H1 ball of radius R2.
 
-    The ascent direction is the H1 Riesz representer of the x0-derivative;
-    on convergence the multiplier is recovered from the active-constraint
-    identity mu = ||riesz(p(0))||_V / R2 (mu = 0 at interior points), and the
-    KKT residual ||riesz(p(0)) - mu x0||_H1 is reported.  The sign convention
-    makes the V-gradient align with +x0 at a boundary maximizer.  Every
-    forward solve of the call, trial or bundle, writes its trajectory into
-    one (nt+1) x n buffer and every costate into a second, both made once.
+    On a linear model with u = 0 the cost is the quadratic form
+    J(x0) = <x0, L x0> with L x0 = p(0), and its maximizer is the ball's
+    boundary point along the top generalized eigenvector of (L, K), K the
+    discrete H1 operator.  With K = V_K diag(k) V_K^T and x0 = V_K k^-1/2 y,
+    that is the top eigenvector of the symmetric map y -> k^-1/2 V_K^T
+    grad_x0, found by ``top_eigenvector`` from a ``config.seed`` start, to
+    ``config.tol`` and in at most ``config.max_iters`` products, each one
+    gradient bundle.  Its sign is fixed by ``_fix_sign``, so the answer does
+    not depend on the start.  The report holds one "lanczos" record, whose
+    ``iterations`` counts the products and the bundle at the answer.  Where
+    the KKT test fails there, it stops with the ascent's "max iterations
+    reached" at the cap and "no acceptable ascent step" otherwise (rounding
+    holds the residual above a tolerance near machine precision).
+
+    Elsewhere (a nonlinear model, or u != 0, where the cost has a linear
+    term) it is projected gradient ascent from ``config.multi_start``
+    starts, the smooth one and then random ones, each along the H1 Riesz
+    representer of the x0-derivative.
+
+    Both report the multiplier from the active-constraint identity
+    mu = ||riesz(p(0))||_V / R2 (mu = 0 at interior points) and the KKT
+    residual ||riesz(p(0)) - mu x0||_H1, and stop on it below ``config.tol``
+    relative to ||riesz(p(0))||_V.  The sign convention makes the
+    V-gradient align with +x0 at a boundary maximizer.  Every forward solve
+    of the call, trial or bundle, writes its trajectory into one
+    (nt+1) x n buffer and every costate into a second, both made once.
     """
     grid = model.grid
     rng = np.random.default_rng(config.seed)
@@ -374,19 +413,43 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
     def bundle_at(x0: np.ndarray):
         return compute_bundle(model, u_fixed, design_fixed, x0, weights, tg, out=buffers)[0]
 
+    def kkt_at(x0: np.ndarray, bundle) -> tuple[np.ndarray, dict, bool]:
+        """The H1 gradient at x0, its record, and whether the KKT test holds."""
+        g_v = h1_riesz_map(bundle.grad_x0, grid)  # H1 representer of dJ/dx0
+        riesz_p0 = 0.5 * g_v
+        norm_x0 = h1_norm(x0, grid)
+        norm_p0 = h1_norm(riesz_p0, grid)
+        active = norm_x0 >= sets.r2 * (1 - 1e-9)
+        mu = norm_p0 / sets.r2 if active else 0.0
+        kkt = h1_norm(riesz_p0 - mu * x0, grid)
+        record = {"x0": x0, "cost": bundle.cost, "mu": mu, "kkt_residual": kkt,
+                  "x0_h1_norm": norm_x0, "active": active}
+        return g_v, record, kkt <= config.tol * max(norm_p0, 1e-300)
+
+    def lanczos() -> dict:
+        k_basis = grid.h1.basis
+        k_isqrt = 1.0 / np.sqrt(k_basis.values)
+
+        def whitened(y: np.ndarray) -> np.ndarray:
+            grad = bundle_at(k_basis.from_modal(k_isqrt * y)).grad_x0
+            return k_isqrt * k_basis.to_modal(grad)
+
+        y, products, ended = top_eigenvector(whitened, rng.standard_normal(grid.size),
+                                             config.tol, config.max_iters)
+        x0 = k_basis.from_modal(k_isqrt * y)
+        x0 = _fix_sign(x0 * (sets.r2 / h1_norm(x0, grid)), config.tol)
+        _, record, done = kkt_at(x0, bundle_at(x0))
+        stop = "kkt residual below tolerance" if done else \
+            "no acceptable ascent step" if ended else "max iterations reached"
+        return {"label": "lanczos", **record, "iterations": products + 1, "stop": stop}
+
     def ascend(x0_init: np.ndarray, label: str) -> dict:
         x0 = project_V_ball(x0_init, sets.r2, grid)
         bundle = bundle_at(x0)
         alpha = MAX_ASCENT_STEP
         for it in range(config.max_iters + 1):
-            g_v = h1_riesz_map(bundle.grad_x0, grid)  # H1 representer of dJ/dx0
-            riesz_p0 = 0.5 * g_v
-            norm_x0 = h1_norm(x0, grid)
-            norm_p0 = h1_norm(riesz_p0, grid)
-            active = norm_x0 >= sets.r2 * (1 - 1e-9)
-            mu = norm_p0 / sets.r2 if active else 0.0
-            kkt = h1_norm(riesz_p0 - mu * x0, grid)
-            if kkt <= config.tol * max(norm_p0, 1e-300):
+            g_v, record, done = kkt_at(x0, bundle)
+            if done:
                 stop = "kkt residual below tolerance"
                 break
             if it == config.max_iters:
@@ -411,22 +474,18 @@ def worst_initial_condition(model: ModelSpec, u_fixed: ControlSignal,
                 break
             x0 = point
             bundle = bundle_at(x0)
-        return {
-            "label": label, "x0": x0, "cost": bundle.cost, "mu": mu,
-            "kkt_residual": kkt, "x0_h1_norm": norm_x0, "active": active,
-            "iterations": it + 1, "stop": stop,
-        }
+        return {"label": label, **record, "iterations": it + 1, "stop": stop}
 
     report = WorstIcReport()
-    starts = []
-    smooth = np.ones(grid.size)
-    starts.append((smooth, "smooth"))
-    for s in range(max(config.multi_start - 1, 0)):
-        starts.append((rng.standard_normal(grid.size), f"random-{s}"))
-    for x0_init, label in starts:
-        report.starts.append(ascend(x0_init, label))
-    costs = [s["cost"] for s in report.starts]
-    report.best_start = int(np.argmax(costs))
+    if model.is_linear and not np.any(u_fixed.values):
+        report.starts.append(lanczos())
+    else:
+        starts = [(np.ones(grid.size), "smooth")]
+        for s in range(max(config.multi_start - 1, 0)):
+            starts.append((rng.standard_normal(grid.size), f"random-{s}"))
+        for x0_init, label in starts:
+            report.starts.append(ascend(x0_init, label))
+    report.best_start = int(np.argmax([s["cost"] for s in report.starts]))
     best = report.best
     report.converged = best["stop"] == "kkt residual below tolerance"
     return best["x0"], best["mu"], report

@@ -41,7 +41,8 @@ import numpy as np
 from .adjoint import CostWeights, solve_adjoint
 from .exceptions import PdeoptError, StepSizeError
 from .forward import TimeGrid, Trajectory, cn_ab2_sweep
-from .grids import LinearOperator, SpectralBasis, h1_inner, h1_norm, inner_product
+from .grids import (LinearOperator, SpectralBasis, h1_inner, h1_norm, inner_product,
+                    top_eigenvector)
 from .models import ActuatorDesign, ModelSpec
 from .optimize import AdmissibleSets, OptimizerConfig, minimize_joint
 
@@ -419,39 +420,6 @@ def verify_feedback_consistency(model: ModelSpec, sets: AdmissibleSets,
                          inconclusive=False, parts=parts, riccati=ric)
 
 
-def _top_eigenvector(apply, start: np.ndarray) -> np.ndarray:
-    """A unit eigenvector of the largest eigenvalue of the symmetric map
-    ``apply``, by Lanczos with full reorthogonalization from ``start``
-    (Golub & Van Loan, Matrix Computations, 4th ed., sec. 10.1).
-
-    Step j keeps the unit rows q_0..q_j, orthogonalized twice against the new
-    product, and the tridiagonal T_j of their Rayleigh quotients.  Its top
-    Ritz pair (theta, Q^T s) has the residual norm beta_j |s_j|, so the
-    iteration stops once that is at most LANCZOS_TOL theta, where the
-    Krylov space is invariant (beta_j = 0), or when it spans everything.
-    """
-    n = start.size
-    rows = np.empty((min(n, 32), n))  # doubles when full, up to n rows
-    alpha, beta = np.zeros(n), np.zeros(n)
-    rows[0] = start / np.linalg.norm(start)
-    for j in range(n):
-        q = rows[:j + 1]
-        w = apply(q[j])
-        c = q @ w
-        w -= c @ q
-        w -= (q @ w) @ q
-        alpha[j], b = c[j], float(np.linalg.norm(w))
-        tri = np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
-        theta, s = np.linalg.eigh(tri)
-        if b * abs(s[-1, -1]) <= LANCZOS_TOL * theta[-1] or j == n - 1:
-            break
-        if j + 1 == len(rows):
-            rows = np.concatenate((rows, np.empty((min(j + 1, n - j - 1), n))))
-        beta[j] = b
-        np.divide(w, b, out=rows[j + 1])
-    return s[:, -1] @ q
-
-
 def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
                          ) -> tuple[float, float]:
     """Alignment of x0_star with the extremal eigenvector of the H1-whitened
@@ -479,7 +447,8 @@ def worst_ic_eigen_check(ric: RiccatiSolution, x0_star: np.ndarray, grid
         xi = spectral.to_modal(k_basis.from_modal(k_isqrt * y))
         return k_isqrt * k_basis.to_modal(spectral.from_modal(storage.times(xi)))
 
-    y = _top_eigenvector(whitened, np.random.default_rng(0).standard_normal(k_isqrt.size))
+    y = top_eigenvector(whitened, np.random.default_rng(0).standard_normal(k_isqrt.size),
+                        LANCZOS_TOL)[0]
     extremal = k_basis.from_modal(k_isqrt * y)
     denom = h1_norm(x0_star, grid) * h1_norm(extremal, grid)
     cosine = abs(h1_inner(x0_star, extremal, grid)) / max(denom, 1e-300)

@@ -213,6 +213,18 @@ class TestRunPipelines:
         assert summary["constraint_active"]
         assert summary["x0_h1_norm"] == pytest.approx(cfg["sets.r2"], abs=1e-9)
         assert summary["eigen_cosine"] >= 0.999
+        assert [s["label"] for s in summary["starts"]] == ["lanczos"]
+
+    def test_worst_ic_without_a_state_cost(self, tmp_path):
+        # q = 0 makes every product zero: Lanczos stops at once on the
+        # invariant space, and the answer's KKT residual is exactly 0
+        ini = tmp_path / "q0.ini"
+        ini.write_text("[model]\nkind = heat\nlinear = true\n\n[grid]\nnx = 8\nny = 8\n\n"
+                       "[cost]\nq_scale = 0\n")
+        out = tmp_path / "o"
+        assert main(["worst-ic", "--config", str(ini), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["best_cost"] == 0.0 and summary["converged"]
 
     @staticmethod
     def _last_row(path):

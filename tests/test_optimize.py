@@ -492,6 +492,12 @@ def test_input_only_optimum_is_the_discrete_lq_optimum(problem, u_tol):
     assert np.linalg.norm(u.values - u_star) <= u_tol * np.linalg.norm(u_star)
 
 
+def _fixed_input(tg):
+    """A nonzero input: under it a linear model's cost is a convex quadratic
+    in x0 with a linear term, which the worst-IC ascent, not Lanczos, solves."""
+    return po.ControlSignal(tg, np.ones(tg.nt + 1))
+
+
 class TestWorstInitialCondition:
     def test_blowup_rejects_the_ascent_trial(self, growth_model, blowups):
         # on a wide H1 ball the ascent's first step, at its cap, overflows the
@@ -514,7 +520,7 @@ class TestWorstInitialCondition:
         sets = po.AdmissibleSets(family=heat_model_linear.actuator_family, r2=1.0)
         cfg = po.OptimizerConfig(multi_start=1, max_iters=50)
         _, _, rep = po.worst_initial_condition(
-            heat_model_linear, po.ControlSignal.zero(tg),
+            heat_model_linear, _fixed_input(tg),
             heat_model_linear.actuator_family.initial_design(), sets, po.CostWeights(),
             tg, cfg)
         assert rep.best["stop"] == "no acceptable ascent step"
@@ -524,14 +530,15 @@ class TestWorstInitialCondition:
 
     def test_first_ascent_step_is_the_boundary_point_along_the_gradient(
             self, heat_model_linear):
-        # with u = 0 the linear model's cost is convex in x0, so the first trial,
-        # at step a = MAX_ASCENT_STEP from the projected smooth start x, passes
-        # the Armijo test.  Projected, it is r2 y / ||y|| with y = x + a g, and
-        # ||y / ||y|| - g / ||g|| || <= 2 ||x|| / (a ||g||) (all norms H1)
+        # with the input fixed the linear model's cost is convex in x0, so the
+        # first trial, at step a = MAX_ASCENT_STEP from the projected smooth
+        # start x, passes the Armijo test.  Projected, it is r2 y / ||y|| with
+        # y = x + a g, and ||y / ||y|| - g / ||g|| || <= 2 ||x|| / (a ||g||)
+        # (all norms H1)
         g2 = heat_model_linear.grid
         tg = po.TimeGrid(tau=0.3, nt=30)
         sets = po.AdmissibleSets(family=heat_model_linear.actuator_family, r2=1.0)
-        u0 = po.ControlSignal.zero(tg)
+        u0 = _fixed_input(tg)
         design = heat_model_linear.actuator_family.initial_design()
         cfg = po.OptimizerConfig(multi_start=1, max_iters=1)
         x0, _, _ = po.worst_initial_condition(heat_model_linear, u0, design, sets,
@@ -565,7 +572,7 @@ class TestWorstInitialCondition:
         # stops every start no later, and here sooner
         tg = po.TimeGrid(tau=0.5, nt=60)
         sets = po.AdmissibleSets(family=heat_model_linear.actuator_family, r2=1.0)
-        u0 = po.ControlSignal.zero(tg)
+        u0 = _fixed_input(tg)
         d = heat_model_linear.actuator_family.initial_design()
         iterations = {}
         for tol in (1e-2, 1e-5):
@@ -599,7 +606,7 @@ class TestWorstInitialCondition:
                                  r1=10.0, r2=1.0)
         tg = po.TimeGrid(tau=0.3, nt=30)
         cfg = po.OptimizerConfig(seed=2, multi_start=3, max_iters=40)
-        u0 = po.ControlSignal.zero(tg)
+        u0 = _fixed_input(tg)
         d = heat_model_linear.actuator_family.initial_design()
         _, _, rep = po.worst_initial_condition(heat_model_linear, u0, d, sets,
                                                po.CostWeights(), tg, cfg)
@@ -607,6 +614,98 @@ class TestWorstInitialCondition:
         assert labels[0] == "smooth"
         assert len(labels) == 3
 
+
+
+class TestLanczosWorstIc:
+    """A linear model under u = 0 takes the Lanczos path."""
+
+    @staticmethod
+    def _solve(model, tg, cfg, r2=1.0, weights=po.CostWeights(1.0, 1.0)):
+        sets = po.AdmissibleSets(family=model.actuator_family, r1=10.0, r2=r2)
+        return po.worst_initial_condition(model, po.ControlSignal.zero(tg),
+                                          model.actuator_family.initial_design(), sets,
+                                          weights, tg, cfg)
+
+    def test_matches_the_generalized_eigensolve(self):
+        # L x0 = p(0) = grad_x0 / 2, one column per unit x0; the maximizer of
+        # <x0, L x0> on the H1 ball is r2 v / sqrt(w) for the top pair (mu, v)
+        # of eigh(L, K), v^T K v = 1, and mu is the multiplier
+        import scipy.linalg as sla
+        from conftest import toarray
+        g = po.build_grid_2d(6, 5)
+        model = po.make_heat_model(g, f_scalar=None)
+        tg = po.TimeGrid(tau=0.5, nt=40)
+        weights, r2 = po.CostWeights(1.0, 1.0), 0.7
+        design = model.actuator_family.initial_design()
+        cols = [compute_bundle(model, po.ControlSignal.zero(tg), design, e, weights,
+                               tg)[0].grad_x0 / 2 for e in np.eye(g.size)]
+        lmat = np.column_stack(cols)
+        vals, vecs = sla.eigh(0.5 * (lmat + lmat.T), toarray(po.h1_operator(g)))
+        x0, mu, rep = self._solve(model, tg, po.OptimizerConfig(tol=1e-12), r2, weights)
+        expect = r2 * vecs[:, -1] / np.sqrt(g.weight)
+        expect *= np.sign(expect @ x0)
+        assert [s["label"] for s in rep.starts] == ["lanczos"] and rep.converged
+        assert np.linalg.norm(x0 - expect) <= 1e-10 * np.linalg.norm(expect)
+        assert mu == pytest.approx(vals[-1], rel=1e-10)
+        assert rep.best["cost"] == pytest.approx(vals[-1] * r2**2, rel=1e-10)
+
+    def test_sign_does_not_depend_on_the_start(self, heat_model_linear):
+        g = heat_model_linear.grid
+        tg = po.TimeGrid(tau=0.5, nt=60)
+        x_a, x_b = (self._solve(heat_model_linear, tg,
+                                po.OptimizerConfig(tol=1e-8, seed=seed))[0]
+                    for seed in (3, 4))
+        cosine = po.h1_inner(x_a, x_b, g) / (po.h1_norm(x_a, g) * po.h1_norm(x_b, g))
+        assert cosine >= 1 - 1e-10
+        assert np.sum(x_a) > 0 and np.sum(x_b) > 0
+
+    def test_sign_rule_falls_back_to_the_largest_entry(self):
+        for x in (np.array([1.0, -2.0, 2.0, -1.0]), np.array([-0.5, 3.0, 1.0])):
+            fixed = optimize._fix_sign(x, 1e-5)
+            assert np.array_equal(fixed, optimize._fix_sign(-x, 1e-5))
+        assert optimize._fix_sign(np.array([1.0, -2.0, 2.0, -1.0]), 1e-5)[1] == 2.0
+        assert np.sum(optimize._fix_sign(np.array([-0.5, 3.0, 1.0]), 1e-5)) > 0
+
+    def test_criterion_6_problem_in_at_most_12_solve_pairs(self, monkeypatch):
+        # the multi-start ascent made 71 forward and 38 adjoint solves here
+        import pdeopt.adjoint as adjoint
+        counts = {"forward": 0, "adjoint": 0}
+
+        def counting(fn, key):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (adjoint, optimize):
+            monkeypatch.setattr(module, "solve_forward",
+                                counting(module.solve_forward, "forward"))
+        monkeypatch.setattr(adjoint, "solve_adjoint",
+                            counting(adjoint.solve_adjoint, "adjoint"))
+        model = po.make_heat_model(po.build_grid_2d(16, 16), f_scalar=None)
+        _, _, rep = self._solve(model, po.TimeGrid(tau=1.0, nt=200),
+                                po.OptimizerConfig(seed=106, multi_start=5, max_iters=400))
+        assert rep.converged
+        assert counts["forward"] == counts["adjoint"] == rep.best["iterations"] <= 12
+
+    def test_iteration_cap_stops_the_products(self, heat_model_linear):
+        tg = po.TimeGrid(tau=0.5, nt=60)
+        for cap in (0, 2):
+            _, _, rep = self._solve(heat_model_linear, tg,
+                                    po.OptimizerConfig(tol=1e-12, max_iters=cap))
+            assert rep.best["iterations"] == cap + 1
+            assert rep.best["stop"] == "max iterations reached" and not rep.converged
+            assert rep.best["x0_h1_norm"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_nonlinear_model_takes_the_ascent(self, heat_model_small):
+        # (a linear model under u != 0 does too: test_report_records_initialization)
+        tg = po.TimeGrid(tau=0.3, nt=30)
+        sets = po.AdmissibleSets(family=heat_model_small.actuator_family, r2=1.0)
+        _, _, rep = po.worst_initial_condition(
+            heat_model_small, po.ControlSignal.zero(tg),
+            heat_model_small.actuator_family.initial_design(), sets, po.CostWeights(), tg,
+            po.OptimizerConfig(multi_start=3, max_iters=20))
+        assert [s["label"] for s in rep.starts] == ["smooth", "random-0", "random-1"]
 
 def test_symmetric_problem_symmetric_landscape():
     # symmetric initial state + mirror-symmetric actuator family: the

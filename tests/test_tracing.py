@@ -82,10 +82,13 @@ def test_optimizer_spans_pass_the_self_check():
     # Every Armijo trial must solve through a name the tracer wraps: a trial
     # solve bound at import time would leave no span, and the trial counts
     # would read 0 while the evaluations of its cost still show.  rho = 1/60
-    # makes the joint descent's first step min(1/(2 rho), 1e6) = 30.
+    # makes the joint descent's first step min(1/(2 rho), 1e6) = 30.  The
+    # linear model under u = 0 takes the Lanczos path: one start, each
+    # product a gradient bundle, and no Armijo trial.
     tracing = _load_tracing()
     grid = pdeopt.build_grid_2d(6, 5)
     model = pdeopt.make_heat_model(grid)
+    linear = pdeopt.make_heat_model(grid, f_scalar=None)
     tg = pdeopt.TimeGrid(tau=0.3, nt=30)
     x0 = np.random.default_rng(5).standard_normal(grid.size)
     sets = pdeopt.AdmissibleSets(family=model.actuator_family, r1=50.0, r2=1.0)
@@ -97,12 +100,17 @@ def test_optimizer_spans_pass_the_self_check():
         u, design, rep = pdeopt.minimize_joint(model, sets, weights, x0, tg, cfg)
         _, _, worst = pdeopt.worst_initial_condition(model, u, design, sets, weights,
                                                      tg, cfg)
+        _, _, eigen = pdeopt.worst_initial_condition(linear, pdeopt.ControlSignal.zero(tg),
+                                                     design, sets, weights, tg, cfg)
     finally:
         tracer.uninstall()
     assert rep.converged
     assert all(s["stop"] == "kkt residual below tolerance" for s in worst.starts)
+    assert [s["label"] for s in eigen.starts] == ["lanczos"] and eigen.converged
     spans = list(enumerate(tracer.spans))
     assert tracing.self_check(spans, len(rep.iterations)) == []
     optimizers = {i for i, s in spans if s.name in tracing.OPTIMIZERS}
     below = Counter(s.name for _, s in spans if s.parent in optimizers)
     assert below["forward.solve_forward"] == below["adjoint.evaluate_cost"] > 0
+    last = max(optimizers)  # the Lanczos call: its solves are all in bundles
+    assert not any(s.parent == last and s.name == "forward.solve_forward" for _, s in spans)
